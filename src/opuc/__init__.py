@@ -7,6 +7,7 @@ from .errors import (
     DegenerateMeasureError,
     NearBoundaryError,
     OpucError,
+    ParameterRangeError,
     PoleError,
     UnsupportedWeightError,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "MomentTable",
     "NearBoundaryError",
     "OpucError",
+    "ParameterRangeError",
     "PolyPair",
     "PoleError",
     "UnsupportedWeightError",

@@ -4,13 +4,18 @@ G_n is the Cauchy transform of Phi_n nu / t^n over the unit circle, and
 G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use the
 periodic midpoint rule with node doubling; near the circle a singularity
 subtraction keeps the rule spectrally accurate.
+
+Everything that does not depend on z is computed once per table and
+weight: the nodes and weight values of each level, and the integrand
+samples p(t) nu(t) / t^n of each polynomial at each level.  Converged
+values are memoized too, so a transform repeated by another identity
+check costs a lookup.  The state lives in ``VerblunskyTable.quadrature``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,15 +32,6 @@ NEAR_BOUNDARY = 0.02        # refusal band around |z| = 1
 SUBTRACT_BAND = (0.8, 1.25)  # |z| range where subtraction is used automatically
 
 
-@lru_cache(maxsize=128)
-def _circle_nodes(w: WeightSpec, N: int):
-    """Midpoint nodes t_k = e^{i theta_k} and weight values nu(t_k)."""
-    theta = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
-    t = np.exp(1j * theta)
-    nu = weight_values(w, theta)
-    return t, nu
-
-
 @dataclass(frozen=True)
 class CauchyEval:
     """Converged values of the second-kind functions at one point."""
@@ -48,6 +44,42 @@ class CauchyEval:
     dG: complex
     dGstar: complex
     quad_nodes: int
+
+
+class _Quadrature:
+    """z-independent quadrature data of one table and weight, plus a memo of
+    converged transforms.
+
+    The integrand store holds at most NMAX samples, one pass at the finest
+    level, and drops the least recently used arrays to stay within it.
+    """
+
+    def __init__(self, w: WeightSpec):
+        self.w = w
+        self.nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.integrands: dict[tuple, np.ndarray] = {}
+        self.samples = 0
+        self.memo: dict[tuple, tuple[complex, int, float]] = {}
+
+    def circle(self, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoint nodes t_k = e^{i theta_k} and weight values nu(t_k)."""
+        if N not in self.nodes:
+            theta = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
+            self.nodes[N] = np.exp(1j * theta), weight_values(self.w, theta)
+        return self.nodes[N]
+
+    def integrand(self, kind: str, coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
+        """Samples of p(t) nu(t) / t^n at the N nodes; kind names p."""
+        key = (kind, n, N)
+        g = self.integrands.pop(key, None)
+        if g is None:
+            t, nu = self.circle(N)
+            g = _P.polyval(t, coeffs) * nu / t ** n
+            self.samples += N
+            while self.samples > NMAX and self.integrands:
+                self.samples -= len(self.integrands.pop(next(iter(self.integrands))))
+        self.integrands[key] = g
+        return g
 
 
 def classify_region(z: complex) -> str:
@@ -86,24 +118,21 @@ def _converged(eval_at, rtol: float, n0: int = N0, nmax: int = NMAX):
     )
 
 
-def _transform(w: WeightSpec, coeffs: np.ndarray, n: int, z: complex,
-               rtol: float, order: int = 1, subtract: bool | None = None):
+def _transform(q: _Quadrature, kind: str, coeffs: np.ndarray, n: int, z: complex,
+               rtol: float, order: int, subtract: bool):
     """(1/2 pi i) * contour integral of p(t) nu(t) / (t^n (t-z)^order) dt.
 
     order 1 gives the value, 2 the derivative, 3 half the second derivative.
     With subtract=True (order 1 only) the integrand is regularized by
     removing g(z), restoring spectral accuracy next to the circle.
     """
-    z = complex(z)
-    if subtract is None:
-        subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     gz = 0.0 + 0.0j
     if subtract:
-        gz = complex(_P.polyval(z, coeffs)) * eval_nu(w, z) / z ** n
+        gz = complex(_P.polyval(z, coeffs)) * eval_nu(q.w, z) / z ** n
 
     def eval_at(N: int) -> complex:
-        t, nu = _circle_nodes(w, N)
-        g = _P.polyval(t, coeffs) * nu / t ** n
+        t, _ = q.circle(N)
+        g = q.integrand(kind, coeffs, n, N)
         if subtract:
             total = np.sum((g - gz) * t / (t - z)) / N
             if abs(z) < 1.0:
@@ -116,13 +145,31 @@ def _transform(w: WeightSpec, coeffs: np.ndarray, n: int, z: complex,
     return _converged(eval_at, rtol)
 
 
+def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
+                         z: complex, rtol: float, order: int = 1):
+    """(value, nodes, residual) of one transform, computed once per table.
+
+    kind "G" integrates Phi_n, kind "Gstar" Phi*_{n-1}; both against nu/t^n.
+    Values inside the subtraction band are regularized.
+    """
+    z = complex(z)
+    subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
+    q = v.quadrature.get(w)
+    if q is None:
+        q = v.quadrature[w] = _Quadrature(w)
+    key = (kind, n, z, order, subtract, rtol)
+    result = q.memo.get(key)
+    if result is None:
+        coeffs = phi_pair(v, n).phi if kind == "G" else phi_pair(v, n - 1).phistar
+        result = q.memo[key] = _transform(q, kind, coeffs, n, z, rtol, order, subtract)
+    return result
+
+
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
              rtol: float = DEFAULT_RTOL, boundary: bool = False) -> complex:
     """G_n(z) off the circle."""
     _check_offcircle(z, boundary)
-    coeffs = phi_pair(v, n).phi
-    value, _, _ = _transform(w, coeffs, n, z, rtol)
-    return value
+    return _converged_transform(v, w, "G", n, z, rtol)[0]
 
 
 def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
@@ -131,18 +178,15 @@ def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
     if n < 1:
         raise ValueError("G*_{n-1} needs n >= 1")
     _check_offcircle(z, boundary)
-    coeffs = phi_pair(v, n - 1).phistar
-    value, _, _ = _transform(w, coeffs, n, z, rtol)
-    return value
+    return _converged_transform(v, w, "Gstar", n, z, rtol)[0]
 
 
 def cauchy_derivatives(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                        rtol: float = DEFAULT_RTOL) -> tuple[complex, complex]:
     """(G_n'(z), (G*_{n-1})'(z)) by the squared-kernel integrals."""
     _check_offcircle(z, boundary=False)
-    dG, _, _ = _transform(w, phi_pair(v, n).phi, n, z, rtol, order=2, subtract=False)
-    dGs, _, _ = _transform(w, phi_pair(v, n - 1).phistar, n, z, rtol, order=2,
-                           subtract=False)
+    dG = _converged_transform(v, w, "G", n, z, rtol, order=2)[0]
+    dGs = _converged_transform(v, w, "Gstar", n, z, rtol, order=2)[0]
     return dG, dGs
 
 
@@ -150,9 +194,8 @@ def cauchy_second_derivatives(v: VerblunskyTable, w: WeightSpec, n: int, z: comp
                               rtol: float = DEFAULT_RTOL) -> tuple[complex, complex]:
     """(G_n''(z), (G*_{n-1})''(z)) by the cubed-kernel integrals."""
     _check_offcircle(z, boundary=False)
-    d2G, _, _ = _transform(w, phi_pair(v, n).phi, n, z, rtol, order=3, subtract=False)
-    d2Gs, _, _ = _transform(w, phi_pair(v, n - 1).phistar, n, z, rtol, order=3,
-                            subtract=False)
+    d2G = _converged_transform(v, w, "G", n, z, rtol, order=3)[0]
+    d2Gs = _converged_transform(v, w, "Gstar", n, z, rtol, order=3)[0]
     return d2G, d2Gs
 
 
@@ -160,8 +203,8 @@ def cauchy_eval(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                 rtol: float = DEFAULT_RTOL) -> CauchyEval:
     """Full converged record at one point (off the refusal band)."""
     _check_offcircle(z, boundary=False)
-    g, nodes_g, _ = _transform(w, phi_pair(v, n).phi, n, z, rtol)
-    gs, nodes_gs, _ = _transform(w, phi_pair(v, n - 1).phistar, n, z, rtol)
+    g, nodes_g, _ = _converged_transform(v, w, "G", n, z, rtol)
+    gs, nodes_gs, _ = _converged_transform(v, w, "Gstar", n, z, rtol)
     dg, dgs = cauchy_derivatives(v, w, n, z, rtol)
     return CauchyEval(n, complex(z), classify_region(z), g, gs, dg, dgs,
                       max(nodes_g, nodes_gs))
@@ -180,19 +223,17 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, R: float = 3.0,
         raise ValueError("tail extraction needs R > 1 (R >= 2 recommended)")
     if kmax is None:
         kmax = 2
-    phis = phi_pair(v, n).phi
-    stars = phi_pair(v, n - 1).phistar if n >= 1 else None
     zs = R * np.exp(2j * math.pi * np.arange(samples) / samples)
-    gv = np.array([_transform(w, phis, n, z, rtol)[0] for z in zs])
+    gv = np.array([_converged_transform(v, w, "G", n, z, rtol)[0] for z in zs])
     # c_m := coefficient of z^{-m}; from samples, c_m = R^m * mean(G * e^{i m theta})
     def coeff(values: np.ndarray, m: int) -> complex:
         phase = np.exp(2j * math.pi * m * np.arange(samples) / samples)
         return complex(R ** m * np.mean(values * phase))
 
     g_coeffs = np.array([coeff(gv, n + 1 + k) for k in range(kmax + 1)])
-    if stars is None:
+    if n < 1:
         return g_coeffs, np.array([])
-    gsv = np.array([_transform(w, stars, n, z, rtol)[0] for z in zs])
+    gsv = np.array([_converged_transform(v, w, "Gstar", n, z, rtol)[0] for z in zs])
     gstar_coeffs = np.array([coeff(gsv, n + k) for k in range(kmax + 1)])
     return g_coeffs, gstar_coeffs
 

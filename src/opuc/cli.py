@@ -5,7 +5,7 @@ report (checks sorted by name, degree, then point), so two runs with the
 same flags produce byte-identical output.
 
 Exit codes: 0 all checks pass, 1 verification failures, 2 usage errors,
-3 numerical degeneracy or accuracy failures.
+3 numerical degeneracy, accuracy failures or unsupported parameter ranges.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .weights import WeightSpec
 INNER_R = 0.4
 OUTER_R = 2.5
 SINGULARITY_CLEARANCE = 0.05
+VERIFY_MIN_N = 2            # the Laurent-tail checks start at degree 2
 
 
 def standard_grid(w: WeightSpec) -> list[complex]:
@@ -113,6 +114,13 @@ class Suite:
 
 
 def _weight_from_args(args, parser) -> WeightSpec:
+    try:
+        return _weight(args, parser)
+    except ValueError as exc:   # a parameter the weight family rejects
+        parser.error(str(exc))
+
+
+def _weight(args, parser) -> WeightSpec:
     kind = args.weight
     if kind == "lebesgue":
         return WeightSpec.lebesgue()
@@ -271,8 +279,8 @@ def cmd_verblunsky(args, parser) -> int:
     for n in range(args.n):
         a = v.alphas[n]
         p = v.phi1[n]
-        rows.append([n, repr(a.real), repr(a.imag), repr(v.kappa2[n]),
-                     repr(v.b[n]), repr(p.real), repr(p.imag)])
+        rows.append([n, repr(a.real), repr(a.imag), repr(float(v.kappa2[n])),
+                     repr(float(v.b[n])), repr(p.real), repr(p.imag)])
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         csv.writer(out).writerows(rows)
@@ -304,6 +312,8 @@ def cmd_dpii(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     w = _weight_from_args(args, parser)
+    if args.n < VERIFY_MIN_N:
+        parser.error(f"verify needs --n >= {VERIFY_MIN_N}")
     rtol = args.rtol if args.rtol is not None else DEFAULT_RTOL
     nmax = args.n
     v, _ = _verblunsky_for(w, nmax, rtol)

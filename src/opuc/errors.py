@@ -13,6 +13,10 @@ class PoleError(OpucError):
     """Evaluation requested at a singular point of the weight or a map."""
 
 
+class ParameterRangeError(OpucError, ValueError):
+    """A parameter lies outside the range an algorithm supports."""
+
+
 class NearBoundaryError(OpucError):
     """Off-circle evaluation requested too close to the unit circle."""
 

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, ParameterRangeError
 from .weights import WeightSpec, weight_values
 
 DEFAULT_N = 4096
 NMAX_NODES = 1 << 20
 DEFAULT_RTOL = 1e-12
 JACOBI_RTOL = 1e-9
+BESSEL_MAX_ORDER = 170      # j! overflows a float for j > 170
+BESSEL_MAX_ELL = 50.0
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,10 @@ def bessel_i_series(j: int, x: float, rtol: float = 1e-16) -> float:
     """Modified Bessel function I_j(x) by its power series (j >= 0)."""
     if j < 0:
         j = -j
+    if j > BESSEL_MAX_ORDER:
+        raise ParameterRangeError(
+            f"Bessel series supports orders |j| <= {BESSEL_MAX_ORDER}, got {j}"
+        )
     half = x / 2.0
     term = half ** j / math.factorial(j)
     total = term
@@ -154,8 +160,10 @@ def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
     """c_j = 2pi I_j(ell) for the exponential-of-cosine weight with H == 1."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if ell > 50:
-        raise ValueError("analytic route documented for ell <= 50 only")
+    if ell > BESSEL_MAX_ELL:
+        raise ParameterRangeError(
+            f"analytic route documented for ell <= {BESSEL_MAX_ELL:g} only"
+        )
     values = [2.0 * math.pi * bessel_i_series(abs(j), ell) for j in range(-jmax, jmax + 1)]
     return MomentTable(-jmax, jmax, tuple(values), "analytic")
 

@@ -24,41 +24,40 @@ from .szego import VerblunskyTable, phi_pair
 from .weights import WeightSpec, eval_weight, log_derivative, log_derivative2
 
 
-def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-               rtol: float = DEFAULT_RTOL, boundary: bool = False) -> Matrix2C:
-    """The unit-determinant solution matrix at z (off the circle)."""
+def _assemble(v: VerblunskyTable, w: WeightSpec, n: int, z: complex, rtol: float,
+              order: int, boundary: bool = False) -> Matrix2C:
+    """Y_n at z (order 0) or its analytic z-derivative of order 1 or 2."""
     if n < 1:
         raise ValueError("solution matrix defined for n >= 1")
     z = complex(z)
     bm1 = v.b[n - 1]
-    pn = phi_pair(v, n)
-    ps = phi_pair(v, n - 1)
-    G = cauchy_G(v, w, n, z, rtol, boundary)
-    Gs = cauchy_Gstar(v, w, n, z, rtol, boundary)
-    return Matrix2C(pn.eval_phi(z), G, -bm1 * ps.eval_phistar(z), -bm1 * Gs)
+    if order == 0:
+        G = cauchy_G(v, w, n, z, rtol, boundary)
+        Gs = cauchy_Gstar(v, w, n, z, rtol, boundary)
+    elif order == 1:
+        G, Gs = cauchy_derivatives(v, w, n, z, rtol)
+    else:
+        G, Gs = cauchy_second_derivatives(v, w, n, z, rtol)
+    return Matrix2C(phi_pair(v, n).eval_phi_deriv(z, order), G,
+                    -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
+
+
+def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
+               rtol: float = DEFAULT_RTOL, boundary: bool = False) -> Matrix2C:
+    """The unit-determinant solution matrix at z (off the circle)."""
+    return _assemble(v, w, n, z, rtol, 0, boundary)
 
 
 def assemble_Y_deriv(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                      rtol: float = DEFAULT_RTOL) -> Matrix2C:
     """z-derivative of the solution matrix (analytic, no finite differences)."""
-    z = complex(z)
-    bm1 = v.b[n - 1]
-    pn = phi_pair(v, n)
-    ps = phi_pair(v, n - 1)
-    dG, dGs = cauchy_derivatives(v, w, n, z, rtol)
-    return Matrix2C(pn.eval_phi_deriv(z), dG,
-                    -bm1 * ps.eval_phistar_deriv(z), -bm1 * dGs)
+    return _assemble(v, w, n, z, rtol, 1)
 
 
 def assemble_Y_second_deriv(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                             rtol: float = DEFAULT_RTOL) -> Matrix2C:
-    z = complex(z)
-    bm1 = v.b[n - 1]
-    pn = phi_pair(v, n)
-    ps = phi_pair(v, n - 1)
-    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z, rtol)
-    return Matrix2C(pn.eval_phi_deriv(z, 2), d2G,
-                    -bm1 * ps.eval_phistar_deriv(z, 2), -bm1 * d2Gs)
+    """Second z-derivative of the solution matrix."""
+    return _assemble(v, w, n, z, rtol, 2)
 
 
 def transfer_matrix(v: VerblunskyTable, n: int, z: complex) -> Matrix2C:

@@ -3,14 +3,15 @@
 From moments we run the one-step recurrence Phi_{n+1} = z Phi_n -
 conj(alpha_n) Phi_n^*, extracting each alpha_n from the moment functional
 applied to z Phi_n.  The table stores the alphas, the normalization
-constants kappa_n^2 and b_n = 2 pi kappa_n^2, and the subleading
-coefficients Phi_1^n of the monic polynomials.
+constants kappa_n^2 and b_n = 2 pi kappa_n^2, the subleading
+coefficients Phi_1^n, and the read-only coefficient arrays of every
+Phi_n and Phi_n^* that the one recursion pass builds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +44,22 @@ class PolyPair:
         return complex(_P.polyval(z, _P.polyder(self.phistar, order)))
 
 
-def eval_poly(pair: PolyPair, which: str, z: complex, derivative: int = 0) -> complex:
-    """Evaluate phi or phistar (or a derivative) at z."""
-    coeffs = pair.phi if which == "phi" else pair.phistar
-    if derivative:
-        coeffs = _P.polyder(coeffs, derivative)
-    return complex(_P.polyval(z, coeffs))
+def _read_only(coeffs: np.ndarray) -> np.ndarray:
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _szego_step(pair: PolyPair, alpha: complex) -> PolyPair:
+    """Phi_{n+1} = z Phi_n - conj(alpha_n) Phi_n^*, and its reciprocal."""
+    shifted = np.concatenate(([0.0], pair.phi))
+    padded = np.pad(pair.phistar, (0, 1))
+    return PolyPair(pair.n + 1,
+                    _read_only(shifted - alpha.conjugate() * padded),
+                    _read_only(padded - alpha * shifted))
+
+
+_ONE = _read_only(np.array([1.0 + 0.0j]))
+_DEGREE_ZERO = PolyPair(0, _ONE, _ONE)
 
 
 def _phi1_sequence(alphas: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -64,12 +75,20 @@ def _phi1_sequence(alphas: tuple[complex, ...]) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class VerblunskyTable:
-    """Recurrence data: alphas, kappa^2, b = 2 pi kappa^2, and Phi_1^n."""
+    """Recurrence data: alphas, kappa^2, b = 2 pi kappa^2, Phi_1^n, and the
+    polynomial pairs of degrees 0..nmax.
+
+    ``quadrature`` holds the second-kind evaluation state of ``opuc.cauchy``,
+    one entry per weight, so it lives and dies with the table.
+    """
 
     alphas: tuple[complex, ...]
     kappa2: tuple[float, ...]
     b: tuple[float, ...]
     phi1: tuple[complex, ...]
+    polys: tuple[PolyPair, ...] = field(compare=False, repr=False)
+    quadrature: dict = field(default_factory=dict, init=False, compare=False,
+                             repr=False)
 
     @property
     def nmax(self) -> int:
@@ -85,6 +104,7 @@ class VerblunskyTable:
     def from_alphas(cls, alphas, kappa0sq: float) -> "VerblunskyTable":
         alphas = tuple(complex(a) for a in alphas)
         kappa2 = [float(kappa0sq)]
+        polys = [_DEGREE_ZERO]
         for n, a in enumerate(alphas):
             r = 1.0 - abs(a) ** 2
             if r <= DEGENERACY_MARGIN:
@@ -92,8 +112,14 @@ class VerblunskyTable:
                     f"|alpha_{n}| leaves the unit disk", index=n
                 )
             kappa2.append(kappa2[-1] / r)
+            polys.append(_szego_step(polys[-1], a))
+        return cls._build(alphas, kappa2, polys)
+
+    @classmethod
+    def _build(cls, alphas: tuple[complex, ...], kappa2: list[float],
+               polys: list[PolyPair]) -> "VerblunskyTable":
         b = tuple(2.0 * math.pi * k for k in kappa2)
-        return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas))
+        return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas), tuple(polys))
 
     def perturbed(self, n: int, eps: complex) -> "VerblunskyTable":
         """Copy with alpha_n shifted by eps; downstream constants recomputed."""
@@ -108,40 +134,30 @@ def verblunsky_from_moments(c: MomentTable, nmax: int) -> VerblunskyTable:
         raise ValueError(f"moment table must cover j >= -{nmax}")
     kappa2 = [1.0 / c.c0]
     alphas: list[complex] = []
-    phi = np.array([1.0 + 0.0j])
-    phistar = np.array([1.0 + 0.0j])
+    polys = [_DEGREE_ZERO]
     for n in range(nmax):
         # conj(alpha_n) = kappa_n^2 * integral of t Phi_n dmu, as a moment sum
+        phi = polys[-1].phi
         s = sum(phi[k] * c.get(-(k + 1)) for k in range(n + 1))
         alpha = (kappa2[-1] * s).conjugate()
+        # a numpy float, as are kappa2[n >= 1] and b; the residuals computed
+        # from them depend on numpy's scalar rounding bit for bit
         r = 1.0 - abs(alpha) ** 2
         if r <= DEGENERACY_MARGIN:
             raise DegenerateMeasureError(
                 f"|alpha_{n}| = {abs(alpha):.15f} leaves the unit disk", index=n
             )
         alphas.append(complex(alpha))
-        phi_next = np.concatenate(([0.0], phi)) - alpha.conjugate() * np.pad(
-            phistar, (0, 1)
-        )
-        phistar_next = np.pad(phistar, (0, 1)) - alpha * np.concatenate(([0.0], phi))
-        phi, phistar = phi_next, phistar_next
+        polys.append(_szego_step(polys[-1], alpha))
         kappa2.append(kappa2[-1] / r)
-    b = tuple(2.0 * math.pi * k for k in kappa2)
-    return VerblunskyTable(tuple(alphas), tuple(kappa2), b, _phi1_sequence(tuple(alphas)))
+    return VerblunskyTable._build(tuple(alphas), kappa2, polys)
 
 
 def phi_pair(v: VerblunskyTable, n: int) -> PolyPair:
-    """Regenerate the degree-n coefficient tables from the alphas alone."""
+    """The degree-n coefficient arrays, built once by the table's recursion."""
     if n < 0 or n > v.nmax:
         raise ValueError(f"degree {n} outside the table range 0..{v.nmax}")
-    phi = np.array([1.0 + 0.0j])
-    phistar = np.array([1.0 + 0.0j])
-    for k in range(n):
-        a = v.alphas[k]
-        phi_next = np.concatenate(([0.0], phi)) - a.conjugate() * np.pad(phistar, (0, 1))
-        phistar_next = np.pad(phistar, (0, 1)) - a * np.concatenate(([0.0], phi))
-        phi, phistar = phi_next, phistar_next
-    return PolyPair(n, phi, phistar)
+    return v.polys[n]
 
 
 def orthogonality_defect(v: VerblunskyTable, c: MomentTable, n: int, m: int) -> float:

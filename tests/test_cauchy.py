@@ -1,9 +1,13 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from opuc.cauchy import (
+    N0,
+    NMAX,
+    SUBTRACT_BAND,
     cauchy_G,
     cauchy_Gstar,
     cauchy_derivatives,
@@ -14,6 +18,11 @@ from opuc.cauchy import (
     laurent_tail,
 )
 from opuc.errors import NearBoundaryError
+from opuc.moments import moments_for
+from opuc.szego import phi_pair, verblunsky_from_moments
+from opuc.weights import WeightSpec, eval_nu, weight_values
+
+_P = np.polynomial.polynomial
 
 INSIDE = 0.4 * cmath.exp(1j * 0.7)
 OUTSIDE = 2.5 * cmath.exp(1j * 2.1)
@@ -112,3 +121,108 @@ def test_cauchy_eval_record(bessel2):
     assert rec.region == "outside"
     assert rec.G == pytest.approx(cauchy_G(v, w, 3, OUTSIDE))
     assert rec.quad_nodes >= 256
+
+
+def _reference_transform(w, coeffs, n, z, rtol=1e-12, order=1, subtract=None):
+    """Reference: the uncached midpoint transform with node doubling."""
+    z = complex(z)
+    if subtract is None:
+        subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
+    gz = 0.0 + 0.0j
+    if subtract:
+        gz = complex(_P.polyval(z, coeffs)) * eval_nu(w, z) / z ** n
+
+    def eval_at(N):
+        theta = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
+        t = np.exp(1j * theta)
+        g = _P.polyval(t, coeffs) * weight_values(w, theta) / t ** n
+        if subtract:
+            total = np.sum((g - gz) * t / (t - z)) / N
+            if abs(z) < 1.0:
+                total += gz
+            return complex(total)
+        scale = 2.0 if order == 3 else 1.0
+        return complex(scale * np.sum(g * (t / (t - z) ** order)) / N)
+
+    N = N0
+    prev = eval_at(N)
+    while N < NMAX:
+        N *= 2
+        cur = eval_at(N)
+        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise AssertionError("reference transform did not converge")
+
+
+def _fresh(w, nmax=10):
+    return verblunsky_from_moments(moments_for(w, nmax + 2), nmax)
+
+
+BAND = 1.1 * cmath.exp(1j * 0.9)   # inside the subtraction band, off the refusal band
+
+
+@pytest.mark.parametrize("z", [INSIDE, OUTSIDE, BAND], ids=["inside", "outside", "band"])
+def test_transforms_equal_uncached_reference(z):
+    w = WeightSpec.bessel(2.0)
+    v = _fresh(w)
+    n = 4
+    phi, star = phi_pair(v, n).phi, phi_pair(v, n - 1).phistar
+    G = _reference_transform(w, phi, n, z)
+    Gs = _reference_transform(w, star, n, z)
+    d = tuple(_reference_transform(w, p, n, z, order=2, subtract=False) for p in (phi, star))
+    d2 = tuple(_reference_transform(w, p, n, z, order=3, subtract=False) for p in (phi, star))
+    for _ in ("cold", "warm"):
+        assert cauchy_G(v, w, n, z) == G
+        assert cauchy_Gstar(v, w, n, z) == Gs
+        assert cauchy_derivatives(v, w, n, z) == d
+        assert cauchy_second_derivatives(v, w, n, z) == d2
+    assert len(v.quadrature[w].memo) == 6
+
+
+def test_other_rtol_gets_its_own_entry():
+    w = WeightSpec.bessel(2.0)
+    v = _fresh(w)
+    phi = phi_pair(v, 3).phi
+    assert cauchy_G(v, w, 3, OUTSIDE) == _reference_transform(w, phi, 3, OUTSIDE)
+    tight = cauchy_G(v, w, 3, OUTSIDE, rtol=1e-14)
+    assert tight == _reference_transform(w, phi, 3, OUTSIDE, rtol=1e-14)
+    assert len(v.quadrature[w].memo) == 2
+
+
+def test_perturbed_copy_does_not_reuse_original_values():
+    w = WeightSpec.bessel(2.0)
+    v = _fresh(w)
+    before = cauchy_G(v, w, 6, OUTSIDE)
+    vp = v.perturbed(5, 1e-3)
+    assert vp.quadrature == {}
+    after = cauchy_G(vp, w, 6, OUTSIDE)
+    assert after == _reference_transform(w, phi_pair(vp, 6).phi, 6, OUTSIDE)
+    assert after != before
+
+
+def test_evaluation_state_outside_equality_and_repr():
+    w = WeightSpec.bessel(2.0)
+    v1, v2 = _fresh(w), _fresh(w)
+    cauchy_G(v1, w, 2, OUTSIDE)
+    assert v1 == v2
+    assert repr(v1) == repr(v2)
+
+
+def test_integrand_store_stays_within_one_finest_pass():
+    # Jacobi transforms next to the circle need 2^13 nodes, so five degrees
+    # of them overflow the store and evict the oldest integrands
+    w = WeightSpec.jacobi(1.0 + 0.5j)
+    v = _fresh(w)
+    z = 1.021 * cmath.exp(0.4j)
+    for n in range(2, 7):
+        for which in (cauchy_G, cauchy_Gstar):
+            which(v, w, n, z)
+    q = v.quadrature[w]
+    assert q.samples == sum(len(g) for g in q.integrands.values())
+    assert q.samples <= NMAX
+    assert ("G", 2, 256) not in q.integrands
+    phi = phi_pair(v, 2).phi
+    assert cauchy_G(v, w, 2, z) == _reference_transform(w, phi, 2, z)
+    q.memo.clear()
+    assert cauchy_G(v, w, 2, z) == _reference_transform(w, phi, 2, z)

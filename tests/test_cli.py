@@ -109,3 +109,48 @@ def test_standard_grid_avoids_singularities():
     assert all(abs(z - 1.0) >= 0.05 for z in grid)
     radii = {round(abs(z), 6) for z in grid}
     assert radii == {0.4, 2.5}
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_verify_degree_below_minimum_is_usage_error(n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "all", "--weight", "bessel", "--ell", "2", "--n", n])
+    assert exc.value.code == 2
+    assert "--n >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--weight", "bessel", "--ell", "2", "--jmax", "200"],
+    ["verblunsky", "--weight", "bessel", "--ell", "2", "--n", "169"],
+    ["dpii", "--ell", "2", "--n", "168"],
+], ids=["moments", "verblunsky", "dpii"])
+def test_bessel_order_beyond_series_limit_exits_3(argv, capsys):
+    assert run(argv) == 3
+    assert "|j| <= 170" in capsys.readouterr().err
+
+
+def test_bessel_ell_beyond_analytic_range_exits_3(capsys):
+    assert run(["moments", "--weight", "bessel", "--ell", "60", "--jmax", "4"]) == 3
+    assert "ell <= 50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--weight", "bessel", "--ell", "-1"],
+                                   ["--weight", "jacobi", "--lambda", "-0.7"]],
+                         ids=["bessel", "jacobi"])
+def test_weight_parameter_out_of_family_is_usage_error(flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["moments", *flags, "--jmax", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--weight", "bessel", "--ell", "2"],
+                                   ["--weight", "jacobi", "--lambda", "1", "--eta", "0.5"]],
+                         ids=["bessel", "jacobi"])
+def test_verblunsky_csv_fields_are_plain_numbers(tmp_path, flags):
+    out = tmp_path / "a.csv"
+    assert run(["verblunsky", *flags, "--n", "5", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.open()))[1:]
+    assert len(rows) == 5
+    for row in rows:
+        for field in row:
+            float(field)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opuc.errors import AccuracyError
+from opuc.errors import AccuracyError, OpucError, ParameterRangeError
 from opuc.moments import (
+    BESSEL_MAX_ORDER,
     MomentTable,
     bessel_i_series,
     bessel_moments_analytic,
@@ -113,3 +114,11 @@ def test_accuracy_error_reported():
     w = WeightSpec.jacobi(-0.49)
     with pytest.raises(AccuracyError):
         moments_quadrature(w, 4, rtol=1e-16, nmax=1 << 12)
+
+
+def test_bessel_series_order_limit():
+    assert 0.0 < bessel_i_series(BESSEL_MAX_ORDER, 2.0) < 1e-300
+    with pytest.raises(ParameterRangeError, match="170"):
+        bessel_i_series(BESSEL_MAX_ORDER + 1, 2.0)
+    with pytest.raises(OpucError):
+        bessel_moments_analytic(60.0, 4)

@@ -117,3 +117,47 @@ def test_alpha_seed():
     v = VerblunskyTable.from_alphas([0.2], 1.0)
     assert v.alpha(-1) == -1.0
     assert v.alpha(0) == 0.2
+
+
+def _pairs_from_alphas(alphas):
+    """Reference: the from-alphas loop phi_pair ran before tables kept pairs."""
+    phi = np.array([1.0 + 0.0j])
+    phistar = np.array([1.0 + 0.0j])
+    pairs = [(phi, phistar)]
+    for a in alphas:
+        phi_next = np.concatenate(([0.0], phi)) - a.conjugate() * np.pad(phistar, (0, 1))
+        phistar_next = np.pad(phistar, (0, 1)) - a * np.concatenate(([0.0], phi))
+        phi, phistar = phi_next, phistar_next
+        pairs.append((phi, phistar))
+    return pairs
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["moments", "perturbed"])
+def test_stored_pairs_equal_reference_loop(bessel2, perturb):
+    _, _, v = bessel2
+    if perturb:
+        v = v.perturbed(5, 1e-3)
+    reference = _pairs_from_alphas(v.alphas)
+    assert len(reference) == v.nmax + 1
+    for n, (phi, phistar) in enumerate(reference):
+        p = phi_pair(v, n)
+        assert p.n == n
+        assert np.array_equal(p.phi, phi)
+        assert np.array_equal(p.phistar, phistar)
+
+
+def test_stored_pairs_are_read_only(bessel2):
+    _, _, v = bessel2
+    p = phi_pair(v, 4)
+    with pytest.raises(ValueError):
+        p.phi[0] = 0.0
+    with pytest.raises(ValueError):
+        p.phistar[-1] = 0.0
+
+
+def test_phi_pair_range_checked(bessel2):
+    _, _, v = bessel2
+    phi_pair(v, v.nmax)
+    for n in (-1, v.nmax + 1):
+        with pytest.raises(ValueError):
+            phi_pair(v, n)
