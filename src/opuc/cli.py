@@ -38,6 +38,7 @@ from .structure import (
     hypergeometric_residuals_jacobi,
     mtilde_bessel,
     mtilde_jacobi,
+    pole_clearing_factor,
     second_curvature_residual,
     second_order_residuals_bessel,
     structure_relation_jacobi,
@@ -51,6 +52,42 @@ INNER_R = 0.4
 OUTER_R = 2.5
 SINGULARITY_CLEARANCE = 0.05
 VERIFY_MIN_N = 2            # the Laurent-tail checks start at degree 2
+
+# The tolerance of every check, by check name; jump_condition's depends on
+# the weight family.  tests/test_cli.py pins each value to the one the
+# acceptance gate (tests/test_acceptance.py) uses for the same identity.
+TOLERANCES = {
+    "det_unimodular": 1e-8,
+    "transfer_relation": 1e-8,
+    "recurrence_phi": 1e-8,
+    "recurrence_phistar": 1e-8,
+    "recurrence_g": 1e-8,
+    "recurrence_gstar": 1e-8,
+    "value_g_origin": 1e-9,
+    "value_gstar_origin": 1e-9,
+    "jump_condition": {"lebesgue": 1e-6, "bessel": 1e-6, "jacobi": 1e-5},
+    "tail_g_leading": 1e-6,
+    "tail_g_subleading": 1e-6,
+    "tail_gstar_leading": 1e-6,
+    "tail_gstar_subleading": 1e-6,
+    "closed_structure_matrix": 1e-6,
+    "curvature_closed": 1e-9,
+    "curvature_generic": 1e-7,
+    "curvature_second": 1e-6,
+    "second_order_generic": 1e-5,
+    "first_order_traceback": 1e-5,
+    "structure_relation_three_term": 1e-9,
+    "structure_relation_weighted": 1e-9,
+    "first_order_phi": 1e-9,
+    "first_order_phistar": 1e-9,
+    "first_order_g": 1e-7,
+    "first_order_gstar": 1e-7,
+    "second_order_phi": 1e-9,
+    "second_order_phistar": 1e-9,
+    "second_order_g": 1e-6,
+    "second_order_gstar": 1e-6,
+    "dpii_relation": 1e-7,
+}
 
 
 def standard_grid(w: WeightSpec) -> list[complex]:
@@ -79,12 +116,15 @@ def _fmt_z(z: complex | None) -> str | None:
 class Suite:
     """Accumulates checks and renders the canonical JSON report."""
 
-    def __init__(self, meta: dict):
+    def __init__(self, meta: dict, family: str):
         self.meta = meta
+        self.family = family
         self.checks: list[dict] = []
 
-    def add(self, name: str, n: int, residual: float, tolerance: float,
-            z: complex | None = None) -> None:
+    def add(self, name: str, n: int, residual: float, z: complex | None = None) -> None:
+        tolerance = TOLERANCES[name]
+        if isinstance(tolerance, dict):
+            tolerance = tolerance[self.family]
         self.checks.append({
             "name": name,
             "n": n,
@@ -118,6 +158,8 @@ def _weight_from_args(args, parser) -> WeightSpec:
         return _weight(args, parser)
     except ValueError as exc:   # a parameter the weight family rejects
         parser.error(str(exc))
+    except OSError as exc:      # an unreadable --moments file
+        parser.error(f"cannot read --moments: {exc}")
 
 
 def _weight(args, parser) -> WeightSpec:
@@ -140,9 +182,24 @@ def _weight(args, parser) -> WeightSpec:
     parser.error(f"unknown weight {kind!r}")
 
 
-def _verblunsky_for(w: WeightSpec, nmax: int, rtol: float | None):
-    c = moments_for(w, nmax + 4)
-    return verblunsky_from_moments(c, nmax + 2), c
+def _moments(w: WeightSpec, jmax: int, parser):
+    """moments_for, with a custom table that falls short as a usage error."""
+    if w.kind == "custom" and not w.moments.covers(jmax):
+        parser.error(f"the --moments table must cover |j| <= {jmax}")
+    return moments_for(w, jmax)
+
+
+def _closed_forms(w: WeightSpec):
+    """(parameter, mtilde, curvature, first-order, second-order) of w's
+    closed-form family, or None.  Resolving the names per call lets wrappers
+    installed on them later (profilers, tracers) see these calls."""
+    if w.kind == "bessel":
+        return (w.ell, mtilde_bessel, curvature_residual_bessel,
+                first_order_residuals_bessel, second_order_residuals_bessel)
+    if w.kind == "jacobi":
+        return (w.b, mtilde_jacobi, curvature_residual_jacobi,
+                first_order_residuals_jacobi, hypergeometric_residuals_jacobi)
+    return None
 
 
 def _apply_perturb(v, spec: str, parser):
@@ -159,94 +216,72 @@ def _apply_perturb(v, spec: str, parser):
 
 def _suite_rh(suite: Suite, v, w: WeightSpec, nmax: int, rtol: float) -> None:
     grid = standard_grid(w)
-    jump_tol = 1e-5 if w.kind == "jacobi" else 1e-6
     for n in range(1, nmax + 1):
         for z in grid:
             Y = assemble_Y(v, w, n, z, rtol)
-            suite.add("det_unimodular", n, abs(Y.det() - 1.0), 1e-8, z)
+            suite.add("det_unimodular", n, abs(Y.det() - 1.0), z)
         z = grid[1]
         if n < v.nmax - 1:
-            suite.add("transfer_relation", n,
-                      transfer_residual(v, w, n, z, rtol), 1e-8, z)
+            suite.add("transfer_relation", n, transfer_residual(v, w, n, z, rtol), z)
             r1, r2, r3, r4 = transfer_recurrence_residuals(v, w, n, z, rtol)
-            suite.add("recurrence_phi", n, r1, 1e-8, z)
-            suite.add("recurrence_phistar", n, r2, 1e-8, z)
-            suite.add("recurrence_g", n, r3, 1e-8, z)
-            suite.add("recurrence_gstar", n, r4, 1e-8, z)
+            suite.add("recurrence_phi", n, r1, z)
+            suite.add("recurrence_phistar", n, r2, z)
+            suite.add("recurrence_g", n, r3, z)
+            suite.add("recurrence_gstar", n, r4, z)
         suite.add("value_g_origin", n,
-                  abs(cauchy_G(v, w, n, 0.0, rtol) - 1.0 / v.b[n]), 1e-9)
+                  abs(cauchy_G(v, w, n, 0.0, rtol) - 1.0 / v.b[n]))
         suite.add("value_gstar_origin", n,
-                  abs(cauchy_Gstar(v, w, n, 0.0, rtol)
-                      - v.alphas[n - 1] / v.b[n - 1]), 1e-9)
+                  abs(cauchy_Gstar(v, w, n, 0.0, rtol) - v.alphas[n - 1] / v.b[n - 1]))
     for t in circle_grid():
-        suite.add("jump_condition", nmax, jump_residual(v, w, nmax, t, rtol=rtol),
-                  jump_tol, t)
+        suite.add("jump_condition", nmax, jump_residual(v, w, nmax, t, rtol=rtol), t)
     for n in (2, nmax):
         g, gs = laurent_tail(v, w, n)
         lead = -v.alpha(n).conjugate() / v.b[n]
         sub = (v.alpha(n).conjugate() / v.b[n] * v.phi1[n + 1]
                - v.alpha(n + 1).conjugate() / v.b[n + 1])
-        suite.add("tail_g_leading", n, abs(g[0] - lead), 1e-6)
-        suite.add("tail_g_subleading", n, abs(g[1] - sub), 1e-6)
-        suite.add("tail_gstar_leading", n, abs(gs[0] + 1.0 / v.b[n - 1]), 1e-6)
-        suite.add("tail_gstar_subleading", n,
-                  abs(gs[1] - v.phi1[n] / v.b[n - 1]), 1e-6)
+        suite.add("tail_g_leading", n, abs(g[0] - lead))
+        suite.add("tail_g_subleading", n, abs(g[1] - sub))
+        suite.add("tail_gstar_leading", n, abs(gs[0] + 1.0 / v.b[n - 1]))
+        suite.add("tail_gstar_subleading", n, abs(gs[1] - v.phi1[n] / v.b[n - 1]))
 
 
 def _suite_structure(suite: Suite, v, w: WeightSpec, nmax: int, rtol: float) -> None:
     grid = standard_grid(w)
     zs = [grid[1], grid[len(grid) // 2 + 1]]
     top = min(nmax, v.nmax - 2)
+    closed = _closed_forms(w)
+    if closed:
+        p, mtilde, curvature, first_order, second_order = closed
     for n in range(2, top + 1):
         for z in zs:
-            Mnum = structure_matrix_numeric(v, w, n, z, rtol)
-            if w.kind == "bessel":
-                diff = mtilde_bessel(v, w.ell, n, z) - Mnum.scale(z * z)
-                suite.add("closed_structure_matrix", n, diff.frobenius(), 1e-6, z)
-                suite.add("curvature_closed", n,
-                          curvature_residual_bessel(v, w.ell, n, z), 1e-9, z)
-            elif w.kind == "jacobi":
-                diff = mtilde_jacobi(v, w.b, n, z) - Mnum.scale(z * (1.0 - z))
-                suite.add("closed_structure_matrix", n, diff.frobenius(), 1e-6, z)
-                suite.add("curvature_closed", n,
-                          curvature_residual_jacobi(v, w.b, n, z), 1e-9, z)
+            if closed:
+                Mnum = structure_matrix_numeric(v, w, n, z, rtol)
+                diff = mtilde(v, p, n, z) - Mnum.scale(pole_clearing_factor(w, z))
+                suite.add("closed_structure_matrix", n, diff.frobenius(), z)
+                suite.add("curvature_closed", n, curvature(v, p, n, z), z)
             suite.add("curvature_generic", n,
-                      curvature_residual_generic(v, w, n, z, rtol), 1e-7, z)
+                      curvature_residual_generic(v, w, n, z, rtol), z)
             suite.add("curvature_second", n,
-                      second_curvature_residual(v, w, n, z, rtol), 1e-6, z)
+                      second_curvature_residual(v, w, n, z, rtol), z)
         z = zs[1]
         suite.add("second_order_generic", n,
-                  generic_second_order_residual(v, w, n, z, rtol), 1e-5, z)
-        suite.add("first_order_traceback", n,
-                  traceback_residual(v, w, n, z, rtol), 1e-5, z)
+                  generic_second_order_residual(v, w, n, z, rtol), z)
+        suite.add("first_order_traceback", n, traceback_residual(v, w, n, z, rtol), z)
         if w.kind == "bessel":
             r1, r2 = structure_relations_bessel(v, w.ell, n)
-            suite.add("structure_relation_three_term", n, r1, 1e-9)
-            suite.add("structure_relation_weighted", n, r2, 1e-9)
-            fo = first_order_residuals_bessel(v, w, w.ell, n, zs[0], rtol)
-            so = second_order_residuals_bessel(v, w, w.ell, n, zs[1], rtol)
-            for tag, rf, rg in (("first_order", fo[0], fo[1]),
-                                ("second_order", so[0], so[1])):
-                tol_g = 1e-7 if tag == "first_order" else 1e-6
-                suite.add(f"{tag}_phi", n, rf, 1e-9)
-                suite.add(f"{tag}_g", n, rg, tol_g, zs[0] if tag == "first_order" else zs[1])
-            suite.add("first_order_phistar", n, fo[2], 1e-9)
-            suite.add("first_order_gstar", n, fo[3], 1e-7, zs[0])
-            suite.add("second_order_phistar", n, so[2], 1e-9)
-            suite.add("second_order_gstar", n, so[3], 1e-6, zs[1])
+            suite.add("structure_relation_three_term", n, r1)
+            suite.add("structure_relation_weighted", n, r2)
         elif w.kind == "jacobi":
             suite.add("structure_relation_three_term", n,
-                      structure_relation_jacobi(v, w.b, n), 1e-9)
-            fo = first_order_residuals_jacobi(v, w, w.b, n, zs[0], rtol)
-            hg = hypergeometric_residuals_jacobi(v, w, w.b, n, zs[1], rtol)
-            suite.add("first_order_phi", n, fo[0], 1e-9)
-            suite.add("first_order_g", n, fo[1], 1e-7, zs[0])
-            suite.add("first_order_phistar", n, fo[2], 1e-9)
-            suite.add("first_order_gstar", n, fo[3], 1e-7, zs[0])
-            suite.add("second_order_phi", n, hg[0], 1e-9)
-            suite.add("second_order_g", n, hg[1], 1e-6, zs[1])
-            suite.add("second_order_phistar", n, hg[2], 1e-9)
-            suite.add("second_order_gstar", n, hg[3], 1e-6, zs[1])
+                      structure_relation_jacobi(v, w.b, n))
+        if closed:
+            for tag, residuals, z in (("first_order", first_order, zs[0]),
+                                      ("second_order", second_order, zs[1])):
+                r_phi, r_g, r_phistar, r_gstar = residuals(v, w, p, n, z, rtol)
+                suite.add(f"{tag}_phi", n, r_phi)
+                suite.add(f"{tag}_g", n, r_g, z)
+                suite.add(f"{tag}_phistar", n, r_phistar)
+                suite.add(f"{tag}_gstar", n, r_gstar, z)
 
 
 def _suite_painleve(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
@@ -254,12 +289,12 @@ def _suite_painleve(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
         return
     alphas = [a.real for a in v.alphas]
     for n in range(2, min(nmax, v.nmax - 1) + 1):
-        suite.add("dpii_relation", n, dpii_residual(alphas, w.ell, n), 1e-7)
+        suite.add("dpii_relation", n, dpii_residual(alphas, w.ell, n))
 
 
 def cmd_moments(args, parser) -> int:
     w = _weight_from_args(args, parser)
-    table = moments_for(w, args.jmax)
+    table = _moments(w, args.jmax, parser)
     if args.out:
         table.to_csv(args.out)
     else:
@@ -273,8 +308,7 @@ def cmd_moments(args, parser) -> int:
 
 def cmd_verblunsky(args, parser) -> int:
     w = _weight_from_args(args, parser)
-    c = moments_for(w, args.n + 2)
-    v = verblunsky_from_moments(c, args.n)
+    v = verblunsky_from_moments(_moments(w, args.n + 2, parser), args.n)
     rows = [["n", "re_alpha", "im_alpha", "kappa2", "b", "re_phi1", "im_phi1"]]
     for n in range(args.n):
         a = v.alphas[n]
@@ -314,9 +348,9 @@ def cmd_verify(args, parser) -> int:
     w = _weight_from_args(args, parser)
     if args.n < VERIFY_MIN_N:
         parser.error(f"verify needs --n >= {VERIFY_MIN_N}")
-    rtol = args.rtol if args.rtol is not None else DEFAULT_RTOL
+    rtol = args.rtol
     nmax = args.n
-    v, _ = _verblunsky_for(w, nmax, rtol)
+    v = verblunsky_from_moments(_moments(w, nmax + 4, parser), nmax + 2)
     if args.perturb:
         v = _apply_perturb(v, args.perturb, parser)
     meta = {
@@ -327,7 +361,7 @@ def cmd_verify(args, parser) -> int:
         "suite": args.suite,
         "version": __version__,
     }
-    suite = Suite(meta)
+    suite = Suite(meta, w.kind)
     if args.suite in ("rh", "all"):
         _suite_rh(suite, v, w, nmax, rtol)
     if args.suite in ("structure", "all"):
@@ -341,6 +375,20 @@ def cmd_verify(args, parser) -> int:
     else:
         sys.stdout.write(payload)
     return 0 if suite.all_pass else 1
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,27 +410,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="write trigonometric moments as CSV")
     add_weight_flags(p)
-    p.add_argument("--jmax", type=int, default=24)
+    p.add_argument("--jmax", type=_nonnegative_int, default=24)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verblunsky", help="write recurrence coefficients as CSV")
     add_weight_flags(p)
-    p.add_argument("--n", type=int, default=24)
+    p.add_argument("--n", type=_nonnegative_int, default=24)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("dpii", help="discrete Painleve II orbit and residuals")
     p.add_argument("--ell", type=float, default=None)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--from-moments", action="store_true", default=True,
-                   help="derive the orbit from moments (default)")
+    p.add_argument("--n", type=_nonnegative_int, default=12)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=["rh", "structure", "painleve", "all"])
     add_weight_flags(p)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--grid", default="default", choices=["default"])
-    p.add_argument("--rtol", type=float, default=None)
+    p.add_argument("--rtol", type=_positive_float, default=DEFAULT_RTOL)
     p.add_argument("--report", default=None)
     p.add_argument("--perturb", default=None, metavar="N:EPS",
                    help="shift alpha_N by EPS before verifying")

@@ -40,6 +40,10 @@ class MomentTable:
             raise ValueError("values length does not match index range")
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
 
+    def covers(self, jmax: int) -> bool:
+        """Whether the table holds c_j for every |j| <= jmax."""
+        return self.jmin <= -jmax and self.jmax >= jmax
+
     def get(self, j: int) -> complex:
         if j < self.jmin or j > self.jmax:
             raise IndexError(f"moment index {j} outside [{self.jmin}, {self.jmax}]")
@@ -82,7 +86,10 @@ class MomentTable:
         entries = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                entries[int(row["j"])] = complex(float(row["re"]), float(row["im"]))
+                try:
+                    entries[int(row["j"])] = complex(float(row["re"]), float(row["im"]))
+                except (KeyError, TypeError) as exc:   # a missing column or field
+                    raise ValueError(f"moment file row {row} lacks j, re or im") from exc
         if not entries:
             raise ValueError("empty moment file")
         jmin, jmax = min(entries), max(entries)
@@ -176,10 +183,9 @@ def lebesgue_moments(jmax: int, scale: float = 1.0) -> MomentTable:
 def moments_for(w: WeightSpec, jmax: int, **kwargs) -> MomentTable:
     """Best available moment route for the given weight."""
     if w.kind == "custom":
-        table = w.moments
-        if table.jmax < jmax or table.jmin > -jmax:
+        if not w.moments.covers(jmax):
             raise ValueError(f"custom moment table does not cover |j| <= {jmax}")
-        return table
+        return w.moments
     if w.kind == "lebesgue" and w.has_trivial_h:
         return lebesgue_moments(jmax, w.scale)
     if w.kind == "bessel" and w.has_trivial_h and w.scale == 1.0:

@@ -23,7 +23,6 @@ class DpiiOrbit:
 
     ell: float
     alphas: tuple[float, ...]
-    residuals: tuple[float, ...]
     diverged_at: int | None
 
     @property
@@ -55,7 +54,6 @@ def dpii_iterate(alpha0: float, alpha1: float, ell: float, nmax: int) -> DpiiOrb
     if ell <= 0:
         raise ValueError("relation requires ell > 0")
     seq = [float(alpha0), float(alpha1)]
-    resid = []
     diverged = None
     for n in range(2, nmax + 1):
         am1 = seq[-1]
@@ -65,8 +63,7 @@ def dpii_iterate(alpha0: float, alpha1: float, ell: float, nmax: int) -> DpiiOrb
             break
         nxt = -seq[-2] - (2.0 * n / ell) * am1 / denom
         seq.append(nxt)
-        resid.append(0.0)
         if abs(nxt) >= 1.0:
             diverged = n
             break
-    return DpiiOrbit(ell, tuple(seq), tuple(resid), diverged)
+    return DpiiOrbit(ell, tuple(seq), diverged)

@@ -1,10 +1,26 @@
 """Closed-form structure matrices and the differential identity residuals.
 
-For the Bessel-type and Jacobi-type weights (with trivial entire factor)
-the structure matrix times the pole-clearing factor is polynomial in z with
-coefficients built from the recurrence data.  This module provides those
-closed forms, the zero-curvature residuals, and the first- and second-order
-differential relations for the polynomials and second-kind functions.
+Two matrix identities carry every differential relation checked here.  The
+structure matrix M_n is defined by Y_n' = M_n Y_n - Y_n D_n, where Y_n is the
+solution matrix and D_n the logarithmic derivative of its diagonal
+normalizing factor (``opuc.rh``).  The transfer matrix T_n of
+Y_{n+1} diag(1, z) = T_n Y_n then obeys the zero-curvature relation
+T_n' - T_n/(2z) = M_{n+1} T_n - T_n M_n.
+
+For a weight with Pearson data z A_p nu' = q nu (``weights.pearson_data``)
+put A = z A_p; then A D_n = diag(delta_n, -delta_n) with
+delta_n = (q - n A_p)/2.  For the Bessel-type and Jacobi-type weights with
+trivial entire factor, Mtilde_n = A M_n is a polynomial in z whose
+coefficients are closed forms in the recurrence data.  A family supplies
+only those coefficients; every closed-form identity follows from them:
+
+* zero curvature: A (T_n' - T_n/(2z)) + T_n Mtilde_n - Mtilde_{n+1} T_n = 0;
+* first order: with C = diag(1, -b_{n-1}) and P = C^{-1} Mtilde_n C -+ delta_n I,
+  u = (Phi_n, Phi*_{n-1}) (sign -) and u = (G_n, G*_{n-1}) (sign +) solve
+  A u' = P u, so each row gives A u_i' - P_ii u_i - P_ij u_j = 0;
+* second order: eliminating u_j from the derivative of row i gives
+  A u_i'' + (A' - tr P) u_i' + (det P / A - P_ii') u_i - P_ij' u_j = 0, where
+  det P / A is the polynomial quotient (the division is exact on true data).
 
 Polynomial identities are checked coefficientwise (exact coefficient
 algebra, no quadrature); identities involving the second-kind functions are
@@ -34,11 +50,16 @@ from .rh import (
     transfer_matrix_deriv,
 )
 from .szego import VerblunskyTable, phi_pair
-from .weights import WeightSpec
+from .weights import WeightSpec, pearson_data
 
 _P = np.polynomial.polynomial
 
 _REAL_ALPHA_TOL = 1e-10
+
+# A polynomial as a tuple of ascending Python-scalar coefficients: for the
+# short polynomials here, tuple arithmetic and Horner's rule beat numpy calls.
+Poly = tuple
+PolyMatrix = tuple[Poly, Poly, Poly, Poly]
 
 
 def _real_alphas(v: VerblunskyTable, upto: int) -> list[float]:
@@ -56,9 +77,140 @@ def _max_coeff(p: np.ndarray) -> float:
     return float(np.max(np.abs(p))) if len(p) else 0.0
 
 
-def _shift(p: np.ndarray, k: int) -> np.ndarray:
-    """Multiply a coefficient vector by z^k."""
-    return np.concatenate((np.zeros(k, dtype=complex), p))
+# ---------------------------------------------------------------------------
+# the closed-form families and the identities they share
+
+
+def _horner(p: Poly, z: complex) -> complex:
+    acc = 0j
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
+
+
+def _lin(*terms: tuple[complex, Poly]) -> Poly:
+    """The linear combination sum(c p) over the (c, p) terms."""
+    out = [0j] * max(len(p) for _, p in terms)
+    for c, p in terms:
+        for k, x in enumerate(p):
+            out[k] += c * x
+    return tuple(out)
+
+
+def _mul(p: Poly, q: Poly) -> Poly:
+    out = [0j] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _der(p: Poly) -> Poly:
+    return tuple(k * p[k] for k in range(1, len(p))) or (0j,)
+
+
+def _quotient(p: Poly, A: Poly) -> Poly:
+    """Quotient of p by A = A[1] z + A[2] z^2, by synthetic division."""
+    s = p[1:]                       # (p - p(0)) / z, divided by A[1] + A[2] z
+    out = [0j] * max(len(s) - 1, 1)
+    carry = 0j
+    for k in range(len(s) - 1, 0, -1):
+        carry = out[k - 1] = (s[k] - A[1] * carry) / A[2]
+    return tuple(out)
+
+
+def _at(m: PolyMatrix, z: complex) -> Matrix2C:
+    return Matrix2C(*(_horner(p, z) for p in m))
+
+
+def _pearson(family: WeightSpec) -> tuple[Poly, Poly, Poly]:
+    """A = z A_p, A_p and q of the Pearson pair z A_p nu' = q nu."""
+    Ap, q = (tuple(p.tolist()) for p in pearson_data(family))
+    return (0j,) + Ap, Ap, q
+
+
+def _bessel_mtilde(v: VerblunskyTable, ell: float, n: int) -> PolyMatrix:
+    if n < 2:
+        raise ValueError("bessel closed form needs n >= 2")
+    if v.nmax < n + 1:
+        raise ValueError("recurrence table too short (needs alpha_n)")
+    a = _real_alphas(v, n)
+    bm1, bn = float(v.b[n - 1]), float(v.b[n])
+    h = ell / 2.0
+    d = (h / 2.0 * (bm1 / bn - a[n - 1] ** 2), n / 2.0, h / 2.0)
+    return (d, (-h / bn * a[n - 1], h / bn * a[n]),
+            (-h * bm1 * a[n - 1], h * bm1 * a[n - 2]), tuple(-c for c in d))
+
+
+def _jacobi_mtilde(v: VerblunskyTable, b: complex, n: int) -> PolyMatrix:
+    if n < 1:
+        raise ValueError("jacobi closed form needs n >= 1")
+    b = complex(b)
+    bb = b.conjugate()
+    a = v.alphas[n - 1]
+    d = (-(bb + n) * (2.0 * abs(a) ** 2 - 1.0) / 2.0, -(b + n) / 2.0)
+    return (d, (-(bb + n) * a.conjugate() / float(v.b[n]),),
+            (-float(v.b[n - 1]) * (bb + n) * a,), tuple(-c for c in d))
+
+
+def _mtilde(v: VerblunskyTable, family: WeightSpec, n: int) -> PolyMatrix:
+    """Coefficients of Mtilde_n: the only per-family input of the identities."""
+    if family.kind == "bessel":
+        return _bessel_mtilde(v, family.ell, n)
+    return _jacobi_mtilde(v, family.b, n)
+
+
+def _curvature(v: VerblunskyTable, family: WeightSpec, n: int, z: complex) -> float:
+    """|| A (T_n' - T_n/(2z)) + T_n Mtilde_n - Mtilde_{n+1} T_n ||."""
+    z = complex(z)
+    T = transfer_matrix(v, n, z)
+    apz = _horner(_pearson(family)[1], z)
+    resid = (transfer_matrix_deriv().scale(z * apz) + (T @ _at(_mtilde(v, family, n), z))
+             - T.scale(apz / 2.0) - (_at(_mtilde(v, family, n + 1), z) @ T))
+    return resid.frobenius()
+
+
+def _rows(v: VerblunskyTable, family: WeightSpec, n: int, sign: float, order: int):
+    """The two scalar rows of A u' = P u (order 1) or of the second-order
+    equations (order 2), P = C^{-1} Mtilde_n C + sign delta_n I.  A row is a
+    tuple of terms (coefficients, component of u, derivative order)."""
+    A, Ap, q = _pearson(family)
+    m11, m12, m21, m22 = _mtilde(v, family, n)
+    bm1 = float(v.b[n - 1])
+    delta = _lin((sign / 2.0, q), (-sign * n / 2.0, Ap))
+    P = ((_lin((1, m11), (1, delta)), _lin((-bm1, m12))),
+         (_lin((-1.0 / bm1, m21)), _lin((1, m22), (1, delta))))
+    if order == 1:
+        return tuple(((A, i, 1), (_lin((-1, P[i][i])), i, 0), (_lin((-1, P[i][j])), j, 0))
+                     for i, j in ((0, 1), (1, 0)))
+    det_over_A = _quotient(_lin((1, _mul(P[0][0], P[1][1])),
+                                (-1, _mul(P[0][1], P[1][0]))), A)
+    first = _lin((1, _der(A)), (-1, P[0][0]), (-1, P[1][1]))
+    return tuple(((A, i, 2), (first, i, 1), (_lin((1, det_over_A), (-1, _der(P[i][i]))), i, 0),
+                  (_lin((-1, _der(P[i][j]))), j, 0))
+                 for i, j in ((0, 1), (1, 0)))
+
+
+def _differential_residuals(v: VerblunskyTable, family: WeightSpec, w: WeightSpec,
+                            n: int, z: complex, rtol: float, order: int
+                            ) -> tuple[float, float, float, float]:
+    """(Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) residuals of the rows of given order;
+    the second-kind functions are those of w."""
+    polys = []
+    for coeffs in (phi_pair(v, n).phi, phi_pair(v, n - 1).phistar):
+        u = tuple(coeffs.tolist())
+        polys.append((u, _der(u), _der(_der(u))))
+    r_phi, r_star = (max(map(abs, _lin(*((1, _mul(c, polys[k][d])) for c, k, d in row))))
+                     for row in _rows(v, family, n, -1.0, order))
+    z = complex(z)
+    G = cauchy_G(v, w, n, z, rtol)
+    Gs = cauchy_Gstar(v, w, n, z, rtol)
+    dG, dGs = cauchy_derivatives(v, w, n, z, rtol)
+    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z, rtol) if order == 2 else (0j, 0j)
+    values = ((G, dG, d2G), (Gs, dGs, d2Gs))
+    r_g, r_gs = (abs(sum(_horner(c, z) * values[k][d] for c, k, d in row))
+                 for row in _rows(v, family, n, 1.0, order))
+    return r_phi, r_g, r_star, r_gs
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +219,17 @@ def _shift(p: np.ndarray, k: int) -> np.ndarray:
 
 def mtilde_bessel(v: VerblunskyTable, ell: float, n: int, z: complex) -> Matrix2C:
     """z^2 M_n for the Bessel-type weight, H == 1; entire in z, trace-free."""
-    if n < 2:
-        raise ValueError("bessel closed form needs n >= 2")
-    if v.nmax < n + 1:
-        raise ValueError("recurrence table too short (needs alpha_n)")
-    a = _real_alphas(v, n)
-    b = v.b
-    z = complex(z)
-    d = ell / 4.0 * z ** 2 + n / 2.0 * z + ell / 4.0 * (b[n - 1] / b[n] - a[n - 1] ** 2)
-    m12 = -(ell / 2.0) / b[n] * (a[n - 1] - a[n] * z)
-    m21 = -(ell / 2.0) * b[n - 1] * (a[n - 1] - a[n - 2] * z)
-    return Matrix2C(d, m12, m21, -d)
+    return _at(_bessel_mtilde(v, ell, n), complex(z))
 
 
 def mtilde_bessel_pre_liouville(v: VerblunskyTable, ell: float, n: int,
                                 z: complex) -> Matrix2C:
-    """The alternative display of the same matrix, kept as a cross-check.
+    """An intermediate display of z^2 M_n, kept as a diagnostic.
 
-    Its constant terms are written through the subleading polynomial
-    coefficients instead of the value at the origin; agreement of the two
-    displays is a nontrivial identity of the recurrence data (see
-    compare_bessel_mtilde_forms).
+    It comes from the large-z expansion and writes the constant terms through
+    the subleading polynomial coefficients instead of the value at the
+    origin.  Its z^2 and z^1 parts equal those of mtilde_bessel; its constant
+    part does not, and the gap shrinks with n (see compare_bessel_mtilde_forms).
     """
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -115,7 +257,11 @@ def mtilde_bessel_pre_liouville(v: VerblunskyTable, ell: float, n: int,
 
 def compare_bessel_mtilde_forms(v: VerblunskyTable, ell: float, n: int,
                                 z: complex) -> float:
-    """Entrywise max deviation between the two displayed Bessel forms."""
+    """Entrywise max deviation between the two displayed Bessel forms.
+
+    Not a zero-residual identity: the displays differ in their constant
+    terms, so the deviation is of order 1e-3 at small n and decays with n.
+    """
     return max(
         abs(x - y)
         for x, y in zip(
@@ -127,21 +273,17 @@ def compare_bessel_mtilde_forms(v: VerblunskyTable, ell: float, n: int,
 
 def mtilde_jacobi(v: VerblunskyTable, b: complex, n: int, z: complex) -> Matrix2C:
     """z(1-z) M_n for the Jacobi-type weight, H == 1; linear in z, trace-free."""
-    if n < 1:
-        raise ValueError("jacobi closed form needs n >= 1")
-    b = complex(b)
-    bb = b.conjugate()
-    a = v.alphas[n - 1]
-    z = complex(z)
-    d = -((b + n) * z + (bb + n) * (2.0 * abs(a) ** 2 - 1.0)) / 2.0
-    m12 = -(bb + n) * a.conjugate() / v.b[n]
-    m21 = -v.b[n - 1] * (bb + n) * a
-    return Matrix2C(d, m12, m21, -d)
+    return _at(_jacobi_mtilde(v, b, n), complex(z))
 
 
 def jacobi_residue_at_one(v: VerblunskyTable, b: complex, n: int) -> Matrix2C:
     """Residue matrix of M_n at z = 1: minus the closed form evaluated there."""
     return -mtilde_jacobi(v, b, n, 1.0)
+
+
+def pole_clearing_factor(w: WeightSpec, z: complex) -> complex:
+    """A(z) = z A_p(z), the factor that makes A M_n polynomial (H == 1)."""
+    return _horner(_pearson(w)[0], complex(z))
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +309,7 @@ def curvature_residual_bessel(v: VerblunskyTable, ell: float, n: int,
         return 0.0
     if n < 2:
         raise ValueError("needs n >= 2")
-    z = complex(z)
-    T = transfer_matrix(v, n, z)
-    dT = transfer_matrix_deriv()
-    Mt_n = mtilde_bessel(v, ell, n, z)
-    Mt_n1 = mtilde_bessel(v, ell, n + 1, z)
-    resid = dT.scale(z ** 2) + (T @ Mt_n) - T.scale(z / 2.0) - (Mt_n1 @ T)
-    return resid.frobenius()
+    return _curvature(v, WeightSpec.bessel(ell), n, z)
 
 
 def curvature_residual_jacobi(v: VerblunskyTable, b: complex, n: int,
@@ -181,13 +317,7 @@ def curvature_residual_jacobi(v: VerblunskyTable, b: complex, n: int,
     """Algebraic zero-curvature residual with the Jacobi closed form."""
     if complex(b) == 0:
         return 0.0
-    z = complex(z)
-    T = transfer_matrix(v, n, z)
-    dT = transfer_matrix_deriv()
-    Mt_n = mtilde_jacobi(v, b, n, z)
-    Mt_n1 = mtilde_jacobi(v, b, n + 1, z)
-    resid = dT.scale(z * (1.0 - z)) + (T @ Mt_n) - T.scale((1.0 - z) / 2.0) - (Mt_n1 @ T)
-    return resid.frobenius()
+    return _curvature(v, WeightSpec.jacobi(b), n, z)
 
 
 def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
@@ -204,7 +334,7 @@ def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
 
 
 # ---------------------------------------------------------------------------
-# first-order differential relations
+# first- and second-order differential relations
 
 
 def first_order_residuals_bessel(v: VerblunskyTable, w: WeightSpec, ell: float,
@@ -217,39 +347,7 @@ def first_order_residuals_bessel(v: VerblunskyTable, w: WeightSpec, ell: float,
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    a = _real_alphas(v, n)
-    b = v.b
-    ratio = b[n - 1] / b[n]
-    pn = phi_pair(v, n)
-    ps = phi_pair(v, n - 1)
-
-    c_diag = np.array([ell / 2.0 - ell / 2.0 * a[n - 1] ** 2, float(n)], dtype=complex)
-    c_mix = (ell / 2.0) * ratio * np.array([a[n - 1], -a[n]], dtype=complex)
-    r_phi = _max_coeff(
-        _P.polysub(_shift(_P.polyder(pn.phi), 2),
-                   _P.polyadd(_P.polymul(c_diag, pn.phi),
-                              _P.polymul(c_mix, ps.phistar)))
-    )
-
-    c_star_mix = (ell / 2.0) * np.array([a[n - 1], -a[n - 2]], dtype=complex)
-    c_star_diag = np.array([ell / 2.0 * a[n - 1] ** 2, 0.0, -ell / 2.0], dtype=complex)
-    r_star = _max_coeff(
-        _P.polysub(_shift(_P.polyder(ps.phistar), 2),
-                   _P.polyadd(_P.polymul(c_star_mix, pn.phi),
-                              _P.polymul(c_star_diag, ps.phistar)))
-    )
-
-    z = complex(z)
-    G = cauchy_G(v, w, n, z, rtol)
-    Gs = cauchy_Gstar(v, w, n, z, rtol)
-    dG, dGs = cauchy_derivatives(v, w, n, z, rtol)
-    r_G = abs(z ** 2 * dG
-              - (ell / 2.0 * z ** 2 - ell / 2.0 * a[n - 1] ** 2) * G
-              - (ell / 2.0) * ratio * (a[n - 1] - a[n] * z) * Gs)
-    r_Gs = abs(z ** 2 * dGs
-               - (ell / 2.0) * (a[n - 1] - a[n - 2] * z) * G
-               - (-n * z - ell / 2.0 + ell / 2.0 * a[n - 1] ** 2) * Gs)
-    return r_phi, r_G, r_star, r_Gs
+    return _differential_residuals(v, WeightSpec.bessel(ell), w, n, z, rtol, 1)
 
 
 def first_order_residuals_jacobi(v: VerblunskyTable, w: WeightSpec, b: complex,
@@ -258,39 +356,28 @@ def first_order_residuals_jacobi(v: VerblunskyTable, w: WeightSpec, b: complex,
     """Residuals of the four scalar first-order relations (Jacobi, H == 1)."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    b = complex(b)
-    bb = b.conjugate()
-    a = v.alphas[n - 1]
-    asq = abs(a) ** 2
-    pn = phi_pair(v, n)
-    ps = phi_pair(v, n - 1)
-    zz1 = np.array([0.0, 1.0, -1.0], dtype=complex)  # z(1-z)
+    return _differential_residuals(v, WeightSpec.jacobi(b), w, n, z, rtol, 1)
 
-    c_diag = np.array([(bb + n) * (1.0 - asq), -float(n)], dtype=complex)
-    mix = (bb + n) * (1.0 - asq) * a.conjugate()
-    r_phi = _max_coeff(
-        _P.polysub(_P.polymul(zz1, _P.polyder(pn.phi)),
-                   _P.polyadd(_P.polymul(c_diag, pn.phi), mix * ps.phistar))
-    )
 
-    c_star = np.array([(bb + n) * asq, b], dtype=complex)
-    mix_star = (bb + n) * a
-    r_star = _max_coeff(
-        _P.polysub(_P.polymul(zz1, _P.polyder(ps.phistar)),
-                   _P.polyadd(_P.polymul(c_star, ps.phistar), mix_star * pn.phi))
-    )
+def second_order_residuals_bessel(v: VerblunskyTable, w: WeightSpec, ell: float,
+                                  n: int, z: complex, rtol: float = DEFAULT_RTOL
+                                  ) -> tuple[float, float, float, float]:
+    """Residuals of the four scalar second-order equations (Bessel, H == 1)."""
+    if n < 2:
+        raise ValueError("needs n >= 2")
+    if ell == 0.0 and w.kind != "lebesgue" and w.kind != "bessel":
+        raise ValueError("weight family mismatch")
+    return _differential_residuals(v, WeightSpec.bessel(ell), w, n, z, rtol, 2)
 
-    z = complex(z)
-    G = cauchy_G(v, w, n, z, rtol)
-    Gs = cauchy_Gstar(v, w, n, z, rtol)
-    dG, dGs = cauchy_derivatives(v, w, n, z, rtol)
-    r_G = abs(z * (1.0 - z) * dG
-              - (-b * z - (bb + n) * asq) * G
-              - (bb + n) * (1.0 - asq) * a.conjugate() * Gs)
-    r_Gs = abs(z * (1.0 - z) * dGs
-               - (n * z - (bb + n) * (1.0 - asq)) * Gs
-               - (bb + n) * a * G)
-    return r_phi, r_G, r_star, r_Gs
+
+def hypergeometric_residuals_jacobi(v: VerblunskyTable, w: WeightSpec, b: complex,
+                                    n: int, z: complex,
+                                    rtol: float = DEFAULT_RTOL
+                                    ) -> tuple[float, float, float, float]:
+    """Residuals of the four hypergeometric-type second-order equations."""
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    return _differential_residuals(v, WeightSpec.jacobi(b), w, n, z, rtol, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +405,7 @@ def structure_relations_bessel(v: VerblunskyTable, ell: float, n: int
     )
     inner = _P.polysub(pm1.phi, a[n] * pm1.phistar)
     r2 = _max_coeff(
-        _P.polysub(_shift(_P.polyder(pn.phi), 1),
+        _P.polysub(_P.polymulx(_P.polyder(pn.phi)),
                    _P.polyadd(n * pn.phi,
                               (ell / 2.0) * (k2[n - 1] / k2[n]) * inner))
     )
@@ -337,102 +424,6 @@ def structure_relation_jacobi(v: VerblunskyTable, b: complex, n: int) -> float:
     lhs = _P.polymul(zm1, _P.polyder(pn.phi))
     rhs = _P.polyadd(-(bb + n) * (1.0 - abs(a) ** 2) * pm1.phi, n * pn.phi)
     return _max_coeff(_P.polysub(lhs, rhs))
-
-
-# ---------------------------------------------------------------------------
-# second-order differential relations
-
-
-def second_order_residuals_bessel(v: VerblunskyTable, w: WeightSpec, ell: float,
-                                  n: int, z: complex, rtol: float = DEFAULT_RTOL
-                                  ) -> tuple[float, float, float, float]:
-    """Residuals of the four scalar second-order equations (Bessel, H == 1)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if ell == 0.0 and w.kind != "lebesgue" and w.kind != "bessel":
-        raise ValueError("weight family mismatch")
-    a = _real_alphas(v, n) if ell != 0.0 else [0.0] * (n + 1)
-    K = (1.0 - a[n - 1] ** 2) * a[n] * a[n - 2] - a[n - 1] ** 2
-    pn = phi_pair(v, n)
-    ps = phi_pair(v, n - 1)
-
-    # z^2 f'' + (ell/2 z^2 + (2-n) z - ell/2) f' + (...) f + coupling = 0
-    c1 = np.array([-ell / 2.0, 2.0 - n, ell / 2.0], dtype=complex)
-    c0_phi = np.array([-ell ** 2 / 4.0 - n - ell ** 2 / 4.0 * K, -ell * n / 2.0],
-                      dtype=complex)
-    r_phi = _max_coeff(
-        _P.polyadd(
-            _P.polyadd(_shift(_P.polyder(pn.phi, 2), 2),
-                       _P.polymul(c1, _P.polyder(pn.phi))),
-            _P.polyadd(_P.polymul(c0_phi, pn.phi),
-                       (ell / 2.0) * (1.0 - a[n - 1] ** 2) * a[n] * ps.phistar),
-        )
-    )
-
-    c0_star = np.array([-ell ** 2 / 4.0 - ell ** 2 / 4.0 * K,
-                        -ell * (n / 2.0 - 1.0)], dtype=complex)
-    r_star = _max_coeff(
-        _P.polyadd(
-            _P.polyadd(_shift(_P.polyder(ps.phistar, 2), 2),
-                       _P.polymul(c1, _P.polyder(ps.phistar))),
-            _P.polyadd(_P.polymul(c0_star, ps.phistar),
-                       (ell / 2.0) * a[n - 2] * pn.phi),
-        )
-    )
-
-    z = complex(z)
-    G = cauchy_G(v, w, n, z, rtol)
-    Gs = cauchy_Gstar(v, w, n, z, rtol)
-    dG, dGs = cauchy_derivatives(v, w, n, z, rtol)
-    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z, rtol)
-    pre_G = -ell / 2.0 * z ** 2 + (n + 2.0) * z + ell / 2.0
-    r_G = abs(z ** 2 * d2G + pre_G * dG
-              - (ell * (n / 2.0 + 1.0) * z + ell ** 2 / 4.0 + ell ** 2 / 4.0 * K) * G
-              + (ell / 2.0) * (1.0 - a[n - 1] ** 2) * a[n] * Gs)
-    r_Gs = abs(z ** 2 * d2Gs + pre_G * dGs
-               - (ell * n / 2.0 * z + ell ** 2 / 4.0 - n + ell ** 2 / 4.0 * K) * Gs
-               + (ell / 2.0) * a[n - 2] * G)
-    return r_phi, r_G, r_star, r_Gs
-
-
-def hypergeometric_residuals_jacobi(v: VerblunskyTable, w: WeightSpec, b: complex,
-                                    n: int, z: complex,
-                                    rtol: float = DEFAULT_RTOL
-                                    ) -> tuple[float, float, float, float]:
-    """Residuals of the four hypergeometric-type second-order equations."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    b = complex(b)
-    bb = b.conjugate()
-    pn = phi_pair(v, n)
-    ps = phi_pair(v, n - 1)
-    zz1 = np.array([0.0, 1.0, -1.0], dtype=complex)
-
-    c1_phi = np.array([1.0 - n - bb, n - b - 2.0], dtype=complex)
-    r_phi = _max_coeff(
-        _P.polyadd(
-            _P.polyadd(_P.polymul(zz1, _P.polyder(pn.phi, 2)),
-                       _P.polymul(c1_phi, _P.polyder(pn.phi))),
-            n * (1.0 + b) * pn.phi,
-        )
-    )
-    r_star = _max_coeff(
-        _P.polyadd(
-            _P.polyadd(_P.polymul(zz1, _P.polyder(ps.phistar, 2)),
-                       _P.polymul(c1_phi, _P.polyder(ps.phistar))),
-            b * (n - 1.0) * ps.phistar,
-        )
-    )
-
-    z = complex(z)
-    G = cauchy_G(v, w, n, z, rtol)
-    Gs = cauchy_Gstar(v, w, n, z, rtol)
-    dG, dGs = cauchy_derivatives(v, w, n, z, rtol)
-    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z, rtol)
-    pre = (b - n - 2.0) * z + (1.0 + n + bb)
-    r_G = abs(z * (1.0 - z) * d2G + pre * dG + b * (1.0 + n) * G)
-    r_Gs = abs(z * (1.0 - z) * d2Gs + pre * dGs + n * (b - 1.0) * Gs)
-    return r_phi, r_G, r_star, r_Gs
 
 
 # ---------------------------------------------------------------------------

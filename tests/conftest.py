@@ -35,3 +35,13 @@ def jacobi1():
 @pytest.fixture(scope="session")
 def jacobi_complex():
     return _build(WeightSpec.jacobi(1.0 + 0.5j))
+
+
+@pytest.fixture(scope="session")
+def bessel07():
+    return _build(WeightSpec.bessel(0.7))
+
+
+@pytest.fixture(scope="session")
+def jacobi_near_one():
+    return _build(WeightSpec.jacobi(0.96 + 0.2j))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from opuc.cli import main, standard_grid
+from opuc.cli import TOLERANCES, main, standard_grid
 from opuc.weights import WeightSpec
 
 I1_2 = 1.5906368546
@@ -154,3 +154,108 @@ def test_verblunsky_csv_fields_are_plain_numbers(tmp_path, flags):
     for row in rows:
         for field in row:
             float(field)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--jmax", "-1"],
+    ["verblunsky", "--n", "-3"],
+    ["dpii", "--ell", "2", "--n", "-1"],
+    ["verify", "all", "--n", "4", "--rtol", "0"],
+    ["verify", "all", "--n", "4", "--rtol", "-1e-9"],
+    ["verify", "all", "--n", "4", "--rtol", "nan"],
+    ["verify", "all", "--n", "4", "--rtol", "inf"],
+], ids=["jmax", "verblunsky-n", "dpii-n", "rtol-zero", "rtol-negative", "rtol-nan",
+        "rtol-inf"])
+def test_out_of_range_number_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_missing_moment_file_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verblunsky", "--weight", "custom", "--moments",
+             str(tmp_path / "missing.csv"), "--n", "4"])
+    assert exc.value.code == 2
+    assert "cannot read --moments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["a,b,c\n0,1,2\n", "j,re,im\n0,6.28\n"],
+                         ids=["missing-column", "short-row"])
+def test_malformed_moment_file_is_usage_error(tmp_path, text, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(["moments", "--weight", "custom", "--moments", str(table), "--jmax", "0"])
+    assert exc.value.code == 2
+    assert "lacks j, re or im" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["moments", "--jmax", "2"],
+                                  ["verblunsky", "--n", "4"],
+                                  ["verify", "all", "--n", "2"]],
+                         ids=["moments", "verblunsky", "verify"])
+def test_custom_table_too_short_is_usage_error(tmp_path, argv, capsys):
+    table = tmp_path / "short.csv"
+    table.write_text(f"j,re,im\n-1,0,0\n0,{2 * math.pi!r},0\n1,0,0\n")
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--weight", "custom", "--moments", str(table)])
+    assert exc.value.code == 2
+    assert "must cover |j| <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["dpii", "--ell", "2", "--from-moments"],
+                                  ["verify", "all", "--grid", "default"]],
+                         ids=["from-moments", "grid"])
+def test_removed_noop_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+# The tolerance tests/test_acceptance.py pins for the identity behind each
+# verify check; the CLI may not be looser (or tighter) than the gate.
+ACCEPTANCE_TOLERANCES = {
+    "det_unimodular": 1e-8,                     # criterion 4
+    "transfer_relation": 1e-8,                  # criterion 4
+    "recurrence_phi": 1e-8,                     # criterion 4
+    "recurrence_phistar": 1e-8,                 # criterion 4
+    "recurrence_g": 1e-8,                       # criterion 4
+    "recurrence_gstar": 1e-8,                   # criterion 4
+    "value_g_origin": 1e-9,                     # criterion 5
+    "value_gstar_origin": 1e-9,                 # criterion 5
+    "jump_condition": {"lebesgue": 1e-6, "bessel": 1e-6, "jacobi": 1e-5},  # 4
+    "tail_g_leading": 1e-6,                     # criterion 5
+    "tail_g_subleading": 1e-6,                  # criterion 5
+    "tail_gstar_leading": 1e-6,                 # criterion 5
+    "tail_gstar_subleading": 1e-6,              # criterion 5
+    "closed_structure_matrix": 1e-6,            # criterion 3
+    "curvature_closed": 1e-9,                   # criterion 8
+    "curvature_generic": 1e-7,                  # criterion 8
+    "curvature_second": 1e-6,                   # criterion 8
+    "second_order_generic": 1e-5,               # criterion 7
+    "first_order_traceback": 1e-5,              # criterion 7
+    "structure_relation_three_term": 1e-9,      # criterion 6
+    "structure_relation_weighted": 1e-9,        # criterion 6
+    "first_order_phi": 1e-9,                    # criterion 6
+    "first_order_phistar": 1e-9,                # criterion 6
+    "first_order_g": 1e-7,                      # criterion 7
+    "first_order_gstar": 1e-7,                  # criterion 7
+    "second_order_phi": 1e-9,                   # criterion 6
+    "second_order_phistar": 1e-9,               # criterion 6
+    "second_order_g": 1e-6,                     # criterion 7
+    "second_order_gstar": 1e-6,                 # criterion 7
+    "dpii_relation": 1e-7,                      # criterion 2
+}
+
+
+def test_tolerances_equal_the_acceptance_gate():
+    assert TOLERANCES == ACCEPTANCE_TOLERANCES
+
+
+def test_every_tolerance_belongs_to_a_reported_check(tmp_path):
+    rpt = tmp_path / "r.json"
+    assert run(["verify", "all", "--weight", "bessel", "--ell", "2", "--n", "3",
+                "--report", str(rpt)]) == 0
+    assert {c["name"] for c in json.loads(rpt.read_text())["checks"]} == set(TOLERANCES)
