@@ -5,6 +5,12 @@ G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use the
 periodic midpoint rule with node doubling; near the circle a singularity
 subtraction keeps the rule spectrally accurate.
 
+The Laurent coefficients at infinity are integrals too: for |z| > 1,
+1/(t - z) = -sum_m t^m / z^{m+1}, so the coefficient of z^{-(m+1)} in the
+transform of g is -(1/2 pi i) * contour integral of g(t) t^m dt.  They are
+summed on the same nodes and integrand samples as the transforms, with no
+sampling of the transform itself.
+
 Everything that does not depend on z is computed once per table and
 weight: the nodes and weight values of each level, and the integrand
 samples p(t) nu(t) / t^n of each polynomial at each level.  Converged
@@ -100,11 +106,11 @@ def _check_offcircle(z: complex, boundary: bool) -> None:
         )
 
 
-def _converged(eval_at, rtol: float, n0: int = N0, nmax: int = NMAX):
-    """Double nodes until two successive values agree to rtol."""
-    N = n0
+def _converged(eval_at, rtol: float):
+    """Double nodes from N0 until two successive values agree to rtol."""
+    N = N0
     prev = eval_at(N)
-    while N < nmax:
+    while N < NMAX:
         N *= 2
         cur = eval_at(N)
         resid = abs(cur - prev)
@@ -145,23 +151,34 @@ def _transform(q: _Quadrature, kind: str, coeffs: np.ndarray, n: int, z: complex
     return _converged(eval_at, rtol)
 
 
+def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
+    """The quadrature state of table v and weight w, created on first use."""
+    q = v.quadrature.get(w)
+    if q is None:
+        q = v.quadrature[w] = _Quadrature(w)
+    return q
+
+
+def _polynomial(v: VerblunskyTable, kind: str, n: int) -> np.ndarray:
+    """Coefficients of the polynomial kind integrates against nu/t^n:
+    Phi_n for kind "G", Phi*_{n-1} for kind "Gstar"."""
+    return phi_pair(v, n).phi if kind == "G" else phi_pair(v, n - 1).phistar
+
+
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
                          z: complex, rtol: float, order: int = 1):
     """(value, nodes, residual) of one transform, computed once per table.
 
-    kind "G" integrates Phi_n, kind "Gstar" Phi*_{n-1}; both against nu/t^n.
     Values inside the subtraction band are regularized.
     """
     z = complex(z)
     subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
-    q = v.quadrature.get(w)
-    if q is None:
-        q = v.quadrature[w] = _Quadrature(w)
+    q = _quadrature(v, w)
     key = (kind, n, z, order, subtract, rtol)
     result = q.memo.get(key)
     if result is None:
-        coeffs = phi_pair(v, n).phi if kind == "G" else phi_pair(v, n - 1).phistar
-        result = q.memo[key] = _transform(q, kind, coeffs, n, z, rtol, order, subtract)
+        result = q.memo[key] = _transform(q, kind, _polynomial(v, kind, n), n, z,
+                                          rtol, order, subtract)
     return result
 
 
@@ -210,31 +227,32 @@ def cauchy_eval(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                       max(nodes_g, nodes_gs))
 
 
-def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, R: float = 3.0,
-                 kmax: int | None = None, samples: int = 128,
-                 rtol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
-    """Laurent coefficients of G_n and G*_{n-1} from samples on |z| = R.
+def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,
+                 rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Laurent coefficients of G_n and G*_{n-1} at infinity, by their
+    defining integrals over the transforms' nodes t_j and integrand samples.
 
-    Returns (g_coeffs, gstar_coeffs): g_coeffs[k] is the coefficient of
-    z^{-(n+1+k)} in G_n and gstar_coeffs[k] the coefficient of z^{-(n+k)}
-    in G*_{n-1}, for k = 0..kmax.
+    Returns (g_coeffs, gstar_coeffs) for k = 0..kmax: g_coeffs[k], the
+    coefficient of z^{-(n+1+k)} in G_n, is -(1/N) sum_j Phi_n(t_j) nu(t_j)
+    t_j^{k+1}, and gstar_coeffs[k], that of z^{-(n+k)} in G*_{n-1}, is
+    -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) t_j^k (empty for n = 0).  Each is
+    converged to rtol by node doubling.
     """
-    if R <= 1.0:
-        raise ValueError("tail extraction needs R > 1 (R >= 2 recommended)")
-    if kmax is None:
-        kmax = 2
-    zs = R * np.exp(2j * math.pi * np.arange(samples) / samples)
-    gv = np.array([_converged_transform(v, w, "G", n, z, rtol)[0] for z in zs])
-    # c_m := coefficient of z^{-m}; from samples, c_m = R^m * mean(G * e^{i m theta})
-    def coeff(values: np.ndarray, m: int) -> complex:
-        phase = np.exp(2j * math.pi * m * np.arange(samples) / samples)
-        return complex(R ** m * np.mean(values * phase))
+    q = _quadrature(v, w)
 
-    g_coeffs = np.array([coeff(gv, n + 1 + k) for k in range(kmax + 1)])
+    def coefficient(kind: str, m: int) -> complex:
+        coeffs = _polynomial(v, kind, n)
+
+        def eval_at(N: int) -> complex:
+            t, _ = q.circle(N)
+            return complex(-np.mean(q.integrand(kind, coeffs, n, N) * t ** m))
+
+        return _converged(eval_at, rtol)[0]
+
+    g_coeffs = np.array([coefficient("G", n + 1 + k) for k in range(kmax + 1)])
     if n < 1:
         return g_coeffs, np.array([])
-    gsv = np.array([_converged_transform(v, w, "Gstar", n, z, rtol)[0] for z in zs])
-    gstar_coeffs = np.array([coeff(gsv, n + k) for k in range(kmax + 1)])
+    gstar_coeffs = np.array([coefficient("Gstar", n + k) for k in range(kmax + 1)])
     return g_coeffs, gstar_coeffs
 
 

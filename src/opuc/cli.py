@@ -235,7 +235,7 @@ def _suite_rh(suite: Suite, v, w: WeightSpec, nmax: int, rtol: float) -> None:
     for t in circle_grid():
         suite.add("jump_condition", nmax, jump_residual(v, w, nmax, t, rtol=rtol), t)
     for n in (2, nmax):
-        g, gs = laurent_tail(v, w, n)
+        g, gs = laurent_tail(v, w, n, rtol=rtol)
         lead = -v.alpha(n).conjugate() / v.b[n]
         sub = (v.alpha(n).conjugate() / v.b[n] * v.phi1[n + 1]
                - v.alpha(n + 1).conjugate() / v.b[n + 1])
@@ -292,17 +292,18 @@ def _suite_painleve(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
         suite.add("dpii_relation", n, dpii_residual(alphas, w.ell, n))
 
 
+def _write_csv(rows: list[list], path: str | None) -> None:
+    """Write rows as CSV to path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    else:
+        csv.writer(sys.stdout).writerows(rows)
+
+
 def cmd_moments(args, parser) -> int:
     w = _weight_from_args(args, parser)
-    table = _moments(w, args.jmax, parser)
-    if args.out:
-        table.to_csv(args.out)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["j", "re", "im"])
-        for j in range(table.jmin, table.jmax + 1):
-            c = table.get(j)
-            writer.writerow([j, repr(c.real), repr(c.imag)])
+    _write_csv(_moments(w, args.jmax, parser).csv_rows(), args.out)
     return 0
 
 
@@ -315,12 +316,7 @@ def cmd_verblunsky(args, parser) -> int:
         p = v.phi1[n]
         rows.append([n, repr(a.real), repr(a.imag), repr(float(v.kappa2[n])),
                      repr(float(v.b[n])), repr(p.real), repr(p.imag)])
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        csv.writer(out).writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -335,12 +331,7 @@ def cmd_dpii(args, parser) -> int:
     for n in range(args.n + 1):
         resid = dpii_residual(alphas, args.ell, n) if n >= 2 else 0.0
         rows.append([n, repr(alphas[n]), repr(resid)])
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        csv.writer(out).writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(rows, args.out)
     return 0
 
 

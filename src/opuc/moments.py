@@ -73,13 +73,17 @@ class MomentTable:
 
     # -- CSV interchange (header: j,re,im) --------------------------------
 
+    def csv_rows(self) -> list[list]:
+        """The header and one row per moment, floats as repr strings."""
+        rows = [["j", "re", "im"]]
+        for j in range(self.jmin, self.jmax + 1):
+            c = self.get(j)
+            rows.append([j, repr(c.real), repr(c.imag)])
+        return rows
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "re", "im"])
-            for j in range(self.jmin, self.jmax + 1):
-                c = self.get(j)
-                writer.writerow([j, repr(c.real), repr(c.imag)])
+            csv.writer(fh).writerows(self.csv_rows())
 
     @classmethod
     def from_csv(cls, path) -> "MomentTable":
@@ -180,7 +184,7 @@ def lebesgue_moments(jmax: int, scale: float = 1.0) -> MomentTable:
     return MomentTable(-jmax, jmax, tuple(values), "analytic")
 
 
-def moments_for(w: WeightSpec, jmax: int, **kwargs) -> MomentTable:
+def moments_for(w: WeightSpec, jmax: int) -> MomentTable:
     """Best available moment route for the given weight."""
     if w.kind == "custom":
         if not w.moments.covers(jmax):
@@ -190,4 +194,4 @@ def moments_for(w: WeightSpec, jmax: int, **kwargs) -> MomentTable:
         return lebesgue_moments(jmax, w.scale)
     if w.kind == "bessel" and w.has_trivial_h and w.scale == 1.0:
         return bessel_moments_analytic(w.ell, jmax)
-    return moments_quadrature(w, jmax, **kwargs)
+    return moments_quadrature(w, jmax)

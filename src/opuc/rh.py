@@ -23,6 +23,8 @@ from .matrix2 import Matrix2C
 from .szego import VerblunskyTable, phi_pair
 from .weights import WeightSpec, eval_weight, log_derivative, log_derivative2
 
+JUMP_DELTA = 5e-5   # radial offset of the jump check's first approach to the circle
+
 
 def _assemble(v: VerblunskyTable, w: WeightSpec, n: int, z: complex, rtol: float,
               order: int, boundary: bool = False) -> Matrix2C:
@@ -75,45 +77,31 @@ def transfer_matrix_deriv() -> Matrix2C:
     return Matrix2C(1.0, 0.0, 0.0, 0.0)
 
 
+def _transfer_defect(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
+                     rtol: float) -> Matrix2C:
+    """Y_{n+1} diag(1, z) - T_n Y_n."""
+    z = complex(z)
+    lhs = assemble_Y(v, w, n + 1, z, rtol) @ Matrix2C.diag(1.0, z)
+    return lhs - transfer_matrix(v, n, z) @ assemble_Y(v, w, n, z, rtol)
+
+
 def transfer_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                       rtol: float = DEFAULT_RTOL) -> float:
     """Frobenius norm of Y_{n+1} diag(1, z) - T_n Y_n."""
-    z = complex(z)
-    Yn = assemble_Y(v, w, n, z, rtol)
-    Yn1 = assemble_Y(v, w, n + 1, z, rtol)
-    lhs = Yn1 @ Matrix2C.diag(1.0, z)
-    rhs = transfer_matrix(v, n, z) @ Yn
-    return (lhs - rhs).frobenius()
+    return _transfer_defect(v, w, n, z, rtol).frobenius()
 
 
 def transfer_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int,
                                    z: complex, rtol: float = DEFAULT_RTOL
                                    ) -> tuple[float, float, float, float]:
-    """Entrywise residuals of the four scalar recurrences behind the transfer
-    relation (polynomial row, reciprocal row, and the two second-kind rows)."""
-    z = complex(z)
-    an = v.alphas[n]
-    am1 = v.alphas[n - 1]
-    bn, bm1 = v.b[n], v.b[n - 1]
-    pn = phi_pair(v, n)
-    pn1 = phi_pair(v, n + 1)
-    psm1 = phi_pair(v, n - 1)
-    psn = phi_pair(v, n)
-    G_n = cauchy_G(v, w, n, z, rtol)
-    G_n1 = cauchy_G(v, w, n + 1, z, rtol)
-    Gs_nm1 = cauchy_Gstar(v, w, n, z, rtol)     # G*_{n-1}
-    Gs_n = cauchy_Gstar(v, w, n + 1, z, rtol)   # G*_n
-    r1 = abs(pn1.eval_phi(z)
-             - (z + an.conjugate() * am1) * pn.eval_phi(z)
-             + (bm1 / bn) * an.conjugate() * psm1.eval_phistar(z))
-    r2 = abs(-bn * psn.eval_phistar(z)
-             - am1 * bn * pn.eval_phi(z)
-             + bm1 * psm1.eval_phistar(z))
-    r3 = abs(z * G_n1
-             - (z + an.conjugate() * am1) * G_n
-             + (bm1 / bn) * an.conjugate() * Gs_nm1)
-    r4 = abs(-bn * z * Gs_n - am1 * bn * G_n + bm1 * Gs_nm1)
-    return r1, r2, r3, r4
+    """Residuals of the four scalar recurrences behind the transfer relation:
+    the polynomial, reciprocal-polynomial and two second-kind rows.
+
+    They are the entry magnitudes |D11|, |D21|, |D12|, |D22| of the defect
+    D = Y_{n+1} diag(1, z) - T_n Y_n.
+    """
+    D = _transfer_defect(v, w, n, z, rtol)
+    return abs(D.a11), abs(D.a21), abs(D.a12), abs(D.a22)
 
 
 def jump_matrix(w: WeightSpec, n: int, t: complex) -> Matrix2C:
@@ -124,15 +112,13 @@ def jump_matrix(w: WeightSpec, n: int, t: complex) -> Matrix2C:
 
 
 def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex,
-                  delta: float = 5e-5, rtol: float = DEFAULT_RTOL) -> float:
+                  rtol: float = DEFAULT_RTOL) -> float:
     """Richardson-extrapolated boundary-jump defect at circle point t.
 
     Compares the inside limit against the outside limit times the jump,
-    approaching along the radius at offsets delta and delta/2; the raw
-    defect is O(delta), the extrapolated one O(delta^2).
+    approaching along the radius at offsets JUMP_DELTA and JUMP_DELTA/2; the
+    raw defect is O(JUMP_DELTA), the extrapolated one O(JUMP_DELTA^2).
     """
-    if not 1e-5 <= delta <= 1e-2:
-        raise ValueError("delta must lie in [1e-5, 1e-2]")
     if abs(abs(t) - 1.0) > 1e-12:
         raise ValueError("jump check requires |t| = 1")
     for s in w.singular_points():
@@ -145,8 +131,8 @@ def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex,
         outer = assemble_Y(v, w, n, (1.0 + d) * t, rtol, boundary=True)
         return inner - (outer @ J)
 
-    e1 = defect(delta)
-    e2 = defect(delta / 2.0)
+    e1 = defect(JUMP_DELTA)
+    e2 = defect(JUMP_DELTA / 2.0)
     extrapolated = e2.scale(2.0) - e1
     return extrapolated.frobenius()
 

@@ -55,6 +55,7 @@ from .weights import WeightSpec, pearson_data
 _P = np.polynomial.polynomial
 
 _REAL_ALPHA_TOL = 1e-10
+FD_STEP = 1e-4     # step of the finite-difference M_n', relative to max(1, |z|)
 
 # A polynomial as a tuple of ascending Python-scalar coefficients: for the
 # short polynomials here, tuple arithmetic and Horner's rule beat numpy calls.
@@ -431,12 +432,10 @@ def structure_relation_jacobi(v: VerblunskyTable, b: complex, n: int) -> float:
 
 
 def structure_matrix_deriv_fd(v: VerblunskyTable, w: WeightSpec, n: int,
-                              z: complex, rtol: float = DEFAULT_RTOL,
-                              h: float | None = None) -> Matrix2C:
+                              z: complex, rtol: float = DEFAULT_RTOL) -> Matrix2C:
     """dM_n/dz by central differences with one Richardson step."""
     z = complex(z)
-    if h is None:
-        h = 1e-4 * max(1.0, abs(z))
+    h = FD_STEP * max(1.0, abs(z))
 
     def central(step: float) -> Matrix2C:
         plus = structure_matrix_numeric(v, w, n, z + step, rtol)

@@ -125,7 +125,7 @@ def test_criterion_05_values_and_tails(bessel2, announce):
         assert abs(cauchy_Gstar(v, w, n, 0.0)
                    - v.alphas[n - 1] / v.b[n - 1]) < 1e-9
     for n in (2, 6, 10):
-        g, gs = laurent_tail(v, w, n, R=3.0)
+        g, gs = laurent_tail(v, w, n)
         an, an1 = v.alpha(n).conjugate(), v.alpha(n + 1).conjugate()
         assert abs(g[0] + an / v.b[n]) < 1e-6
         assert abs(g[1] - (an / v.b[n] * v.phi1[n + 1] - an1 / v.b[n + 1])) < 1e-6

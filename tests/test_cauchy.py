@@ -104,6 +104,49 @@ def test_laurent_tail_bessel(bessel2):
     assert abs(gs[2] - expected) < 1e-9
 
 
+def _sampled_tail(v, w, n, R=3.0, kmax=2, samples=128, rtol=1e-14):
+    """Reference Laurent coefficients from transforms sampled on |z| = R.
+
+    The coefficient c_m of z^{-m} is R^m times the m-th discrete Fourier
+    coefficient of the samples; the factor R^m amplifies every sample error.
+    """
+    zs = R * np.exp(2j * math.pi * np.arange(samples) / samples)
+
+    def coeff(values, m):
+        phase = np.exp(2j * math.pi * m * np.arange(samples) / samples)
+        return complex(R ** m * np.mean(values * phase))
+
+    gv = np.array([cauchy_G(v, w, n, z, rtol) for z in zs])
+    gsv = np.array([cauchy_Gstar(v, w, n, z, rtol) for z in zs])
+    return (np.array([coeff(gv, n + 1 + k) for k in range(kmax + 1)]),
+            np.array([coeff(gsv, n + k) for k in range(kmax + 1)]))
+
+
+def test_laurent_tail_matches_sampled_reference(bessel2, jacobi_complex):
+    for w, _, v in (bessel2, jacobi_complex):
+        g, gs = laurent_tail(v, w, 3)
+        g_ref, gs_ref = _sampled_tail(v, w, 3)
+        assert np.max(np.abs(g - g_ref)) < 1e-10
+        assert np.max(np.abs(gs - gs_ref)) < 1e-10
+
+
+@pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.3 + 0.4j)],
+                         ids=["bessel2", "jacobi_complex"])
+@pytest.mark.parametrize("n", [16, 20, 24, 28])
+def test_laurent_tail_high_degree(w, n):
+    # the leading and subleading tail identities of the rh suite
+    v = verblunsky_from_moments(moments_for(w, n + 4), n + 2)
+    g, gs = laurent_tail(v, w, n)
+    a_n, a_n1 = v.alphas[n].conjugate(), v.alphas[n + 1].conjugate()
+    residuals = (
+        abs(g[0] + a_n / v.b[n]),
+        abs(g[1] - (a_n / v.b[n] * v.phi1[n + 1] - a_n1 / v.b[n + 1])),
+        abs(gs[0] + 1.0 / v.b[n - 1]),
+        abs(gs[1] - v.phi1[n] / v.b[n - 1]),
+    )
+    assert max(residuals) < 1e-6
+
+
 def test_region_classification_and_refusal(bessel2):
     w, _, v = bessel2
     assert classify_region(0.5) == "inside"

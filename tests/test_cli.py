@@ -20,7 +20,7 @@ def test_moments_lebesgue(tmp_path):
     assert run(["moments", "--weight", "lebesgue", "--jmax", "4",
                 "--out", str(out)]) == 0
     rows = {int(r["j"]): complex(float(r["re"]), float(r["im"]))
-            for r in csv.DictReader(out.open())}
+            for r in csv.DictReader(out.read_text().splitlines())}
     assert rows[0].real == pytest.approx(2.0 * math.pi)
     assert all(rows[j] == 0 for j in rows if j != 0)
 
@@ -29,7 +29,8 @@ def test_moments_bessel_value(tmp_path):
     out = tmp_path / "m.csv"
     assert run(["moments", "--weight", "bessel", "--ell", "2",
                 "--jmax", "3", "--out", str(out)]) == 0
-    rows = {int(r["j"]): float(r["re"]) for r in csv.DictReader(out.open())}
+    rows = {int(r["j"]): float(r["re"])
+            for r in csv.DictReader(out.read_text().splitlines())}
     assert rows[1] == pytest.approx(2.0 * math.pi * I1_2, abs=1e-7)
 
 
@@ -43,7 +44,7 @@ def test_verblunsky_csv(tmp_path):
     out = tmp_path / "a.csv"
     assert run(["verblunsky", "--weight", "bessel", "--ell", "2",
                 "--n", "6", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 6
     assert float(rows[0]["re_alpha"]) == pytest.approx(ALPHA0_BESSEL2, abs=1e-9)
     assert float(rows[0]["im_alpha"]) == 0.0
@@ -53,14 +54,14 @@ def test_verblunsky_lebesgue_zero(tmp_path):
     out = tmp_path / "a.csv"
     assert run(["verblunsky", "--weight", "lebesgue", "--n", "5",
                 "--out", str(out)]) == 0
-    for r in csv.DictReader(out.open()):
+    for r in csv.DictReader(out.read_text().splitlines()):
         assert abs(float(r["re_alpha"])) < 1e-13
 
 
 def test_dpii_csv(tmp_path):
     out = tmp_path / "orbit.csv"
     assert run(["dpii", "--ell", "2.0", "--n", "10", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 11
     assert all(float(r["residual"]) < 1e-8 for r in rows)
 
@@ -149,7 +150,7 @@ def test_weight_parameter_out_of_family_is_usage_error(flags):
 def test_verblunsky_csv_fields_are_plain_numbers(tmp_path, flags):
     out = tmp_path / "a.csv"
     assert run(["verblunsky", *flags, "--n", "5", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))[1:]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert len(rows) == 5
     for row in rows:
         for field in row:
