@@ -23,12 +23,13 @@ from .rh import (
     transfer_residual,
 )
 from .structure import (
-    curvature_residual_bessel,
+    curvature_residual_closed,
     curvature_residual_generic,
-    curvature_residual_jacobi,
-    mtilde_bessel,
-    mtilde_jacobi,
+    first_order_residuals,
+    mtilde,
     second_curvature_residual,
+    second_order_residuals,
+    structure_relation_residuals,
 )
 from .szego import PolyPair, VerblunskyTable, phi_pair, verblunsky_from_moments
 from .weights import WeightSpec
@@ -54,21 +55,22 @@ __all__ = [
     "cauchy_G",
     "cauchy_Gstar",
     "cauchy_eval",
-    "curvature_residual_bessel",
+    "curvature_residual_closed",
     "curvature_residual_generic",
-    "curvature_residual_jacobi",
     "dpii_iterate",
     "dpii_residual",
+    "first_order_residuals",
     "jump_matrix",
     "jump_residual",
     "laurent_tail",
     "moments_for",
     "moments_quadrature",
-    "mtilde_bessel",
-    "mtilde_jacobi",
+    "mtilde",
     "phi_pair",
     "second_curvature_residual",
+    "second_order_residuals",
     "structure_matrix_numeric",
+    "structure_relation_residuals",
     "transfer_matrix",
     "transfer_residual",
     "verblunsky_from_moments",

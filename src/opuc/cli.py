@@ -29,20 +29,16 @@ from .rh import (
     transfer_residual,
 )
 from .structure import (
-    curvature_residual_bessel,
+    CLOSED_FORMS,
+    curvature_residual_closed,
     curvature_residual_generic,
-    curvature_residual_jacobi,
-    first_order_residuals_bessel,
-    first_order_residuals_jacobi,
+    first_order_residuals,
     generic_second_order_residual,
-    hypergeometric_residuals_jacobi,
-    mtilde_bessel,
-    mtilde_jacobi,
+    mtilde,
     pole_clearing_factor,
     second_curvature_residual,
-    second_order_residuals_bessel,
-    structure_relation_jacobi,
-    structure_relations_bessel,
+    second_order_residuals,
+    structure_relation_residuals,
     traceback_residual,
 )
 from .szego import verblunsky_from_moments
@@ -189,19 +185,6 @@ def _moments(w: WeightSpec, jmax: int, parser):
     return moments_for(w, jmax)
 
 
-def _closed_forms(w: WeightSpec):
-    """(parameter, mtilde, curvature, first-order, second-order) of w's
-    closed-form family, or None.  Resolving the names per call lets wrappers
-    installed on them later (profilers, tracers) see these calls."""
-    if w.kind == "bessel":
-        return (w.ell, mtilde_bessel, curvature_residual_bessel,
-                first_order_residuals_bessel, second_order_residuals_bessel)
-    if w.kind == "jacobi":
-        return (w.b, mtilde_jacobi, curvature_residual_jacobi,
-                first_order_residuals_jacobi, hypergeometric_residuals_jacobi)
-    return None
-
-
 def _apply_perturb(v, spec: str, parser):
     try:
         idx, eps = spec.split(":")
@@ -249,16 +232,8 @@ def _suite_structure(suite: Suite, v, w: WeightSpec, nmax: int, rtol: float) -> 
     grid = standard_grid(w)
     zs = [grid[1], grid[len(grid) // 2 + 1]]
     top = min(nmax, v.nmax - 2)
-    closed = _closed_forms(w)
-    if closed:
-        p, mtilde, curvature, first_order, second_order = closed
     for n in range(2, top + 1):
         for z in zs:
-            if closed:
-                Mnum = structure_matrix_numeric(v, w, n, z, rtol)
-                diff = mtilde(v, p, n, z) - Mnum.scale(pole_clearing_factor(w, z))
-                suite.add("closed_structure_matrix", n, diff.frobenius(), z)
-                suite.add("curvature_closed", n, curvature(v, p, n, z), z)
             suite.add("curvature_generic", n,
                       curvature_residual_generic(v, w, n, z, rtol), z)
             suite.add("curvature_second", n,
@@ -267,21 +242,23 @@ def _suite_structure(suite: Suite, v, w: WeightSpec, nmax: int, rtol: float) -> 
         suite.add("second_order_generic", n,
                   generic_second_order_residual(v, w, n, z, rtol), z)
         suite.add("first_order_traceback", n, traceback_residual(v, w, n, z, rtol), z)
-        if w.kind == "bessel":
-            r1, r2 = structure_relations_bessel(v, w.ell, n)
-            suite.add("structure_relation_three_term", n, r1)
-            suite.add("structure_relation_weighted", n, r2)
-        elif w.kind == "jacobi":
-            suite.add("structure_relation_three_term", n,
-                      structure_relation_jacobi(v, w.b, n))
-        if closed:
-            for tag, residuals, z in (("first_order", first_order, zs[0]),
-                                      ("second_order", second_order, zs[1])):
-                r_phi, r_g, r_phistar, r_gstar = residuals(v, w, p, n, z, rtol)
-                suite.add(f"{tag}_phi", n, r_phi)
-                suite.add(f"{tag}_g", n, r_g, z)
-                suite.add(f"{tag}_phistar", n, r_phistar)
-                suite.add(f"{tag}_gstar", n, r_gstar, z)
+        if w.kind not in CLOSED_FORMS:
+            continue
+        for z in zs:
+            Mnum = structure_matrix_numeric(v, w, n, z, rtol)
+            diff = mtilde(v, w, n, z) - Mnum.scale(pole_clearing_factor(w, z))
+            suite.add("closed_structure_matrix", n, diff.frobenius(), z)
+            suite.add("curvature_closed", n, curvature_residual_closed(v, w, n, z), z)
+        for name, r in zip(("structure_relation_three_term", "structure_relation_weighted"),
+                           structure_relation_residuals(v, w, n)):
+            suite.add(name, n, r)
+        for tag, residuals, z in (("first_order", first_order_residuals, zs[0]),
+                                  ("second_order", second_order_residuals, zs[1])):
+            r_phi, r_g, r_phistar, r_gstar = residuals(v, w, n, z, rtol)
+            suite.add(f"{tag}_phi", n, r_phi)
+            suite.add(f"{tag}_g", n, r_g, z)
+            suite.add(f"{tag}_phistar", n, r_phistar)
+            suite.add(f"{tag}_gstar", n, r_gstar, z)
 
 
 def _suite_painleve(suite: Suite, v, w: WeightSpec, nmax: int) -> None:

@@ -1,30 +1,31 @@
 """Closed-form structure matrices and the differential identity residuals.
 
-Two matrix identities carry every differential relation checked here.  The
-structure matrix M_n is defined by Y_n' = M_n Y_n - Y_n D_n, where Y_n is the
-solution matrix and D_n the logarithmic derivative of its diagonal
-normalizing factor (``opuc.rh``).  The transfer matrix T_n of
-Y_{n+1} diag(1, z) = T_n Y_n then obeys the zero-curvature relation
-T_n' - T_n/(2z) = M_{n+1} T_n - T_n M_n.
+The structure matrix M_n is defined by Y_n' = M_n Y_n - Y_n D_n, where Y_n is
+the solution matrix and D_n the logarithmic derivative of its diagonal
+normalizing factor (``opuc.rh``); the transfer matrix T_n of
+Y_{n+1} diag(1, z) = T_n Y_n obeys T_n' - T_n/(2z) = M_{n+1} T_n - T_n M_n.
 
-For a weight with Pearson data z A_p nu' = q nu (``weights.pearson_data``)
-put A = z A_p; then A D_n = diag(delta_n, -delta_n) with
-delta_n = (q - n A_p)/2.  For the Bessel-type and Jacobi-type weights with
-trivial entire factor, Mtilde_n = A M_n is a polynomial in z whose
-coefficients are closed forms in the recurrence data.  A family supplies
-only those coefficients; every closed-form identity follows from them:
+For Pearson data z A_p nu' = q nu (``weights.pearson_data``) put A = z A_p;
+then A D_n = diag(delta_n, -delta_n), delta_n = (q - n A_p)/2.  For the
+Bessel and Jacobi weights with H == 1, Mtilde_n = A M_n (``mtilde``) is a
+polynomial whose coefficients are closed forms in the recurrence data.
+CLOSED_FORMS maps each such family to them and to its polynomial structure
+relations (``structure_relation_residuals``); a new family needs one entry
+there plus its ``pearson_data`` branch.  Every other identity follows from
+Mtilde_n, and each takes the weight itself:
 
-* zero curvature: A (T_n' - T_n/(2z)) + T_n Mtilde_n - Mtilde_{n+1} T_n = 0;
-* first order: with C = diag(1, -b_{n-1}) and P = C^{-1} Mtilde_n C -+ delta_n I,
-  u = (Phi_n, Phi*_{n-1}) (sign -) and u = (G_n, G*_{n-1}) (sign +) solve
-  A u' = P u, so each row gives A u_i' - P_ii u_i - P_ij u_j = 0;
-* second order: eliminating u_j from the derivative of row i gives
-  A u_i'' + (A' - tr P) u_i' + (det P / A - P_ii') u_i - P_ij' u_j = 0, where
-  det P / A is the polynomial quotient (the division is exact on true data).
+* ``curvature_residual_closed``: A (T_n' - T_n/(2z)) + T_n Mtilde_n
+  - Mtilde_{n+1} T_n = 0;
+* ``first_order_residuals``: with C = diag(1, -b_{n-1}) and
+  P = C^{-1} Mtilde_n C -+ delta_n I, u = (Phi_n, Phi*_{n-1}) (sign -) and
+  u = (G_n, G*_{n-1}) (sign +) solve A u' = P u, row by row
+  A u_i' - P_ii u_i - P_ij u_j = 0;
+* ``second_order_residuals``: eliminating u_j from the derivative of row i
+  gives A u_i'' + (A' - tr P) u_i' + (det P / A - P_ii') u_i - P_ij' u_j = 0,
+  with det P / A the polynomial quotient (exact on true data).
 
-Polynomial identities are checked coefficientwise (exact coefficient
-algebra, no quadrature); identities involving the second-kind functions are
-checked pointwise off the circle.
+Polynomial identities are checked coefficientwise, with no quadrature;
+those with second-kind functions pointwise off the circle.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .cauchy import (
     cauchy_derivatives,
     cauchy_second_derivatives,
 )
+from .errors import UnsupportedWeightError
 from .matrix2 import Matrix2C
 from .rh import (
     assemble_Y,
@@ -79,7 +81,7 @@ def _max_coeff(p: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the closed-form families and the identities they share
+# small polynomials
 
 
 def _horner(p: Poly, z: complex) -> complex:
@@ -124,59 +126,100 @@ def _at(m: PolyMatrix, z: complex) -> Matrix2C:
     return Matrix2C(*(_horner(p, z) for p in m))
 
 
-def _pearson(family: WeightSpec) -> tuple[Poly, Poly, Poly]:
-    """A = z A_p, A_p and q of the Pearson pair z A_p nu' = q nu."""
-    Ap, q = (tuple(p.tolist()) for p in pearson_data(family))
-    return (0j,) + Ap, Ap, q
+# ---------------------------------------------------------------------------
+# the closed-form families
 
 
-def _bessel_mtilde(v: VerblunskyTable, ell: float, n: int) -> PolyMatrix:
-    if n < 2:
-        raise ValueError("bessel closed form needs n >= 2")
+def _bessel_mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
     if v.nmax < n + 1:
         raise ValueError("recurrence table too short (needs alpha_n)")
     a = _real_alphas(v, n)
     bm1, bn = float(v.b[n - 1]), float(v.b[n])
-    h = ell / 2.0
+    h = w.ell / 2.0
     d = (h / 2.0 * (bm1 / bn - a[n - 1] ** 2), n / 2.0, h / 2.0)
     return (d, (-h / bn * a[n - 1], h / bn * a[n]),
             (-h * bm1 * a[n - 1], h * bm1 * a[n - 2]), tuple(-c for c in d))
 
 
-def _jacobi_mtilde(v: VerblunskyTable, b: complex, n: int) -> PolyMatrix:
-    if n < 1:
-        raise ValueError("jacobi closed form needs n >= 1")
-    b = complex(b)
-    bb = b.conjugate()
+def _jacobi_mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
+    bb = w.b.conjugate()
     a = v.alphas[n - 1]
-    d = (-(bb + n) * (2.0 * abs(a) ** 2 - 1.0) / 2.0, -(b + n) / 2.0)
+    d = (-(bb + n) * (2.0 * abs(a) ** 2 - 1.0) / 2.0, -(w.b + n) / 2.0)
     return (d, (-(bb + n) * a.conjugate() / float(v.b[n]),),
             (-float(v.b[n - 1]) * (bb + n) * a,), tuple(-c for c in d))
 
 
-def _mtilde(v: VerblunskyTable, family: WeightSpec, n: int) -> PolyMatrix:
-    """Coefficients of Mtilde_n: the only per-family input of the identities."""
-    if family.kind == "bessel":
-        return _bessel_mtilde(v, family.ell, n)
-    return _jacobi_mtilde(v, family.b, n)
+def _bessel_relations(v: VerblunskyTable, w: WeightSpec, n: int
+                      ) -> tuple[float, float]:
+    """The three-term derivative relation and its z-weighted variant."""
+    a = _real_alphas(v, n)
+    k2 = v.kappa2
+    pn = phi_pair(v, n)
+    pm1 = phi_pair(v, n - 1)
+    pm2 = phi_pair(v, n - 2)
+
+    r1 = _max_coeff(
+        _P.polysub(_P.polyder(pn.phi),
+                   _P.polyadd(n * pm1.phi,
+                              (w.ell * k2[n - 2] / (2.0 * k2[n])) * pm2.phi))
+    )
+    inner = _P.polysub(pm1.phi, a[n] * pm1.phistar)
+    r2 = _max_coeff(
+        _P.polysub(_P.polymulx(_P.polyder(pn.phi)),
+                   _P.polyadd(n * pn.phi,
+                              (w.ell / 2.0) * (k2[n - 1] / k2[n]) * inner))
+    )
+    return r1, r2
 
 
-def _curvature(v: VerblunskyTable, family: WeightSpec, n: int, z: complex) -> float:
-    """|| A (T_n' - T_n/(2z)) + T_n Mtilde_n - Mtilde_{n+1} T_n ||."""
-    z = complex(z)
-    T = transfer_matrix(v, n, z)
-    apz = _horner(_pearson(family)[1], z)
-    resid = (transfer_matrix_deriv().scale(z * apz) + (T @ _at(_mtilde(v, family, n), z))
-             - T.scale(apz / 2.0) - (_at(_mtilde(v, family, n + 1), z) @ T))
-    return resid.frobenius()
+def _jacobi_relations(v: VerblunskyTable, w: WeightSpec, n: int) -> tuple[float]:
+    """(z-1) Phi_n' = -(conj(b)+n)(1-|alpha_{n-1}|^2) Phi_{n-1} + n Phi_n."""
+    bb = w.b.conjugate()
+    a = v.alphas[n - 1]
+    pn = phi_pair(v, n)
+    pm1 = phi_pair(v, n - 1)
+    zm1 = np.array([-1.0, 1.0], dtype=complex)
+    lhs = _P.polymul(zm1, _P.polyder(pn.phi))
+    rhs = _P.polyadd(-(bb + n) * (1.0 - abs(a) ** 2) * pm1.phi, n * pn.phi)
+    return (_max_coeff(_P.polysub(lhs, rhs)),)
 
 
-def _rows(v: VerblunskyTable, family: WeightSpec, n: int, sign: float, order: int):
+# weight kind -> (lowest degree n, coefficients of Mtilde_n, residuals of the
+# polynomial structure relations), the last two called as f(v, w, n).  Every
+# other closed-form identity is derived from Mtilde_n and weights.pearson_data.
+CLOSED_FORMS = {
+    "bessel": (2, _bessel_mtilde, _bessel_relations),
+    "jacobi": (1, _jacobi_mtilde, _jacobi_relations),
+}
+
+
+def _closed_form(w: WeightSpec, n: int):
+    """w's (Mtilde_n coefficients, structure relations); H == 1 is assumed."""
+    if w.kind not in CLOSED_FORMS or not w.has_trivial_h:
+        raise UnsupportedWeightError(
+            f"closed forms need a {' or '.join(CLOSED_FORMS)} weight with H == 1")
+    nmin, mtilde_coeffs, relations = CLOSED_FORMS[w.kind]
+    if n < nmin:
+        raise ValueError(f"{w.kind} closed forms need n >= {nmin}")
+    return mtilde_coeffs, relations
+
+
+def _mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
+    return _closed_form(w, n)[0](v, w, n)
+
+
+def _pearson(w: WeightSpec) -> tuple[Poly, Poly, Poly]:
+    """A = z A_p, A_p and q of the Pearson pair z A_p nu' = q nu."""
+    Ap, q = (tuple(p.tolist()) for p in pearson_data(w))
+    return (0j,) + Ap, Ap, q
+
+
+def _rows(v: VerblunskyTable, w: WeightSpec, n: int, sign: float, order: int):
     """The two scalar rows of A u' = P u (order 1) or of the second-order
     equations (order 2), P = C^{-1} Mtilde_n C + sign delta_n I.  A row is a
     tuple of terms (coefficients, component of u, derivative order)."""
-    A, Ap, q = _pearson(family)
-    m11, m12, m21, m22 = _mtilde(v, family, n)
+    m11, m12, m21, m22 = _mtilde(v, w, n)
+    A, Ap, q = _pearson(w)
     bm1 = float(v.b[n - 1])
     delta = _lin((sign / 2.0, q), (-sign * n / 2.0, Ap))
     P = ((_lin((1, m11), (1, delta)), _lin((-bm1, m12))),
@@ -192,17 +235,15 @@ def _rows(v: VerblunskyTable, family: WeightSpec, n: int, sign: float, order: in
                  for i, j in ((0, 1), (1, 0)))
 
 
-def _differential_residuals(v: VerblunskyTable, family: WeightSpec, w: WeightSpec,
-                            n: int, z: complex, rtol: float, order: int
-                            ) -> tuple[float, float, float, float]:
-    """(Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) residuals of the rows of given order;
-    the second-kind functions are those of w."""
+def _differential_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
+                            rtol: float, order: int) -> tuple[float, float, float, float]:
+    """(Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) residuals of the rows of given order."""
     polys = []
     for coeffs in (phi_pair(v, n).phi, phi_pair(v, n - 1).phistar):
         u = tuple(coeffs.tolist())
         polys.append((u, _der(u), _der(_der(u))))
     r_phi, r_star = (max(map(abs, _lin(*((1, _mul(c, polys[k][d])) for c, k, d in row))))
-                     for row in _rows(v, family, n, -1.0, order))
+                     for row in _rows(v, w, n, -1.0, order))
     z = complex(z)
     G = cauchy_G(v, w, n, z, rtol)
     Gs = cauchy_Gstar(v, w, n, z, rtol)
@@ -210,32 +251,78 @@ def _differential_residuals(v: VerblunskyTable, family: WeightSpec, w: WeightSpe
     d2G, d2Gs = cauchy_second_derivatives(v, w, n, z, rtol) if order == 2 else (0j, 0j)
     values = ((G, dG, d2G), (Gs, dGs, d2Gs))
     r_g, r_gs = (abs(sum(_horner(c, z) * values[k][d] for c, k, d in row))
-                 for row in _rows(v, family, n, 1.0, order))
+                 for row in _rows(v, w, n, 1.0, order))
     return r_phi, r_g, r_star, r_gs
 
 
 # ---------------------------------------------------------------------------
-# closed-form structure matrices
+# the closed-form identities
 
 
-def mtilde_bessel(v: VerblunskyTable, ell: float, n: int, z: complex) -> Matrix2C:
-    """z^2 M_n for the Bessel-type weight, H == 1; entire in z, trace-free."""
-    return _at(_bessel_mtilde(v, ell, n), complex(z))
+def mtilde(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> Matrix2C:
+    """Mtilde_n = A M_n at z: z^2 M_n (Bessel), z(1-z) M_n (Jacobi); trace-free.
+    For Jacobi, -mtilde(v, w, n, 1) is the residue of M_n at z = 1."""
+    return _at(_mtilde(v, w, n), complex(z))
 
 
-def mtilde_bessel_pre_liouville(v: VerblunskyTable, ell: float, n: int,
+def pole_clearing_factor(w: WeightSpec, z: complex) -> complex:
+    """A(z) = z A_p(z), the factor that makes A M_n polynomial (H == 1)."""
+    return _horner(_pearson(w)[0], complex(z))
+
+
+def curvature_residual_closed(v: VerblunskyTable, w: WeightSpec, n: int,
+                              z: complex) -> float:
+    """Purely algebraic zero-curvature residual with the closed form:
+    || A (T_n' - T_n/(2z)) + T_n Mtilde_n - Mtilde_{n+1} T_n ||."""
+    z = complex(z)
+    mt_n, mt_n1 = _at(_mtilde(v, w, n), z), _at(_mtilde(v, w, n + 1), z)
+    T = transfer_matrix(v, n, z)
+    apz = _horner(_pearson(w)[1], z)
+    resid = (transfer_matrix_deriv().scale(z * apz) + (T @ mt_n)
+             - T.scale(apz / 2.0) - (mt_n1 @ T))
+    return resid.frobenius()
+
+
+def first_order_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
+                          rtol: float = DEFAULT_RTOL) -> tuple[float, float, float, float]:
+    """Residuals (Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) of the four scalar
+    first-order relations; G rows at z, off circle and singularities."""
+    return _differential_residuals(v, w, n, z, rtol, 1)
+
+
+def second_order_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
+                           rtol: float = DEFAULT_RTOL) -> tuple[float, float, float, float]:
+    """Residuals (Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) of the four scalar
+    second-order equations (hypergeometric-type for the Jacobi family)."""
+    return _differential_residuals(v, w, n, z, rtol, 2)
+
+
+def structure_relation_residuals(v: VerblunskyTable, w: WeightSpec, n: int
+                                 ) -> tuple[float, ...]:
+    """Coefficientwise residuals of the family's structure relations: the
+    three-term derivative relation, then (Bessel only) its z-weighted variant."""
+    return _closed_form(w, n)[1](v, w, n)
+
+
+# ---------------------------------------------------------------------------
+# Bessel-only diagnostics
+
+
+def mtilde_bessel_pre_liouville(v: VerblunskyTable, w: WeightSpec, n: int,
                                 z: complex) -> Matrix2C:
     """An intermediate display of z^2 M_n, kept as a diagnostic.
 
     It comes from the large-z expansion and writes the constant terms through
     the subleading polynomial coefficients instead of the value at the
-    origin.  Its z^2 and z^1 parts equal those of mtilde_bessel; its constant
-    part does not, and the gap shrinks with n (see compare_bessel_mtilde_forms).
+    origin.  Its z^2 and z^1 parts equal those of mtilde; its constant part
+    does not, and the gap shrinks with n (see compare_bessel_mtilde_forms).
     """
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    if w.kind != "bessel":
+        raise UnsupportedWeightError("the pre-Liouville display is Bessel-only")
+    _closed_form(w, n)                      # H == 1 and n >= 2
     if v.nmax < n + 1:
         raise ValueError("recurrence table too short (needs alpha_n)")
+    ell = w.ell
     a = _real_alphas(v, n)
     b = v.b
     z = complex(z)
@@ -256,7 +343,7 @@ def mtilde_bessel_pre_liouville(v: VerblunskyTable, ell: float, n: int,
     return Matrix2C(d, m12, m21, d22)
 
 
-def compare_bessel_mtilde_forms(v: VerblunskyTable, ell: float, n: int,
+def compare_bessel_mtilde_forms(v: VerblunskyTable, w: WeightSpec, n: int,
                                 z: complex) -> float:
     """Entrywise max deviation between the two displayed Bessel forms.
 
@@ -266,29 +353,14 @@ def compare_bessel_mtilde_forms(v: VerblunskyTable, ell: float, n: int,
     return max(
         abs(x - y)
         for x, y in zip(
-            mtilde_bessel(v, ell, n, z).entries(),
-            mtilde_bessel_pre_liouville(v, ell, n, z).entries(),
+            mtilde(v, w, n, z).entries(),
+            mtilde_bessel_pre_liouville(v, w, n, z).entries(),
         )
     )
 
 
-def mtilde_jacobi(v: VerblunskyTable, b: complex, n: int, z: complex) -> Matrix2C:
-    """z(1-z) M_n for the Jacobi-type weight, H == 1; linear in z, trace-free."""
-    return _at(_jacobi_mtilde(v, b, n), complex(z))
-
-
-def jacobi_residue_at_one(v: VerblunskyTable, b: complex, n: int) -> Matrix2C:
-    """Residue matrix of M_n at z = 1: minus the closed form evaluated there."""
-    return -mtilde_jacobi(v, b, n, 1.0)
-
-
-def pole_clearing_factor(w: WeightSpec, z: complex) -> complex:
-    """A(z) = z A_p(z), the factor that makes A M_n polynomial (H == 1)."""
-    return _horner(_pearson(w)[0], complex(z))
-
-
 # ---------------------------------------------------------------------------
-# zero-curvature residuals
+# zero-curvature residuals with numeric M
 
 
 def curvature_residual_generic(v: VerblunskyTable, w: WeightSpec, n: int,
@@ -303,24 +375,6 @@ def curvature_residual_generic(v: VerblunskyTable, w: WeightSpec, n: int,
     return resid.frobenius()
 
 
-def curvature_residual_bessel(v: VerblunskyTable, ell: float, n: int,
-                              z: complex) -> float:
-    """Purely algebraic zero-curvature residual with the Bessel closed form."""
-    if ell == 0.0:
-        return 0.0
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    return _curvature(v, WeightSpec.bessel(ell), n, z)
-
-
-def curvature_residual_jacobi(v: VerblunskyTable, b: complex, n: int,
-                              z: complex) -> float:
-    """Algebraic zero-curvature residual with the Jacobi closed form."""
-    if complex(b) == 0:
-        return 0.0
-    return _curvature(v, WeightSpec.jacobi(b), n, z)
-
-
 def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
                               z: complex, rtol: float = DEFAULT_RTOL) -> float:
     """Residual of the quadratic compatibility relation (numeric M)."""
@@ -332,99 +386,6 @@ def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
     lhs = (Mn1 @ A) + (A @ Mn)
     rhs = (Mn1 @ Mn1 @ T) - (T @ Mn @ Mn)
     return (lhs - rhs).frobenius()
-
-
-# ---------------------------------------------------------------------------
-# first- and second-order differential relations
-
-
-def first_order_residuals_bessel(v: VerblunskyTable, w: WeightSpec, ell: float,
-                                 n: int, z: complex, rtol: float = DEFAULT_RTOL
-                                 ) -> tuple[float, float, float, float]:
-    """Residuals of the four scalar first-order relations (Bessel, H == 1).
-
-    Polynomial rows are checked coefficientwise; the second-kind rows are
-    evaluated at z (which must be off circle and singularities).
-    """
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    return _differential_residuals(v, WeightSpec.bessel(ell), w, n, z, rtol, 1)
-
-
-def first_order_residuals_jacobi(v: VerblunskyTable, w: WeightSpec, b: complex,
-                                 n: int, z: complex, rtol: float = DEFAULT_RTOL
-                                 ) -> tuple[float, float, float, float]:
-    """Residuals of the four scalar first-order relations (Jacobi, H == 1)."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return _differential_residuals(v, WeightSpec.jacobi(b), w, n, z, rtol, 1)
-
-
-def second_order_residuals_bessel(v: VerblunskyTable, w: WeightSpec, ell: float,
-                                  n: int, z: complex, rtol: float = DEFAULT_RTOL
-                                  ) -> tuple[float, float, float, float]:
-    """Residuals of the four scalar second-order equations (Bessel, H == 1)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if ell == 0.0 and w.kind != "lebesgue" and w.kind != "bessel":
-        raise ValueError("weight family mismatch")
-    return _differential_residuals(v, WeightSpec.bessel(ell), w, n, z, rtol, 2)
-
-
-def hypergeometric_residuals_jacobi(v: VerblunskyTable, w: WeightSpec, b: complex,
-                                    n: int, z: complex,
-                                    rtol: float = DEFAULT_RTOL
-                                    ) -> tuple[float, float, float, float]:
-    """Residuals of the four hypergeometric-type second-order equations."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return _differential_residuals(v, WeightSpec.jacobi(b), w, n, z, rtol, 2)
-
-
-# ---------------------------------------------------------------------------
-# structure relations (pure polynomial identities)
-
-
-def structure_relations_bessel(v: VerblunskyTable, ell: float, n: int
-                               ) -> tuple[float, float]:
-    """Coefficientwise residuals of the two equivalent Bessel structure
-    relations (three-term derivative form and its z-weighted variant)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if ell == 0.0:
-        return 0.0, 0.0
-    a = _real_alphas(v, n)
-    k2 = v.kappa2
-    pn = phi_pair(v, n)
-    pm1 = phi_pair(v, n - 1)
-    pm2 = phi_pair(v, n - 2)
-
-    r1 = _max_coeff(
-        _P.polysub(_P.polyder(pn.phi),
-                   _P.polyadd(n * pm1.phi,
-                              (ell * k2[n - 2] / (2.0 * k2[n])) * pm2.phi))
-    )
-    inner = _P.polysub(pm1.phi, a[n] * pm1.phistar)
-    r2 = _max_coeff(
-        _P.polysub(_P.polymulx(_P.polyder(pn.phi)),
-                   _P.polyadd(n * pn.phi,
-                              (ell / 2.0) * (k2[n - 1] / k2[n]) * inner))
-    )
-    return r1, r2
-
-
-def structure_relation_jacobi(v: VerblunskyTable, b: complex, n: int) -> float:
-    """(z-1) Phi_n' = -(conj(b)+n)(1-|alpha_{n-1}|^2) Phi_{n-1} + n Phi_n."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    bb = complex(b).conjugate()
-    a = v.alphas[n - 1]
-    pn = phi_pair(v, n)
-    pm1 = phi_pair(v, n - 1)
-    zm1 = np.array([-1.0, 1.0], dtype=complex)
-    lhs = _P.polymul(zm1, _P.polyder(pn.phi))
-    rhs = _P.polyadd(-(bb + n) * (1.0 - abs(a) ** 2) * pm1.phi, n * pn.phi)
-    return _max_coeff(_P.polysub(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

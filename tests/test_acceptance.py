@@ -20,19 +20,14 @@ from opuc.rh import (
     transfer_residual,
 )
 from opuc.structure import (
-    curvature_residual_bessel,
+    curvature_residual_closed,
     curvature_residual_generic,
-    curvature_residual_jacobi,
-    first_order_residuals_bessel,
-    first_order_residuals_jacobi,
+    first_order_residuals,
     generic_second_order_residual,
-    hypergeometric_residuals_jacobi,
-    mtilde_bessel,
-    mtilde_jacobi,
+    mtilde,
     second_curvature_residual,
-    second_order_residuals_bessel,
-    structure_relation_jacobi,
-    structure_relations_bessel,
+    second_order_residuals,
+    structure_relation_residuals,
     traceback_residual,
 )
 from opuc.szego import jacobi_alpha_ratio_residual, phi1_closed_jacobi, phi_pair
@@ -93,13 +88,13 @@ def test_criterion_03_closed_vs_numeric(bessel2, jacobi1, jacobi_complex,
     for n in range(2, 9):
         for z in grid_for(w):
             M = structure_matrix_numeric(v, w, n, z)
-            assert (mtilde_bessel(v, 2.0, n, z) - M.scale(z * z)).frobenius() < 1e-6
+            assert (mtilde(v, w, n, z) - M.scale(z * z)).frobenius() < 1e-6
     for fixture, b in JACOBI_CASES:
         w, _, v = request.getfixturevalue(fixture)
         for n in range(2, 9):
             for z in grid_for(w):
                 M = structure_matrix_numeric(v, w, n, z)
-                diff = mtilde_jacobi(v, b, n, z) - M.scale(z * (1.0 - z))
+                diff = mtilde(v, w, n, z) - M.scale(z * (1.0 - z))
                 assert diff.frobenius() < 1e-6
 
 
@@ -138,17 +133,17 @@ def test_criterion_06_polynomial_identities(bessel2, jacobi1, jacobi_complex,
     w, _, v = bessel2
     z = 2.5 * cmath.exp(0.6j)
     for n in range(2, 11):
-        assert max(structure_relations_bessel(v, 2.0, n)) < 1e-9
-        fo = first_order_residuals_bessel(v, w, 2.0, n, z)
-        so = second_order_residuals_bessel(v, w, 2.0, n, z)
+        assert max(structure_relation_residuals(v, w, n)) < 1e-9
+        fo = first_order_residuals(v, w, n, z)
+        so = second_order_residuals(v, w, n, z)
         assert fo[0] < 1e-9 and fo[2] < 1e-9
         assert so[0] < 1e-9 and so[2] < 1e-9
     for fixture, b in JACOBI_CASES:
         w, _, v = request.getfixturevalue(fixture)
         for n in range(1, 11):
-            assert structure_relation_jacobi(v, b, n) < 1e-9
-            fo = first_order_residuals_jacobi(v, w, b, n, z)
-            hg = hypergeometric_residuals_jacobi(v, w, b, n, z)
+            assert max(structure_relation_residuals(v, w, n)) < 1e-9
+            fo = first_order_residuals(v, w, n, z)
+            hg = second_order_residuals(v, w, n, z)
             assert fo[0] < 1e-9 and fo[2] < 1e-9
             assert hg[0] < 1e-9 and hg[2] < 1e-9
 
@@ -157,15 +152,15 @@ def test_criterion_07_g_identities(bessel2, jacobi_complex, announce):
     w, _, v = bessel2
     for n in (2, 5, 8):
         for z in grid_for(w):
-            fo = first_order_residuals_bessel(v, w, 2.0, n, z)
-            so = second_order_residuals_bessel(v, w, 2.0, n, z)
+            fo = first_order_residuals(v, w, n, z)
+            so = second_order_residuals(v, w, n, z)
             assert fo[1] < 1e-7 and fo[3] < 1e-7
             assert so[1] < 1e-6 and so[3] < 1e-6
     wj, _, vj = jacobi_complex
     for n in (2, 5, 8):
         for z in grid_for(wj):
-            fo = first_order_residuals_jacobi(vj, wj, 1.0 + 0.5j, n, z)
-            hg = hypergeometric_residuals_jacobi(vj, wj, 1.0 + 0.5j, n, z)
+            fo = first_order_residuals(vj, wj, n, z)
+            hg = second_order_residuals(vj, wj, n, z)
             assert fo[1] < 1e-7 and fo[3] < 1e-7
             assert hg[1] < 1e-6 and hg[3] < 1e-6
     for w, _, v in (bessel2, jacobi_complex):
@@ -179,16 +174,16 @@ def test_criterion_08_zero_curvature(bessel2, jacobi_complex, announce):
     for n in (2, 5, 8):
         for z in (grid_for(w)[3], grid_for(w)[11]):
             assert curvature_residual_generic(v, w, n, z) < 1e-7
-            assert curvature_residual_bessel(v, 2.0, n, z) < 1e-9
+            assert curvature_residual_closed(v, w, n, z) < 1e-9
             assert second_curvature_residual(v, w, n, z) < 1e-6
     wj, _, vj = jacobi_complex
     for n in (2, 5, 8):
         for z in (grid_for(wj)[3], grid_for(wj)[11]):
-            assert curvature_residual_jacobi(vj, 1.0 + 0.5j, n, z) < 1e-9
+            assert curvature_residual_closed(vj, wj, n, z) < 1e-9
     # sensitivity: a 1e-3 shift in one alpha must be visible
     vp = v.perturbed(5, 1e-3)
     z = grid_for(w)[3]
-    worst = max(curvature_residual_bessel(vp, 2.0, n, z) for n in (4, 5, 6))
+    worst = max(curvature_residual_closed(vp, w, n, z) for n in (4, 5, 6))
     assert worst > 1e-4
 
 

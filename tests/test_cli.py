@@ -95,6 +95,17 @@ def test_verify_perturbation_fails_near_index(tmp_path):
     assert any(c["n"] in (4, 5, 6) for c in fails)
 
 
+def test_verify_perturbation_seen_by_closed_forms_at_ell_zero(tmp_path):
+    # ell = 0 is the constant weight; the closed forms are still computed
+    rpt = tmp_path / "r.json"
+    assert run(["verify", "structure", "--weight", "bessel", "--ell", "0",
+                "--n", "5", "--perturb", "2:1e-3", "--report", str(rpt)]) == 1
+    checks = json.loads(rpt.read_text())["checks"]
+    failed = {c["name"] for c in checks if not c["pass"]}
+    assert {"curvature_closed", "structure_relation_three_term",
+            "structure_relation_weighted"} <= failed
+
+
 def test_verify_reports_sorted(tmp_path):
     rpt = tmp_path / "r.json"
     run(["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "4",

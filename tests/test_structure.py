@@ -3,37 +3,35 @@ import cmath
 import numpy as np
 import pytest
 
+import opuc
+import opuc.structure
 from opuc.cauchy import (
     cauchy_G,
     cauchy_Gstar,
     cauchy_derivatives,
     cauchy_second_derivatives,
 )
+from opuc.errors import UnsupportedWeightError
 from opuc.matrix2 import Matrix2C
+from opuc.moments import moments_for
 from opuc.rh import transfer_matrix, transfer_matrix_deriv
 from opuc.structure import (
     compare_bessel_mtilde_forms,
-    curvature_residual_bessel,
+    curvature_residual_closed,
     curvature_residual_generic,
-    curvature_residual_jacobi,
-    first_order_residuals_bessel,
-    first_order_residuals_jacobi,
+    first_order_residuals,
     generic_second_order_residual,
-    hypergeometric_residuals_jacobi,
-    mtilde_bessel,
+    mtilde,
     mtilde_bessel_pre_liouville,
-    mtilde_jacobi,
-    jacobi_residue_at_one,
     pole_clearing_factor,
     second_curvature_residual,
-    second_order_residuals_bessel,
+    second_order_residuals,
     structure_matrix_deriv_fd,
     structure_matrix_numeric,
-    structure_relation_jacobi,
-    structure_relations_bessel,
+    structure_relation_residuals,
     traceback_residual,
 )
-from opuc.szego import phi_pair
+from opuc.szego import phi_pair, verblunsky_from_moments
 from opuc.weights import WeightSpec
 
 INSIDE = 0.4 * cmath.exp(1j * 0.7)
@@ -45,45 +43,43 @@ def test_bessel_closed_matches_numeric(bessel2):
     for n in (2, 5, 8):
         for z in (INSIDE, OUTSIDE):
             M = structure_matrix_numeric(v, w, n, z)
-            diff = mtilde_bessel(v, 2.0, n, z) - M.scale(z * z)
+            diff = mtilde(v, w, n, z) - M.scale(z * z)
             assert diff.frobenius() < 1e-10
 
 
 def test_jacobi_closed_matches_numeric(jacobi_complex):
     w, _, v = jacobi_complex
-    b = 1.0 + 0.5j
     for n in (2, 5, 8):
         for z in (INSIDE, OUTSIDE):
             M = structure_matrix_numeric(v, w, n, z)
-            diff = mtilde_jacobi(v, b, n, z) - M.scale(z * (1.0 - z))
+            diff = mtilde(v, w, n, z) - M.scale(z * (1.0 - z))
             assert diff.frobenius() < 1e-8
 
 
 def test_jacobi_residue(jacobi1):
     # the simple pole of M_n at z = 1 has residue -Mtilde_n(1), and the
     # off-diagonal residue entries are proportional to alpha_{n-1}
-    _, _, v = jacobi1
+    w, _, v = jacobi1
     n = 3
-    R = jacobi_residue_at_one(v, 1.0, n)
-    Mt1 = mtilde_jacobi(v, 1.0, n, 1.0)
-    assert (R + Mt1).frobenius() == 0.0
+    R = -mtilde(v, w, n, 1.0)
+    assert R.a11 == -R.a22
     a = v.alphas[n - 1]
     assert R.a12 == pytest.approx((1.0 + n) * a.conjugate() / v.b[n])
     assert R.a21 == pytest.approx(v.b[n - 1] * (1.0 + n) * a)
 
 
 def test_bessel_curvature_closed(bessel2):
-    _, _, v = bessel2
+    w, _, v = bessel2
     for n in (2, 4, 7):
         for z in (INSIDE, OUTSIDE):
-            assert curvature_residual_bessel(v, 2.0, n, z) < 1e-12
+            assert curvature_residual_closed(v, w, n, z) < 1e-12
 
 
 def test_jacobi_curvature_closed(jacobi_complex):
-    _, _, v = jacobi_complex
+    w, _, v = jacobi_complex
     for n in (2, 4, 7):
         for z in (INSIDE, OUTSIDE):
-            assert curvature_residual_jacobi(v, 1.0 + 0.5j, n, z) < 1e-10
+            assert curvature_residual_closed(v, w, n, z) < 1e-10
 
 
 def test_generic_curvature(bessel2, jacobi1, lebesgue):
@@ -100,42 +96,43 @@ def test_second_curvature(bessel2):
 def test_first_order_bessel(bessel2):
     w, _, v = bessel2
     for n in (2, 5, 9):
-        r = first_order_residuals_bessel(v, w, 2.0, n, OUTSIDE)
+        r = first_order_residuals(v, w, n, OUTSIDE)
         assert max(r) < 1e-10
 
 
 def test_first_order_jacobi(jacobi_complex):
     w, _, v = jacobi_complex
     for n in (1, 4, 8):
-        r = first_order_residuals_jacobi(v, w, 1.0 + 0.5j, n, INSIDE)
+        r = first_order_residuals(v, w, n, INSIDE)
         assert max(r) < 1e-9
 
 
 def test_structure_relations_bessel(bessel2):
-    _, _, v = bessel2
+    w, _, v = bessel2
     for n in range(2, 11):
-        r1, r2 = structure_relations_bessel(v, 2.0, n)
+        r1, r2 = structure_relation_residuals(v, w, n)
         assert r1 < 1e-11
         assert r2 < 1e-11
 
 
 def test_structure_relation_jacobi(jacobi1, jacobi_complex):
-    for (w, _, v), b in ((jacobi1, 1.0), (jacobi_complex, 1.0 + 0.5j)):
+    for w, _, v in (jacobi1, jacobi_complex):
         for n in range(1, 11):
-            assert structure_relation_jacobi(v, b, n) < 1e-9
+            (r,) = structure_relation_residuals(v, w, n)
+            assert r < 1e-9
 
 
 def test_second_order_bessel(bessel2):
     w, _, v = bessel2
     for n in (2, 5, 8):
-        r = second_order_residuals_bessel(v, w, 2.0, n, OUTSIDE)
+        r = second_order_residuals(v, w, n, OUTSIDE)
         assert max(r) < 1e-9
 
 
 def test_hypergeometric_jacobi(jacobi_complex):
     w, _, v = jacobi_complex
     for n in (1, 4, 8):
-        r = hypergeometric_residuals_jacobi(v, w, 1.0 + 0.5j, n, OUTSIDE)
+        r = second_order_residuals(v, w, n, OUTSIDE)
         assert max(r) < 1e-8
 
 
@@ -156,7 +153,7 @@ def test_fd_derivative_consistent(bessel2):
     n, z = 4, OUTSIDE
     dM = structure_matrix_deriv_fd(v, w, n, z)
     h = 1e-6
-    closed = (mtilde_bessel(v, 2.0, n, z + h) - mtilde_bessel(v, 2.0, n, z - h)) \
+    closed = (mtilde(v, w, n, z + h) - mtilde(v, w, n, z - h)) \
         .scale(1.0 / (2 * h))
     # d(z^2 M) = 2z M + z^2 M'
     M = structure_matrix_numeric(v, w, n, z)
@@ -168,27 +165,29 @@ def test_pre_liouville_display_diagnostic(bessel2):
     """The intermediate large-z display: its z^2 and z^1 parts agree with the
     verified closed form, while the constant part carries a small defect that
     decays in n (the closed form fixes the constant from the z -> 0 limit)."""
-    _, _, v = bessel2
+    w, _, v = bessel2
     for n in (3, 5):
         z1, z2 = 2.0, -1.5
         # difference at two points cancels the constant coefficient
-        a = mtilde_bessel(v, 2.0, n, z1) - mtilde_bessel(v, 2.0, n, z2)
-        b = mtilde_bessel_pre_liouville(v, 2.0, n, z1) \
-            - mtilde_bessel_pre_liouville(v, 2.0, n, z2)
+        a = mtilde(v, w, n, z1) - mtilde(v, w, n, z2)
+        b = mtilde_bessel_pre_liouville(v, w, n, z1) \
+            - mtilde_bessel_pre_liouville(v, w, n, z2)
         assert abs(a.a11 - b.a11) < 1e-12
         assert abs(a.a12 - b.a12) < 1e-12
         assert abs(a.a21 - b.a21) < 1e-12
         assert abs(a.a22 - b.a22) < 1e-12
     # the constant entries do not agree, and the gap shrinks with n
-    gaps = [compare_bessel_mtilde_forms(v, 2.0, n, 0.0) for n in (3, 4, 5)]
+    gaps = [compare_bessel_mtilde_forms(v, w, n, 0.0) for n in (3, 4, 5)]
     assert gaps[0] > 1e-3
     assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_complex_alpha_rejected_for_bessel_forms(jacobi_complex):
-    _, _, v = jacobi_complex
+    w, _, v = jacobi_complex
     with pytest.raises(ValueError):
-        mtilde_bessel(v, 2.0, 3, OUTSIDE)
+        mtilde(v, WeightSpec.bessel(2.0), 3, OUTSIDE)
+    with pytest.raises(UnsupportedWeightError):
+        mtilde_bessel_pre_liouville(v, w, 3, OUTSIDE)
 
 
 def test_pole_clearing_factor():
@@ -413,26 +412,23 @@ def test_generic_closed_forms_match_hand_expanded_reference(fixture, table, requ
         v = v.perturbed(5, 1e-3)
     if w.kind == "bessel":
         p, nmin = w.ell, 2
-        pairs = ((mtilde_bessel, _ref_mtilde_bessel),
-                 (curvature_residual_bessel, _ref_curvature_bessel),
-                 (first_order_residuals_bessel, _ref_first_order_bessel),
-                 (second_order_residuals_bessel, _ref_second_order_bessel))
+        refs = (_ref_mtilde_bessel, _ref_curvature_bessel, _ref_first_order_bessel,
+                _ref_second_order_bessel)
     else:
         p, nmin = w.b, 1
-        pairs = ((mtilde_jacobi, _ref_mtilde_jacobi),
-                 (curvature_residual_jacobi, _ref_curvature_jacobi),
-                 (first_order_residuals_jacobi, _ref_first_order_jacobi),
-                 (hypergeometric_residuals_jacobi, _ref_hypergeometric_jacobi))
-    (mtilde, ref_mtilde), (curv, ref_curv), (first, ref_first), (second, ref_second) = pairs
+        refs = (_ref_mtilde_jacobi, _ref_curvature_jacobi, _ref_first_order_jacobi,
+                _ref_hypergeometric_jacobi)
+    ref_mtilde, ref_curv, ref_first, ref_second = refs
     worst = 0.0
     largest = [0.0] * 9     # per residual: the largest reference value seen
     for n in range(nmin, 12):
         for z in REFERENCE_POINTS:
-            got = [curv(v, p, n, z), *first(v, w, p, n, z), *second(v, w, p, n, z)]
+            got = [curvature_residual_closed(v, w, n, z), *first_order_residuals(v, w, n, z),
+                   *second_order_residuals(v, w, n, z)]
             want = [ref_curv(v, p, n, z), *ref_first(v, w, p, n, z),
                     *ref_second(v, w, p, n, z)]
             diffs = [abs(g - r) for g, r in zip(got, want)]
-            diffs += [abs(g - r) for g, r in zip(mtilde(v, p, n, z).entries(),
+            diffs += [abs(g - r) for g, r in zip(mtilde(v, w, n, z).entries(),
                                                  ref_mtilde(v, p, n, z).entries())]
             worst = max(worst, *diffs)
             largest = [max(a, b) for a, b in zip(largest, want)]
@@ -441,3 +437,61 @@ def test_generic_closed_forms_match_hand_expanded_reference(fixture, table, requ
         # every residual sees the perturbation, so agreeing with the
         # references is not the same as agreeing with zero
         assert min(largest) > 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the closed forms take the weight itself
+
+
+@pytest.mark.parametrize("w", [WeightSpec.bessel(0.0), WeightSpec.jacobi(0.0)],
+                         ids=["bessel0", "jacobi0"])
+def test_closed_forms_at_the_lebesgue_equivalent_parameter(w):
+    # ell = 0 and b = 0 are the constant weight, and the closed forms are
+    # still computed there: zero on the exact table, the perturbation's
+    # signal on a perturbed one
+    v = verblunsky_from_moments(moments_for(w, 10), 8)
+    vp = v.perturbed(2, 1e-3)
+    largest = [0.0, 0.0]
+    for n in range(2, 6):
+        for z in (INSIDE, OUTSIDE):
+            assert curvature_residual_closed(v, w, n, z) <= 1e-12
+            largest[0] = max(largest[0], curvature_residual_closed(vp, w, n, z))
+        assert max(structure_relation_residuals(v, w, n)) <= 1e-12
+        largest[1] = max(largest[1], *structure_relation_residuals(vp, w, n))
+    assert min(largest) > 1e-4
+
+
+@pytest.mark.parametrize("fixture, weight", [
+    ("lebesgue", lambda w, c: w),
+    ("bessel2", lambda w, c: WeightSpec.custom(c)),
+    ("bessel2", lambda w, c: WeightSpec.bessel(2.0, h_series=(1.0, 0.1))),
+], ids=["lebesgue", "custom", "entire_factor"])
+def test_closed_forms_reject_weights_without_them(fixture, weight, request):
+    w, c, v = request.getfixturevalue(fixture)
+    w = weight(w, c)
+    for call in (lambda: mtilde(v, w, 3, OUTSIDE),
+                 lambda: curvature_residual_closed(v, w, 3, OUTSIDE),
+                 lambda: first_order_residuals(v, w, 3, OUTSIDE),
+                 lambda: second_order_residuals(v, w, 3, OUTSIDE),
+                 lambda: structure_relation_residuals(v, w, 3)):
+        with pytest.raises(UnsupportedWeightError):
+            call()
+
+
+def test_closed_forms_check_the_lowest_degree(bessel2, jacobi1):
+    for (w, _, v), n in ((bessel2, 1), (jacobi1, 0)):
+        with pytest.raises(ValueError, match="need n >="):
+            mtilde(v, w, n, OUTSIDE)
+        with pytest.raises(ValueError, match="need n >="):
+            structure_relation_residuals(v, w, n)
+
+
+def test_public_names_resolve():
+    assert all(hasattr(opuc, name) for name in opuc.__all__)
+    removed = ("mtilde_bessel", "mtilde_jacobi", "jacobi_residue_at_one",
+               "curvature_residual_bessel", "curvature_residual_jacobi",
+               "first_order_residuals_bessel", "first_order_residuals_jacobi",
+               "second_order_residuals_bessel", "hypergeometric_residuals_jacobi",
+               "structure_relations_bessel", "structure_relation_jacobi")
+    for name in removed:
+        assert not hasattr(opuc, name) and not hasattr(opuc.structure, name)
