@@ -1,7 +1,7 @@
 """Orthogonal polynomials on the unit circle: recurrence data, second-kind
 functions, and numerical verification of their matrix identities."""
 
-from .cauchy import CauchyEval, cauchy_G, cauchy_Gstar, cauchy_eval, laurent_tail
+from .cauchy import cauchy_G, cauchy_Gstar, laurent_tail
 from .errors import (
     AccuracyError,
     DegenerateMeasureError,
@@ -13,7 +13,7 @@ from .errors import (
 )
 from .matrix2 import Matrix2C
 from .moments import MomentTable, moments_for, moments_quadrature
-from .painleve import DpiiOrbit, dpii_iterate, dpii_residual
+from .painleve import dpii_residual
 from .rh import (
     assemble_Y,
     jump_matrix,
@@ -38,9 +38,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccuracyError",
-    "CauchyEval",
     "DegenerateMeasureError",
-    "DpiiOrbit",
     "Matrix2C",
     "MomentTable",
     "NearBoundaryError",
@@ -54,10 +52,8 @@ __all__ = [
     "assemble_Y",
     "cauchy_G",
     "cauchy_Gstar",
-    "cauchy_eval",
     "curvature_residual_closed",
     "curvature_residual_generic",
-    "dpii_iterate",
     "dpii_residual",
     "first_order_residuals",
     "jump_matrix",

@@ -21,7 +21,6 @@ check costs a lookup.  The state lives in ``VerblunskyTable.quadrature``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +35,6 @@ NMAX = 1 << 17
 DEFAULT_RTOL = 1e-12
 NEAR_BOUNDARY = 0.02        # refusal band around |z| = 1
 SUBTRACT_BAND = (0.8, 1.25)  # |z| range where subtraction is used automatically
-
-
-@dataclass(frozen=True)
-class CauchyEval:
-    """Converged values of the second-kind functions at one point."""
-
-    n: int
-    z: complex
-    region: str
-    G: complex
-    Gstar: complex
-    dG: complex
-    dGstar: complex
-    quad_nodes: int
 
 
 class _Quadrature:
@@ -86,13 +71,6 @@ class _Quadrature:
                 self.samples -= len(self.integrands.pop(next(iter(self.integrands))))
         self.integrands[key] = g
         return g
-
-
-def classify_region(z: complex) -> str:
-    r = abs(z)
-    if abs(r - 1.0) < 1e-14:
-        return "boundary"
-    return "inside" if r < 1.0 else "outside"
 
 
 def _check_offcircle(z: complex, boundary: bool) -> None:
@@ -214,17 +192,6 @@ def cauchy_second_derivatives(v: VerblunskyTable, w: WeightSpec, n: int, z: comp
     d2G = _converged_transform(v, w, "G", n, z, rtol, order=3)[0]
     d2Gs = _converged_transform(v, w, "Gstar", n, z, rtol, order=3)[0]
     return d2G, d2Gs
-
-
-def cauchy_eval(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                rtol: float = DEFAULT_RTOL) -> CauchyEval:
-    """Full converged record at one point (off the refusal band)."""
-    _check_offcircle(z, boundary=False)
-    g, nodes_g, _ = _converged_transform(v, w, "G", n, z, rtol)
-    gs, nodes_gs, _ = _converged_transform(v, w, "Gstar", n, z, rtol)
-    dg, dgs = cauchy_derivatives(v, w, n, z, rtol)
-    return CauchyEval(n, complex(z), classify_region(z), g, gs, dg, dgs,
-                      max(nodes_g, nodes_gs))
 
 
 def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,

@@ -22,10 +22,6 @@ class Matrix2C:
         return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
-    def zero(cls) -> "Matrix2C":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
     def diag(cls, d1: complex, d2: complex) -> "Matrix2C":
         return cls(d1, 0.0, 0.0, d2)
 

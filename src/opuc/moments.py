@@ -61,13 +61,6 @@ class MomentTable:
             default=0.0,
         )
 
-    def toeplitz(self, n: int) -> np.ndarray:
-        """The (n+1)x(n+1) Toeplitz matrix [c_{j-k}]."""
-        return np.array([[self.get(j - k) for k in range(n + 1)] for j in range(n + 1)])
-
-    def min_toeplitz_eigenvalue(self, n: int) -> float:
-        return float(np.linalg.eigvalsh(self.toeplitz(n)).min())
-
     def scaled(self, c: float) -> "MomentTable":
         return MomentTable(self.jmin, self.jmax, tuple(c * v for v in self.values), self.source)
 
@@ -120,17 +113,17 @@ def _quadrature_pass(w: WeightSpec, jmax: int, N: int) -> np.ndarray:
 def moments_quadrature(
     w: WeightSpec,
     jmax: int,
-    N: int = DEFAULT_N,
     rtol: float | None = None,
     nmax: int = NMAX_NODES,
 ) -> MomentTable:
     """Moments by the periodic midpoint rule with node doubling.
 
-    Doubles N until two successive tables agree to rtol relative to c_0.
+    Starts at DEFAULT_N nodes, or 4 jmax if more, and doubles N until two
+    successive tables agree to rtol relative to c_0.
     """
     if rtol is None:
         rtol = JACOBI_RTOL if w.kind == "jacobi" else DEFAULT_RTOL
-    N = max(N, 4 * jmax)
+    N = max(DEFAULT_N, 4 * jmax)
     N = 1 << (N - 1).bit_length()  # round up to a power of two
     prev = _quadrature_pass(w, jmax, N)
     while N <= nmax:
@@ -168,7 +161,7 @@ def bessel_i_series(j: int, x: float, rtol: float = 1e-16) -> float:
 
 
 def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
-    """c_j = 2pi I_j(ell) for the exponential-of-cosine weight with H == 1."""
+    """c_j = 2pi I_j(ell) for the exponential-of-cosine weight."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if ell > BESSEL_MAX_ELL:
@@ -179,8 +172,8 @@ def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
     return MomentTable(-jmax, jmax, tuple(values), "analytic")
 
 
-def lebesgue_moments(jmax: int, scale: float = 1.0) -> MomentTable:
-    values = [2.0 * math.pi * scale if j == 0 else 0.0 for j in range(-jmax, jmax + 1)]
+def lebesgue_moments(jmax: int) -> MomentTable:
+    values = [2.0 * math.pi if j == 0 else 0.0 for j in range(-jmax, jmax + 1)]
     return MomentTable(-jmax, jmax, tuple(values), "analytic")
 
 
@@ -190,8 +183,8 @@ def moments_for(w: WeightSpec, jmax: int) -> MomentTable:
         if not w.moments.covers(jmax):
             raise ValueError(f"custom moment table does not cover |j| <= {jmax}")
         return w.moments
-    if w.kind == "lebesgue" and w.has_trivial_h:
-        return lebesgue_moments(jmax, w.scale)
-    if w.kind == "bessel" and w.has_trivial_h and w.scale == 1.0:
+    if w.kind == "lebesgue":
+        return lebesgue_moments(jmax)
+    if w.kind == "bessel":
         return bessel_moments_analytic(w.ell, jmax)
     return moments_quadrature(w, jmax)

@@ -7,11 +7,11 @@ Y_{n+1} diag(1, z) = T_n Y_n obeys T_n' - T_n/(2z) = M_{n+1} T_n - T_n M_n.
 
 For Pearson data z A_p nu' = q nu (``weights.pearson_data``) put A = z A_p;
 then A D_n = diag(delta_n, -delta_n), delta_n = (q - n A_p)/2.  For the
-Bessel and Jacobi weights with H == 1, Mtilde_n = A M_n (``mtilde``) is a
-polynomial whose coefficients are closed forms in the recurrence data.
-CLOSED_FORMS maps each such family to them and to its polynomial structure
-relations (``structure_relation_residuals``); a new family needs one entry
-there plus its ``pearson_data`` branch.  Every other identity follows from
+Bessel and Jacobi weights, Mtilde_n = A M_n (``mtilde``) is a polynomial
+whose coefficients are closed forms in the recurrence data.  CLOSED_FORMS
+maps each such family to them and to its polynomial structure relations
+(``structure_relation_residuals``); a new family needs one entry there plus
+its ``pearson_data`` branch.  Every other identity follows from
 Mtilde_n, and each takes the weight itself:
 
 * ``curvature_residual_closed``: A (T_n' - T_n/(2z)) + T_n Mtilde_n
@@ -194,10 +194,10 @@ CLOSED_FORMS = {
 
 
 def _closed_form(w: WeightSpec, n: int):
-    """w's (Mtilde_n coefficients, structure relations); H == 1 is assumed."""
-    if w.kind not in CLOSED_FORMS or not w.has_trivial_h:
+    """w's (Mtilde_n coefficients, structure relations)."""
+    if w.kind not in CLOSED_FORMS:
         raise UnsupportedWeightError(
-            f"closed forms need a {' or '.join(CLOSED_FORMS)} weight with H == 1")
+            f"closed forms need a {' or '.join(CLOSED_FORMS)} weight")
     nmin, mtilde_coeffs, relations = CLOSED_FORMS[w.kind]
     if n < nmin:
         raise ValueError(f"{w.kind} closed forms need n >= {nmin}")
@@ -266,7 +266,7 @@ def mtilde(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> Matrix2C:
 
 
 def pole_clearing_factor(w: WeightSpec, z: complex) -> complex:
-    """A(z) = z A_p(z), the factor that makes A M_n polynomial (H == 1)."""
+    """A(z) = z A_p(z), the factor that makes A M_n polynomial."""
     return _horner(_pearson(w)[0], complex(z))
 
 
@@ -302,61 +302,6 @@ def structure_relation_residuals(v: VerblunskyTable, w: WeightSpec, n: int
     """Coefficientwise residuals of the family's structure relations: the
     three-term derivative relation, then (Bessel only) its z-weighted variant."""
     return _closed_form(w, n)[1](v, w, n)
-
-
-# ---------------------------------------------------------------------------
-# Bessel-only diagnostics
-
-
-def mtilde_bessel_pre_liouville(v: VerblunskyTable, w: WeightSpec, n: int,
-                                z: complex) -> Matrix2C:
-    """An intermediate display of z^2 M_n, kept as a diagnostic.
-
-    It comes from the large-z expansion and writes the constant terms through
-    the subleading polynomial coefficients instead of the value at the
-    origin.  Its z^2 and z^1 parts equal those of mtilde; its constant part
-    does not, and the gap shrinks with n (see compare_bessel_mtilde_forms).
-    """
-    if w.kind != "bessel":
-        raise UnsupportedWeightError("the pre-Liouville display is Bessel-only")
-    _closed_form(w, n)                      # H == 1 and n >= 2
-    if v.nmax < n + 1:
-        raise ValueError("recurrence table too short (needs alpha_n)")
-    ell = w.ell
-    a = _real_alphas(v, n)
-    b = v.b
-    z = complex(z)
-    phi1n = complex(v.phi1[n])
-    # coefficient of z^1 in Phi_{n-1} (subleading-but-one), conjugated
-    pm1 = phi_pair(v, n - 1).phi
-    low1 = complex(pm1[1]).conjugate() if len(pm1) > 1 else 0.0 + 0.0j
-    d = (ell / 4.0 * z ** 2 + n / 2.0 * z
-         - 0.25 * (b[n - 1] / b[n] * a[n] * a[n - 2] + ell + 4.0 * phi1n))
-    m12 = ((ell / 2.0) * a[n] * z / b[n]
-           + a[n] * (n + 1 + (ell / 2.0) * (phi1n - 1.0)) / b[n]
-           + (ell / 2.0) * a[n - 1] / b[n + 1])
-    m21 = b[n - 1] * ((ell / 2.0) * a[n - 2] * z
-                      + b[n - 1] * (n - 1 - (ell / 2.0) * phi1n) * a[n - 2]
-                      + low1)
-    d22 = (-ell / 4.0 * z ** 2 - n / 2.0 * z
-           - 0.25 * (b[n - 1] / b[n] * a[n] * a[n - 2] - ell - 4.0 * phi1n))
-    return Matrix2C(d, m12, m21, d22)
-
-
-def compare_bessel_mtilde_forms(v: VerblunskyTable, w: WeightSpec, n: int,
-                                z: complex) -> float:
-    """Entrywise max deviation between the two displayed Bessel forms.
-
-    Not a zero-residual identity: the displays differ in their constant
-    terms, so the deviation is of order 1e-3 at small n and decays with n.
-    """
-    return max(
-        abs(x - y)
-        for x, y in zip(
-            mtilde(v, w, n, z).entries(),
-            mtilde_bessel_pre_liouville(v, w, n, z).entries(),
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,6 @@ class PolyPair:
     phi: np.ndarray
     phistar: np.ndarray
 
-    def eval_phi(self, z: complex) -> complex:
-        return complex(_P.polyval(z, self.phi))
-
-    def eval_phistar(self, z: complex) -> complex:
-        return complex(_P.polyval(z, self.phistar))
-
     def eval_phi_deriv(self, z: complex, order: int = 1) -> complex:
         return complex(_P.polyval(z, _P.polyder(self.phi, order)))
 

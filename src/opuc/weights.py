@@ -2,8 +2,8 @@
 
 Supported families: the Lebesgue weight, the exponential-of-cosine family
 (modified Bessel), the circle Jacobi family with complex exponent, and
-moment-only custom weights.  All weights may carry an entire factor H given
-by truncated Taylor coefficients and a positive scaling constant.
+moment-only custom weights.  A custom weight's moment table must be able to
+come from a positive measure: c_0 > 0 and c_{-j} = conj(c_j) up to rounding.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ CUSTOM = "custom"
 
 # Jacobi singular set is {0, 1}; Bessel only {0}.
 _SINGULAR_RADIUS = 1e-13
-
-
-def _as_complex_tuple(seq) -> tuple[complex, ...]:
-    return tuple(complex(c) for c in seq)
+# largest Hermitian defect max_j |c_{-j} - conj(c_j)| of a custom moment
+# table, relative to c_0; the quadrature tables measure below 3e-16
+HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,44 +39,39 @@ class WeightSpec:
     kind is one of "lebesgue", "bessel", "jacobi", "custom".  Bessel carries
     ell > 0, Jacobi carries b = lambda + i*eta with lambda > -1/2.  Custom
     weights are defined by their moment table only and support no pointwise
-    evaluation.
+    evaluation; their table must be that of a positive measure.
     """
 
     kind: str
     ell: float = 0.0
     b: complex = 0.0
-    h_series: tuple[complex, ...] = (1.0 + 0.0j,)
-    scale: float = 1.0
     moments: "MomentTable | None" = field(default=None, compare=True)
 
     def __post_init__(self):
         if self.kind not in (LEBESGUE, BESSEL, JACOBI, CUSTOM):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.kind == BESSEL and self.ell < 0:
             raise ValueError("bessel parameter must be >= 0")
         if self.kind == JACOBI and complex(self.b).real <= -0.5:
             raise ValueError("jacobi parameter requires Re(b) > -1/2")
-        object.__setattr__(self, "h_series", _as_complex_tuple(self.h_series))
-        if len(self.h_series) == 0 or self.h_series[0] == 0:
-            raise ValueError("h_series must start with a nonzero constant term")
+        if self.kind == CUSTOM:
+            _check_positive_table(self.moments)
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "ell", float(self.ell))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def lebesgue(cls, scale: float = 1.0, h_series=(1.0,)) -> "WeightSpec":
-        return cls(LEBESGUE, scale=scale, h_series=h_series)
+    def lebesgue(cls) -> "WeightSpec":
+        return cls(LEBESGUE)
 
     @classmethod
-    def bessel(cls, ell: float, scale: float = 1.0, h_series=(1.0,)) -> "WeightSpec":
-        return cls(BESSEL, ell=ell, scale=scale, h_series=h_series)
+    def bessel(cls, ell: float) -> "WeightSpec":
+        return cls(BESSEL, ell=ell)
 
     @classmethod
-    def jacobi(cls, b: complex, scale: float = 1.0, h_series=(1.0,)) -> "WeightSpec":
-        return cls(JACOBI, b=complex(b), scale=scale, h_series=h_series)
+    def jacobi(cls, b: complex) -> "WeightSpec":
+        return cls(JACOBI, b=complex(b))
 
     @classmethod
     def custom(cls, moments: "MomentTable") -> "WeightSpec":
@@ -92,10 +86,6 @@ class WeightSpec:
     @property
     def eta(self) -> float:
         return self.b.imag
-
-    @property
-    def has_trivial_h(self) -> bool:
-        return self.h_series == ((1 + 0j),)
 
     def singular_points(self) -> tuple[complex, ...]:
         if self.kind == BESSEL:
@@ -112,32 +102,43 @@ class WeightSpec:
         return self.kind
 
 
-def _h_values(w: WeightSpec, z):
-    return np.polynomial.polynomial.polyval(z, np.asarray(w.h_series))
+def _check_positive_table(c: "MomentTable | None") -> None:
+    """Raise ValueError unless c can be the moment table of a positive
+    measure: finite values, c_0 > 0 and a Hermitian defect within
+    HERMITIAN_RTOL c_0."""
+    if c is None:
+        raise ValueError("a custom weight needs a moment table")
+    if not all(map(cmath.isfinite, c.values)):    # NaN escapes the defect's max
+        raise ValueError("custom moment table has a value that is not finite")
+    c0 = c.get(0)
+    if not c0.real > 0:
+        raise ValueError(f"custom moment table has c_0 = {c0}, not positive")
+    defect = c.hermitian_defect()
+    if not defect <= HERMITIAN_RTOL * c0.real:
+        raise ValueError(
+            f"custom moment table is not Hermitian: max_j |c_{{-j}} - conj(c_j)| "
+            f"= {defect:g} exceeds {HERMITIAN_RTOL:g} c_0")
 
 
 def weight_values(w: WeightSpec, theta) -> np.ndarray:
-    """Vectorized w(theta) = nu(e^{i theta}) including scale and H factor."""
+    """Vectorized w(theta) = nu(e^{i theta})."""
     theta = np.asarray(theta, dtype=float)
-    z = np.exp(1j * theta)
     if w.kind == CUSTOM:
         raise UnsupportedWeightError("custom weights are moment-only")
     if w.kind == LEBESGUE:
-        base = np.ones_like(theta, dtype=complex)
-    elif w.kind == BESSEL:
-        base = np.exp(w.ell * np.cos(theta)).astype(complex)
-    else:
-        # real positive form of (-z)^{-conj(b)} (1-z)^{b+conj(b)} on the circle,
-        # continuous on (0, 2pi)
-        s = 2.0 * np.sin(theta / 2.0)
-        lam, eta = w.lam, w.eta
-        with np.errstate(divide="raise", invalid="raise"):
-            try:
-                radial = np.power(np.abs(s), 2.0 * lam)
-            except FloatingPointError as exc:
-                raise PoleError("jacobi weight is singular at theta = 0") from exc
-        base = (radial * np.exp(-eta * (theta - math.pi))).astype(complex)
-    return w.scale * base * _h_values(w, z)
+        return np.ones_like(theta, dtype=complex)
+    if w.kind == BESSEL:
+        return np.exp(w.ell * np.cos(theta)).astype(complex)
+    # real positive form of (-z)^{-conj(b)} (1-z)^{b+conj(b)} on the circle,
+    # continuous on (0, 2pi)
+    s = 2.0 * np.sin(theta / 2.0)
+    lam, eta = w.lam, w.eta
+    with np.errstate(divide="raise", invalid="raise"):
+        try:
+            radial = np.power(np.abs(s), 2.0 * lam)
+        except FloatingPointError as exc:
+            raise PoleError("jacobi weight is singular at theta = 0") from exc
+    return (radial * np.exp(-eta * (theta - math.pi))).astype(complex)
 
 
 def eval_weight(w: WeightSpec, theta: float) -> complex:
@@ -155,61 +156,36 @@ def eval_nu(w: WeightSpec, z: complex) -> complex:
     if w.kind == CUSTOM:
         raise UnsupportedWeightError("custom weights are moment-only")
     if w.kind == LEBESGUE:
-        base = 1.0 + 0.0j
-    elif w.kind == BESSEL:
+        return 1.0 + 0.0j
+    if w.kind == BESSEL:
         if abs(z) < _SINGULAR_RADIUS:
             raise PoleError("bessel weight has an essential singularity at z = 0")
-        base = cmath.exp(w.ell * (z + 1.0 / z) / 2.0)
-    else:
-        if abs(z) < _SINGULAR_RADIUS:
-            raise PoleError("jacobi weight is singular at z = 0")
-        if abs(z - 1.0) < _SINGULAR_RADIUS:
-            raise PoleError("jacobi weight is singular at z = 1")
-        bb = w.b + w.b.conjugate()
-        base = cmath.exp(-w.b.conjugate() * cmath.log(-z) + bb * cmath.log(1.0 - z))
-    return w.scale * base * complex(_h_values(w, z))
-
-
-def _h_log_derivative(w: WeightSpec, z: complex) -> complex:
-    if w.has_trivial_h:
-        return 0.0 + 0.0j
-    coeffs = np.asarray(w.h_series)
-    h = complex(np.polynomial.polynomial.polyval(z, coeffs))
-    dh = complex(np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(coeffs)))
-    if h == 0:
-        raise PoleError("H factor vanishes at the evaluation point")
-    return dh / h
-
-
-def _h_log_derivative2(w: WeightSpec, z: complex) -> complex:
-    """Derivative of H'/H at z."""
-    if w.has_trivial_h:
-        return 0.0 + 0.0j
-    coeffs = np.asarray(w.h_series)
-    pv = np.polynomial.polynomial.polyval
-    h = complex(pv(z, coeffs))
-    dh = complex(pv(z, np.polynomial.polynomial.polyder(coeffs)))
-    d2h = complex(pv(z, np.polynomial.polynomial.polyder(coeffs, 2)))
-    return d2h / h - (dh / h) ** 2
+        return cmath.exp(w.ell * (z + 1.0 / z) / 2.0)
+    if abs(z) < _SINGULAR_RADIUS:
+        raise PoleError("jacobi weight is singular at z = 0")
+    if abs(z - 1.0) < _SINGULAR_RADIUS:
+        raise PoleError("jacobi weight is singular at z = 1")
+    bb = w.b + w.b.conjugate()
+    return cmath.exp(-w.b.conjugate() * cmath.log(-z) + bb * cmath.log(1.0 - z))
 
 
 def log_derivative(w: WeightSpec, z: complex) -> complex:
-    """nu'(z)/nu(z); single-valued off the singular set, scale-independent."""
+    """nu'(z)/nu(z); single-valued off the singular set."""
     z = complex(z)
     if w.kind == CUSTOM:
         raise UnsupportedWeightError("custom weights are moment-only")
     if w.kind == LEBESGUE:
-        return _h_log_derivative(w, z)
+        return 0j
     if w.kind == BESSEL:
         if abs(z) < _SINGULAR_RADIUS:
             raise PoleError("log-derivative pole at z = 0")
-        return (w.ell / 2.0) * (1.0 - z ** -2) + _h_log_derivative(w, z)
+        return (w.ell / 2.0) * (1.0 - z ** -2)
     if abs(z) < _SINGULAR_RADIUS:
         raise PoleError("log-derivative pole at z = 0")
     if abs(z - 1.0) < _SINGULAR_RADIUS:
         raise PoleError("log-derivative pole at z = 1")
     bb = w.b + w.b.conjugate()
-    return -w.b.conjugate() / z - bb / (1.0 - z) + _h_log_derivative(w, z)
+    return -w.b.conjugate() / z - bb / (1.0 - z)
 
 
 def log_derivative2(w: WeightSpec, z: complex) -> complex:
@@ -218,27 +194,24 @@ def log_derivative2(w: WeightSpec, z: complex) -> complex:
     if w.kind == CUSTOM:
         raise UnsupportedWeightError("custom weights are moment-only")
     if w.kind == LEBESGUE:
-        return _h_log_derivative2(w, z)
+        return 0j
     if w.kind == BESSEL:
         if abs(z) < _SINGULAR_RADIUS:
             raise PoleError("log-derivative pole at z = 0")
-        return w.ell * z ** -3 + _h_log_derivative2(w, z)
+        return w.ell * z ** -3
     if abs(z) < _SINGULAR_RADIUS or abs(z - 1.0) < _SINGULAR_RADIUS:
         raise PoleError("log-derivative pole at a singular point")
     bb = w.b + w.b.conjugate()
-    return w.b.conjugate() / z ** 2 - bb / (1.0 - z) ** 2 + _h_log_derivative2(w, z)
+    return w.b.conjugate() / z ** 2 - bb / (1.0 - z) ** 2
 
 
 def pearson_data(w: WeightSpec):
     """Polynomial pair (A, q) with z*A(z)*nu'(z) = q(z)*nu(z) off the zeros of zA.
 
-    Coefficients in ascending order.  Requires the trivial entire factor; the
-    closed forms below assume H == 1.
+    Coefficients in ascending order.
     """
     if w.kind == CUSTOM:
         raise UnsupportedWeightError("custom weights are moment-only")
-    if not w.has_trivial_h:
-        raise UnsupportedWeightError("pearson data is only provided for H == 1")
     if w.kind == LEBESGUE:
         return np.array([1.0 + 0j]), np.array([0.0 + 0j])
     if w.kind == BESSEL:

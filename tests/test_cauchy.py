@@ -11,9 +11,7 @@ from opuc.cauchy import (
     cauchy_G,
     cauchy_Gstar,
     cauchy_derivatives,
-    cauchy_eval,
     cauchy_second_derivatives,
-    classify_region,
     g_recurrence_residuals,
     laurent_tail,
 )
@@ -149,21 +147,10 @@ def test_laurent_tail_high_degree(w, n):
 
 def test_region_classification_and_refusal(bessel2):
     w, _, v = bessel2
-    assert classify_region(0.5) == "inside"
-    assert classify_region(2.0) == "outside"
-    assert classify_region(cmath.exp(0.3j)) == "boundary"
     with pytest.raises(NearBoundaryError):
         cauchy_G(v, w, 2, 1.001)
     # boundary mode admits the same point
     cauchy_G(v, w, 2, 1.001, boundary=True)
-
-
-def test_cauchy_eval_record(bessel2):
-    w, _, v = bessel2
-    rec = cauchy_eval(v, w, 3, OUTSIDE)
-    assert rec.region == "outside"
-    assert rec.G == pytest.approx(cauchy_G(v, w, 3, OUTSIDE))
-    assert rec.quad_nodes >= 256
 
 
 def _reference_transform(w, coeffs, n, z, rtol=1e-12, order=1, subtract=None):

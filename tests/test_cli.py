@@ -217,6 +217,37 @@ def test_custom_table_too_short_is_usage_error(tmp_path, argv, capsys):
     assert "must cover |j| <=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verblunsky", "--n", "2"],
+                                  ["verify", "all", "--n", "2"]],
+                         ids=["verblunsky", "verify"])
+@pytest.mark.parametrize("c0, cm1, message", [
+    (2 * math.pi, 0.5 - 0.5j, "not Hermitian"),     # c_1 = 0.5 - 0.5j
+    (-1.0, 0.5 + 0.5j, "not positive"),
+], ids=["not-hermitian", "c0-not-positive"])
+def test_table_not_from_a_positive_measure_is_usage_error(tmp_path, argv, c0, cm1,
+                                                          message, capsys):
+    values = {j: 0j for j in range(-6, 7)}
+    values.update({-1: cm1, 0: complex(c0), 1: 0.5 - 0.5j})
+    table = tmp_path / "bad.csv"
+    table.write_text("j,re,im\n" + "".join(f"{j},{c.real!r},{c.imag!r}\n"
+                                          for j, c in values.items()))
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--weight", "custom", "--moments", str(table)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_quadrature_table_read_back_is_accepted(tmp_path):
+    # a Jacobi table from the moment quadrature differs from Hermitian by
+    # rounding only, and runs as a custom weight
+    table = tmp_path / "jacobi.csv"
+    assert run(["moments", "--weight", "jacobi", "--lambda", "1.3", "--eta", "0.4",
+                "--jmax", "20", "--out", str(table)]) == 0
+    assert run(["verblunsky", "--weight", "custom", "--moments", str(table),
+                "--n", "18", "--out", str(tmp_path / "a.csv")]) == 0
+
+
 @pytest.mark.parametrize("argv", [["dpii", "--ell", "2", "--from-moments"],
                                   ["verify", "all", "--grid", "default"]],
                          ids=["from-moments", "grid"])

@@ -14,6 +14,7 @@ from opuc.moments import (
     moments_for,
     moments_quadrature,
 )
+from opuc.szego import verblunsky_from_moments
 from opuc.weights import WeightSpec
 
 # reference values, 10-digit: I_0(2), I_1(2), I_0(0.5)
@@ -53,7 +54,9 @@ def test_jacobi_quadrature_hermitian():
     w = WeightSpec.jacobi(1.0 + 0.5j)
     c = moments_quadrature(w, 10)
     assert c.hermitian_defect() < 1e-9 * c.c0
-    assert c.min_toeplitz_eigenvalue(6) > 0
+    # T_6 is positive definite iff c_0 > 0 and |alpha_k| < 1 for k < 6
+    assert c.c0 > 0
+    verblunsky_from_moments(c, 6)
 
 
 def test_quadrature_matches_slow_sum():

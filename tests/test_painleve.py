@@ -1,7 +1,6 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from opuc.painleve import DpiiOrbit, dpii_iterate, dpii_residual
+from opuc.painleve import dpii_residual
 
 
 def test_residual_from_moment_alphas(bessel2, bessel_half):
@@ -11,40 +10,6 @@ def test_residual_from_moment_alphas(bessel2, bessel_half):
             assert dpii_residual(alphas, ell, n) < 1e-9
 
 
-def test_iterate_matches_moment_alphas(bessel2):
-    # a few forward steps from exact seeds track the true sequence
-    _, _, v = bessel2
-    alphas = [a.real for a in v.alphas]
-    orbit = dpii_iterate(alphas[0], alphas[1], 2.0, 6)
-    for n in range(min(orbit.length, 7)):
-        assert orbit.alphas[n] == pytest.approx(alphas[n], abs=1e-6)
-
-
-def test_forward_iteration_diverges_from_rounded_seeds(bessel2):
-    # the relation is exponentially unstable: truncated seeds blow up
-    _, _, v = bessel2
-    a0 = round(v.alphas[0].real, 6)
-    a1 = round(v.alphas[1].real, 6)
-    orbit = dpii_iterate(a0, a1, 2.0, 40)
-    assert orbit.diverged_at is not None
-
-
-def test_orbit_record():
-    orbit = dpii_iterate(0.1, 0.05, 1.0, 3)
-    assert isinstance(orbit, DpiiOrbit)
-    assert orbit.ell == 1.0
-    assert orbit.alphas[0] == 0.1
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.1, 5.0), st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
-def test_iterated_orbit_satisfies_relation(ell, a0, a1):
-    orbit = dpii_iterate(a0, a1, ell, 8)
-    for n in range(2, orbit.length):
-        if abs(orbit.alphas[n - 1]) < 0.999:
-            assert dpii_residual(orbit.alphas, ell, n) < 1e-8
-
-
 def test_validation():
     with pytest.raises(ValueError):
         dpii_residual([0.1, 0.1, 0.1], -1.0, 2)
@@ -52,5 +17,3 @@ def test_validation():
         dpii_residual([0.1, 0.1, 0.1], 1.0, 1)
     with pytest.raises(ZeroDivisionError):
         dpii_residual([0.1, 1.0, 0.1], 1.0, 2)
-    with pytest.raises(ValueError):
-        dpii_iterate(0.1, 0.1, 0.0, 5)

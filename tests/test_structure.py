@@ -1,9 +1,12 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 
 import opuc
+import opuc.cauchy
+import opuc.painleve
 import opuc.structure
 from opuc.cauchy import (
     cauchy_G,
@@ -16,13 +19,11 @@ from opuc.matrix2 import Matrix2C
 from opuc.moments import moments_for
 from opuc.rh import transfer_matrix, transfer_matrix_deriv
 from opuc.structure import (
-    compare_bessel_mtilde_forms,
     curvature_residual_closed,
     curvature_residual_generic,
     first_order_residuals,
     generic_second_order_residual,
     mtilde,
-    mtilde_bessel_pre_liouville,
     pole_clearing_factor,
     second_curvature_residual,
     second_order_residuals,
@@ -161,33 +162,10 @@ def test_fd_derivative_consistent(bessel2):
     assert (lhs - closed).frobenius() < 1e-5
 
 
-def test_pre_liouville_display_diagnostic(bessel2):
-    """The intermediate large-z display: its z^2 and z^1 parts agree with the
-    verified closed form, while the constant part carries a small defect that
-    decays in n (the closed form fixes the constant from the z -> 0 limit)."""
-    w, _, v = bessel2
-    for n in (3, 5):
-        z1, z2 = 2.0, -1.5
-        # difference at two points cancels the constant coefficient
-        a = mtilde(v, w, n, z1) - mtilde(v, w, n, z2)
-        b = mtilde_bessel_pre_liouville(v, w, n, z1) \
-            - mtilde_bessel_pre_liouville(v, w, n, z2)
-        assert abs(a.a11 - b.a11) < 1e-12
-        assert abs(a.a12 - b.a12) < 1e-12
-        assert abs(a.a21 - b.a21) < 1e-12
-        assert abs(a.a22 - b.a22) < 1e-12
-    # the constant entries do not agree, and the gap shrinks with n
-    gaps = [compare_bessel_mtilde_forms(v, w, n, 0.0) for n in (3, 4, 5)]
-    assert gaps[0] > 1e-3
-    assert gaps[0] > gaps[1] > gaps[2]
-
-
 def test_complex_alpha_rejected_for_bessel_forms(jacobi_complex):
-    w, _, v = jacobi_complex
+    _, _, v = jacobi_complex
     with pytest.raises(ValueError):
         mtilde(v, WeightSpec.bessel(2.0), 3, OUTSIDE)
-    with pytest.raises(UnsupportedWeightError):
-        mtilde_bessel_pre_liouville(v, w, 3, OUTSIDE)
 
 
 def test_pole_clearing_factor():
@@ -464,8 +442,7 @@ def test_closed_forms_at_the_lebesgue_equivalent_parameter(w):
 @pytest.mark.parametrize("fixture, weight", [
     ("lebesgue", lambda w, c: w),
     ("bessel2", lambda w, c: WeightSpec.custom(c)),
-    ("bessel2", lambda w, c: WeightSpec.bessel(2.0, h_series=(1.0, 0.1))),
-], ids=["lebesgue", "custom", "entire_factor"])
+], ids=["lebesgue", "custom"])
 def test_closed_forms_reject_weights_without_them(fixture, weight, request):
     w, c, v = request.getfixturevalue(fixture)
     w = weight(w, c)
@@ -495,3 +472,17 @@ def test_public_names_resolve():
                "structure_relations_bessel", "structure_relation_jacobi")
     for name in removed:
         assert not hasattr(opuc, name) and not hasattr(opuc.structure, name)
+    # names that only their own tests reached
+    gone = {opuc.painleve: ("dpii_iterate", "DpiiOrbit"),
+            opuc.cauchy: ("cauchy_eval", "CauchyEval", "classify_region"),
+            opuc.structure: ("mtilde_bessel_pre_liouville",
+                             "compare_bessel_mtilde_forms"),
+            opuc.MomentTable: ("toeplitz", "min_toeplitz_eigenvalue"),
+            opuc.PolyPair: ("eval_phi", "eval_phistar"),
+            opuc.Matrix2C: ("zero",)}
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name) and name not in opuc.__all__
+    # the weight carries no entire factor and no scale
+    assert [f.name for f in dataclasses.fields(WeightSpec)] == ["kind", "ell", "b",
+                                                                "moments"]

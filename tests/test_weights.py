@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opuc.errors import UnsupportedWeightError
+from opuc.moments import MomentTable
 from opuc.weights import (
+    HERMITIAN_RTOL,
     WeightSpec,
     eval_nu,
     eval_weight,
@@ -112,7 +113,28 @@ def test_invalid_parameters_rejected():
         WeightSpec.jacobi(-0.6)
 
 
-def test_nontrivial_h_refused_for_pearson():
-    w = WeightSpec.bessel(2.0, h_series=(1.0, 0.5))
-    with pytest.raises(UnsupportedWeightError):
-        pearson_data(w)
+def _table(c1, c0=2.0 * math.pi, cm1=None):
+    """A |j| <= 1 table; c_{-1} defaults to conj(c_1)."""
+    cm1 = complex(c1).conjugate() if cm1 is None else cm1
+    return MomentTable(-1, 1, (cm1, c0, c1))
+
+
+@pytest.mark.parametrize("table", [
+    None,
+    _table(0.5, c0=0.0),
+    _table(0.5, c0=-1.0),
+    _table(0.5, c0=2.0 * math.pi + 1e-6j),
+    _table(0.5 + 0.5j, cm1=0.5 + 0.5j),
+    _table(0.5, cm1=0.5 + 3.0 * HERMITIAN_RTOL * 2.0 * math.pi),
+    _table(0.5, cm1=math.nan),
+], ids=["no-table", "c0-zero", "c0-negative", "c0-complex", "not-hermitian",
+        "just-beyond-bound", "not-finite"])
+def test_custom_table_not_from_a_positive_measure_rejected(table):
+    with pytest.raises(ValueError):
+        WeightSpec.custom(table)
+
+
+def test_custom_table_within_rounding_accepted():
+    c0 = 2.0 * math.pi
+    w = WeightSpec.custom(_table(0.5 + 0.5j, cm1=0.5 - 0.5j + 0.5 * HERMITIAN_RTOL * c0))
+    assert w.moments.hermitian_defect() <= HERMITIAN_RTOL * c0
