@@ -1,8 +1,10 @@
 """Second-kind (associated) functions by contour quadrature.
 
 G_n is the Cauchy transform of Phi_n nu / t^n over the unit circle, and
-G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use the
-periodic midpoint rule with node doubling; near the circle a singularity
+G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use
+the circle rule of ``weights.circle_rule`` with node doubling: the periodic
+midpoint rule, graded towards theta = 0 for a weight singular at z = 1, with
+the Jacobian folded into the weight values.  Near the circle a singularity
 subtraction keeps the rule spectrally accurate.
 
 The Laurent coefficients at infinity are integrals too: for |z| > 1,
@@ -20,13 +22,11 @@ check costs a lookup.  The state lives in ``VerblunskyTable.quadrature``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import AccuracyError, NearBoundaryError
 from .szego import VerblunskyTable, phi_pair
-from .weights import WeightSpec, eval_nu, weight_values
+from .weights import WeightSpec, circle_rule, eval_nu
 
 _P = np.polynomial.polynomial
 
@@ -47,24 +47,25 @@ class _Quadrature:
 
     def __init__(self, w: WeightSpec):
         self.w = w
-        self.nodes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.integrands: dict[tuple, np.ndarray] = {}
         self.samples = 0
         self.memo: dict[tuple, tuple[complex, int, float]] = {}
 
-    def circle(self, N: int) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint nodes t_k = e^{i theta_k} and weight values nu(t_k)."""
+    def circle(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes t_k = e^{i theta_k}, weight values nu(t_k) J_k and Jacobians
+        J_k of the N-point circle rule."""
         if N not in self.nodes:
-            theta = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
-            self.nodes[N] = np.exp(1j * theta), weight_values(self.w, theta)
+            theta, nu, jac = circle_rule(self.w, N)
+            self.nodes[N] = np.exp(1j * theta), nu, jac
         return self.nodes[N]
 
     def integrand(self, kind: str, coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
-        """Samples of p(t) nu(t) / t^n at the N nodes; kind names p."""
+        """Samples of p(t) nu(t) J / t^n at the N nodes; kind names p."""
         key = (kind, n, N)
         g = self.integrands.pop(key, None)
         if g is None:
-            t, nu = self.circle(N)
+            t, nu, _ = self.circle(N)
             g = _P.polyval(t, coeffs) * nu / t ** n
             self.samples += N
             while self.samples > NMAX and self.integrands:
@@ -108,17 +109,17 @@ def _transform(q: _Quadrature, kind: str, coeffs: np.ndarray, n: int, z: complex
 
     order 1 gives the value, 2 the derivative, 3 half the second derivative.
     With subtract=True (order 1 only) the integrand is regularized by
-    removing g(z), restoring spectral accuracy next to the circle.
+    removing g(z) J, restoring spectral accuracy next to the circle.
     """
     gz = 0.0 + 0.0j
     if subtract:
         gz = complex(_P.polyval(z, coeffs)) * eval_nu(q.w, z) / z ** n
 
     def eval_at(N: int) -> complex:
-        t, _ = q.circle(N)
+        t, _, jac = q.circle(N)
         g = q.integrand(kind, coeffs, n, N)
         if subtract:
-            total = np.sum((g - gz) * t / (t - z)) / N
+            total = np.sum((g - gz * jac) * t / (t - z)) / N
             if abs(z) < 1.0:
                 total += gz
             return complex(total)
@@ -201,9 +202,9 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,
 
     Returns (g_coeffs, gstar_coeffs) for k = 0..kmax: g_coeffs[k], the
     coefficient of z^{-(n+1+k)} in G_n, is -(1/N) sum_j Phi_n(t_j) nu(t_j)
-    t_j^{k+1}, and gstar_coeffs[k], that of z^{-(n+k)} in G*_{n-1}, is
-    -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) t_j^k (empty for n = 0).  Each is
-    converged to rtol by node doubling.
+    J_j t_j^{k+1}, and gstar_coeffs[k], that of z^{-(n+k)} in G*_{n-1}, is
+    -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) J_j t_j^k (empty for n = 0).  Each
+    is converged to rtol by node doubling.
     """
     q = _quadrature(v, w)
 
@@ -211,7 +212,7 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,
         coeffs = _polynomial(v, kind, n)
 
         def eval_at(N: int) -> complex:
-            t, _ = q.circle(N)
+            t, _, _ = q.circle(N)
             return complex(-np.mean(q.integrand(kind, coeffs, n, N) * t ** m))
 
         return _converged(eval_at, rtol)[0]

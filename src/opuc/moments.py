@@ -1,8 +1,9 @@
 """Trigonometric moments c_j = int_0^{2pi} e^{-ij theta} w(theta) dtheta.
 
 The moments seed the recursion for the recurrence coefficients.  Two routes
-are provided: a spectrally accurate periodic rule with node doubling, and an
-analytic series route for the exponential-of-cosine family.
+are provided: the circle rule of ``weights.circle_rule`` with node doubling,
+graded towards theta = 0 for the Jacobi weight, and an analytic series route
+for the exponential-of-cosine family.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ParameterRangeError
-from .weights import WeightSpec, weight_values
+from .weights import WeightSpec, circle_rule
 
-DEFAULT_N = 4096
+DEFAULT_N = 256
 NMAX_NODES = 1 << 20
 DEFAULT_RTOL = 1e-12
-JACOBI_RTOL = 1e-9
 BESSEL_MAX_ORDER = 170      # j! overflows a float for j > 170
 BESSEL_MAX_ELL = 50.0
 
@@ -61,9 +61,6 @@ class MomentTable:
             default=0.0,
         )
 
-    def scaled(self, c: float) -> "MomentTable":
-        return MomentTable(self.jmin, self.jmax, tuple(c * v for v in self.values), self.source)
-
     # -- CSV interchange (header: j,re,im) --------------------------------
 
     def csv_rows(self) -> list[list]:
@@ -97,32 +94,34 @@ class MomentTable:
 
 
 def _quadrature_pass(w: WeightSpec, jmax: int, N: int) -> np.ndarray:
-    """One midpoint-rule pass; returns c_j for j = -jmax..jmax.
+    """One pass of the N-point circle rule; returns c_j for j = -jmax..jmax.
 
-    The midpoint grid theta_k = 2pi(k + 1/2)/N avoids theta = 0, where the
-    Jacobi weight is singular for lambda < 0.
+    c_j = (2pi/N) sum_k e^{-ij theta_k} nu_k J_k for j = 0..jmax, with the
+    powers of e^{-i theta_k} accumulated one j at a time; the weight is real,
+    so c_{-j} = conj(c_j).
     """
-    theta = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
-    wv = weight_values(w, theta)
-    spectrum = np.fft.fft(wv)
-    js = np.arange(-jmax, jmax + 1)
-    phases = np.exp(-1j * js * math.pi / N)
-    return (2.0 * math.pi / N) * phases * spectrum[js % N]
+    theta, nu, _ = circle_rule(w, N)
+    rotation = np.exp(-1j * theta)
+    power = np.ones(N, dtype=complex)
+    c = np.empty(jmax + 1, dtype=complex)
+    for j in range(jmax + 1):
+        c[j] = np.dot(power, nu)
+        power *= rotation
+    c *= 2.0 * math.pi / N
+    return np.concatenate((c[:0:-1].conj(), c))
 
 
 def moments_quadrature(
     w: WeightSpec,
     jmax: int,
-    rtol: float | None = None,
+    rtol: float = DEFAULT_RTOL,
     nmax: int = NMAX_NODES,
 ) -> MomentTable:
-    """Moments by the periodic midpoint rule with node doubling.
+    """Moments by the circle rule with node doubling.
 
     Starts at DEFAULT_N nodes, or 4 jmax if more, and doubles N until two
     successive tables agree to rtol relative to c_0.
     """
-    if rtol is None:
-        rtol = JACOBI_RTOL if w.kind == "jacobi" else DEFAULT_RTOL
     N = max(DEFAULT_N, 4 * jmax)
     N = 1 << (N - 1).bit_length()  # round up to a power of two
     prev = _quadrature_pass(w, jmax, N)

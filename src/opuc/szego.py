@@ -123,9 +123,12 @@ class VerblunskyTable:
 
 
 def verblunsky_from_moments(c: MomentTable, nmax: int) -> VerblunskyTable:
-    """Run the recursion from moments; needs c_j for j in [-nmax, 0]."""
+    """Run the recursion from moments; needs c_j for j in [-nmax, 0] and
+    c_0 > 0, the mass of a positive measure."""
     if c.jmin > -nmax:
         raise ValueError(f"moment table must cover j >= -{nmax}")
+    if not c.c0 > 0:
+        raise ValueError(f"moment table has c_0 = {c.c0}, not positive")
     kappa2 = [1.0 / c.c0]
     alphas: list[complex] = []
     polys = [_DEGREE_ZERO]

@@ -27,8 +27,11 @@ CUSTOM = "custom"
 
 # Jacobi singular set is {0, 1}; Bessel only {0}.
 _SINGULAR_RADIUS = 1e-13
+# log of the distance to theta = 0 below which circle_rule scales the weight
+# as dist^{2 lambda}: there 2 sin(dist/2) = dist in floating point
+_LOG_DIST_FLOOR = math.log(1e-100)
 # largest Hermitian defect max_j |c_{-j} - conj(c_j)| of a custom moment
-# table, relative to c_0; the quadrature tables measure below 3e-16
+# table, relative to c_0; the quadrature tables are Hermitian exactly
 HERMITIAN_RTOL = 1e-12
 
 
@@ -120,8 +123,13 @@ def _check_positive_table(c: "MomentTable | None") -> None:
             f"= {defect:g} exceeds {HERMITIAN_RTOL:g} c_0")
 
 
-def weight_values(w: WeightSpec, theta) -> np.ndarray:
-    """Vectorized w(theta) = nu(e^{i theta})."""
+def weight_values(w: WeightSpec, theta, dist=None) -> np.ndarray:
+    """Vectorized w(theta) = nu(e^{i theta}) for theta in (0, 2pi).
+
+    dist, if given, is the distance of each theta to the point theta = 0,
+    from which the Jacobi factor |2 sin(theta/2)| is evaluated; near
+    theta = 2pi it keeps the relative accuracy that 2pi - theta loses.
+    """
     theta = np.asarray(theta, dtype=float)
     if w.kind == CUSTOM:
         raise UnsupportedWeightError("custom weights are moment-only")
@@ -131,7 +139,7 @@ def weight_values(w: WeightSpec, theta) -> np.ndarray:
         return np.exp(w.ell * np.cos(theta)).astype(complex)
     # real positive form of (-z)^{-conj(b)} (1-z)^{b+conj(b)} on the circle,
     # continuous on (0, 2pi)
-    s = 2.0 * np.sin(theta / 2.0)
+    s = 2.0 * np.sin((theta if dist is None else dist) / 2.0)
     lam, eta = w.lam, w.eta
     with np.errstate(divide="raise", invalid="raise"):
         try:
@@ -139,6 +147,49 @@ def weight_values(w: WeightSpec, theta) -> np.ndarray:
         except FloatingPointError as exc:
             raise PoleError("jacobi weight is singular at theta = 0") from exc
     return (radial * np.exp(-eta * (theta - math.pi))).astype(complex)
+
+
+def circle_rule(w: WeightSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N-point quadrature rule on the circle: angles theta_k, weight
+    values nu(e^{i theta_k}) J_k and Jacobians J_k, such that
+    (1/N) sum_k f(theta_k) J_k approximates (1/2pi) int_0^{2pi} f dtheta.
+
+    A weight with a singular point at z = 1, where it behaves like
+    |theta|^{2 lambda}, gets Kress's graded map theta = phi(s) of the
+    midpoint nodes s_k (Numer. Math. 58, 1990): phi(s) = 2pi v^p / (v^p +
+    (1 - v)^p) with v a cubic in s.  Its nodes cluster at theta = 0, where
+    the integrand nu J behaves like s^{p(1 + 2 lambda) - 1}; the order p
+    grows as lambda nears -1/2.  Every other weight gets the midpoint nodes
+    themselves, with J = 1.
+    """
+    if 1.0 not in w.singular_points():
+        s = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
+        return s, weight_values(w, s), np.ones(N)
+    p = max(10, math.ceil(8.0 / (1.0 + 2.0 * w.lam)))
+    c = 0.5 - 1.0 / p
+    t = (np.arange(N) + 0.5) * (2.0 / N)          # s / pi
+    x = t - 1.0
+    # v = c x^3 + x/p + 1/2 has v(0) = 0; factored, it keeps its relative
+    # accuracy next to s = 0, and 1 - v(s) = v(2pi - s) is v reversed
+    v = t * (c * x * (x - 1.0) + 0.5)
+    u = v[::-1]
+    dv = (3.0 * c * x ** 2 + 1.0 / p) / math.pi
+    # phi and phi' from m = max(v, u) and the log of rho = min(v, u) / m,
+    # which neither underflow nor overflow at any p
+    m = np.maximum(v, u)
+    log_rho = np.log(np.minimum(v, u) / m)
+    r = np.exp(p * log_rho)
+    log_dist = math.log(2.0 * math.pi) + p * log_rho - np.log1p(r)  # theta's distance to 0
+    dist = np.exp(log_dist)
+    theta = np.where(v < u, dist, 2.0 * math.pi - dist)
+    log_jac = np.log(2.0 * math.pi * p * dv) + (p - 1) * log_rho - 2.0 * np.log(m * (1.0 + r))
+    # the weight is dist^{2 lambda} times a smooth factor next to theta = 0;
+    # below _LOG_DIST_FLOOR it is scaled from there in logs, so nu J keeps its
+    # value where dist and J underflow
+    floor = np.maximum(log_dist, _LOG_DIST_FLOOR)
+    nu = weight_values(w, theta, np.exp(floor)) * np.exp(
+        2.0 * w.lam * (log_dist - floor) + log_jac)
+    return theta, nu, np.exp(log_jac)
 
 
 def eval_weight(w: WeightSpec, theta: float) -> complex:

@@ -145,6 +145,31 @@ def test_laurent_tail_high_degree(w, n):
     assert max(residuals) < 1e-6
 
 
+@pytest.mark.parametrize("z", [2.5 * cmath.exp(1j * math.pi / 4),
+                               (1 + 5e-5) * cmath.exp(1j * math.pi / 8),
+                               (1 - 5e-5) * cmath.exp(1j * math.pi / 8)],
+                         ids=["outside", "jump_outer", "jump_inner"])
+def test_graded_transform_matches_mpmath_quad(z):
+    # the Jacobi weight at lambda = 1/2 vanishes like |theta| at theta = 0,
+    # where the midpoint rule converges only like N^-2
+    mpmath = pytest.importorskip("mpmath")
+    b, n = 0.5 + 0.3j, 3
+    w = WeightSpec.jacobi(b)
+    v = _fresh(w, 8)
+    phi = phi_pair(v, n).phi
+    with mpmath.workdps(30):
+        def integrand(theta):
+            t = mpmath.expj(theta)
+            weight = (abs(2 * mpmath.sin(theta / 2)) ** (2 * b.real)
+                      * mpmath.exp(-b.imag * (theta - mpmath.pi)))
+            return mpmath.polyval(phi[::-1].tolist(), t) * weight * t ** (1 - n) / (t - z)
+
+        a = math.pi / 8
+        exact = complex(mpmath.quad(integrand, [0, a - 0.01, a, a + 0.01, 2 * mpmath.pi])
+                        / (2 * mpmath.pi))
+    assert abs(cauchy_G(v, w, n, z, boundary=True) - exact) < 1e-14 * max(1.0, abs(exact))
+
+
 def test_region_classification_and_refusal(bessel2):
     w, _, v = bessel2
     with pytest.raises(NearBoundaryError):
@@ -240,19 +265,20 @@ def test_evaluation_state_outside_equality_and_repr():
 
 
 def test_integrand_store_stays_within_one_finest_pass():
-    # Jacobi transforms next to the circle need 2^13 nodes, so five degrees
-    # of them overflow the store and evict the oldest integrands
-    w = WeightSpec.jacobi(1.0 + 0.5j)
+    # the order-2 kernel next to the circle needs 2^12 nodes, so nine
+    # degrees of both kinds fill about 143k samples, more than the store
+    # holds, and evict the oldest integrands
+    w = WeightSpec.bessel(2.0)
     v = _fresh(w)
     z = 1.021 * cmath.exp(0.4j)
-    for n in range(2, 7):
-        for which in (cauchy_G, cauchy_Gstar):
-            which(v, w, n, z)
+    for n in range(2, 11):
+        cauchy_derivatives(v, w, n, z)
     q = v.quadrature[w]
     assert q.samples == sum(len(g) for g in q.integrands.values())
     assert q.samples <= NMAX
     assert ("G", 2, 256) not in q.integrands
     phi = phi_pair(v, 2).phi
-    assert cauchy_G(v, w, 2, z) == _reference_transform(w, phi, 2, z)
+    reference = _reference_transform(w, phi, 2, z, order=2, subtract=False)
+    assert cauchy_derivatives(v, w, 2, z)[0] == reference
     q.memo.clear()
-    assert cauchy_G(v, w, 2, z) == _reference_transform(w, phi, 2, z)
+    assert cauchy_derivatives(v, w, 2, z)[0] == reference

@@ -84,6 +84,16 @@ def test_verify_bessel_suite_size(tmp_path):
     assert report["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("flags", [["--lambda", "0.85", "--eta", "0.3", "--n", "8"],
+                                   ["--lambda", "-0.3", "--eta", "0", "--n", "6"]],
+                         ids=["lambda0.85", "lambda-0.3"])
+def test_verify_jacobi_below_lambda_one_passes(tmp_path, flags):
+    rpt = tmp_path / "r.json"
+    assert run(["verify", "all", "--weight", "jacobi", *flags,
+                "--report", str(rpt)]) == 0
+    assert json.loads(rpt.read_text())["summary"]["failed"] == 0
+
+
 def test_verify_perturbation_fails_near_index(tmp_path):
     rpt = tmp_path / "r.json"
     assert run(["verify", "all", "--weight", "bessel", "--ell", "2",

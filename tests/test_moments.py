@@ -53,14 +53,30 @@ def test_bessel_first_moment_value():
 def test_jacobi_quadrature_hermitian():
     w = WeightSpec.jacobi(1.0 + 0.5j)
     c = moments_quadrature(w, 10)
-    assert c.hermitian_defect() < 1e-9 * c.c0
+    assert c.hermitian_defect() == 0.0          # c_{-j} = conj(c_j) by construction
     # T_6 is positive definite iff c_0 > 0 and |alpha_k| < 1 for k < 6
     assert c.c0 > 0
     verblunsky_from_moments(c, 6)
 
 
+@pytest.mark.parametrize("b", [-0.49 + 0.3j, -0.38 + 0.4j, -0.12 - 0.7j, 0.13 + 0.2j,
+                               0.5 + 0.3j, 0.86 - 0.3j, 1.9 + 0.6j])
+def test_jacobi_moments_match_gamma_ratio(b):
+    # c_j = (-1)^j 2 pi Gamma(1+b+conj b) / (Gamma(1+b-j) Gamma(1+conj b+j))
+    mpmath = pytest.importorskip("mpmath")
+    jmax = 141
+    c = moments_for(WeightSpec.jacobi(b), jmax)
+    bb = b.conjugate()
+    with mpmath.workdps(30):
+        mass = 2 * mpmath.pi * mpmath.gamma(1 + b + bb)
+        exact = {j: (-1) ** j * complex(mass / (mpmath.gamma(1 + b - j)
+                                                * mpmath.gamma(1 + bb + j)))
+                 for j in range(-jmax, jmax + 1)}
+    assert max(abs(c.get(j) - e) for j, e in exact.items()) < 1e-12 * c.c0
+
+
 def test_quadrature_matches_slow_sum():
-    # direct midpoint sum as an independent oracle for the FFT route
+    # direct midpoint sum as an independent oracle for the moment pass
     w = WeightSpec.bessel(1.0)
     c = moments_quadrature(w, 3)
     N = 4096
@@ -105,11 +121,6 @@ def test_moment_symmetry_bessel(ell, j):
     c = bessel_moments_analytic(ell, 8)
     assert c.get(-j) == c.get(j)
     assert c.get(j).imag == 0.0
-
-
-def test_scaled_table():
-    c = lebesgue_moments(2).scaled(3.0)
-    assert c.c0 == pytest.approx(6.0 * math.pi)
 
 
 def test_accuracy_error_reported():

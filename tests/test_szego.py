@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opuc.errors import DegenerateMeasureError
-from opuc.moments import lebesgue_moments, moments_for
+from opuc.moments import MomentTable, lebesgue_moments, moments_for
 from opuc.szego import (
     VerblunskyTable,
     orthogonality_defect,
@@ -82,7 +82,8 @@ def test_scale_invariance():
     # scaling the measure leaves the recurrence coefficients unchanged
     c = moments_for(WeightSpec.bessel(1.0), 10)
     v1 = verblunsky_from_moments(c, 6)
-    v2 = verblunsky_from_moments(c.scaled(7.5), 6)
+    scaled = MomentTable(c.jmin, c.jmax, tuple(7.5 * x for x in c.values))
+    v2 = verblunsky_from_moments(scaled, 6)
     assert max(abs(a - b) for a, b in zip(v1.alphas, v2.alphas)) < 1e-12
 
 
@@ -106,6 +107,12 @@ def test_perturbed_table(bessel2):
     assert vp.alphas[2] == v.alphas[2]
     assert vp.kappa2[3] == v.kappa2[3]
     assert vp.kappa2[4] != v.kappa2[4]
+
+
+@pytest.mark.parametrize("c0", [0.0, -1.0])
+def test_table_without_positive_mass_rejected(c0):
+    with pytest.raises(ValueError, match="c_0"):
+        verblunsky_from_moments(MomentTable(-2, 2, (0, 0, c0, 0, 0)), 2)
 
 
 def test_degenerate_alpha_rejected():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opuc.moments import MomentTable
+from opuc.moments import MomentTable, moments_for
 from opuc.weights import (
     HERMITIAN_RTOL,
     WeightSpec,
+    circle_rule,
     eval_nu,
     eval_weight,
     log_derivative,
@@ -77,6 +78,45 @@ def test_jacobi_log_derivative_fd():
     h = 1e-6
     fd = (cmath.log(eval_nu(w, z + h)) - cmath.log(eval_nu(w, z - h))) / (2 * h)
     assert abs(log_derivative(w, z) - fd) < 1e-7
+
+
+@pytest.mark.parametrize("w", [WeightSpec.lebesgue(), WeightSpec.bessel(2.0)],
+                         ids=["lebesgue", "bessel"])
+def test_circle_rule_without_singular_point_is_the_midpoint_rule(w):
+    theta, nu, jac = circle_rule(w, 64)
+    assert np.array_equal(theta, (np.arange(64) + 0.5) * (2.0 * math.pi / 64))
+    assert np.array_equal(nu, weight_values(w, theta))
+    assert np.array_equal(jac, np.ones(64))
+
+
+@pytest.mark.parametrize("lam", [-0.3, 0.5, 1.9])
+def test_graded_rule_clusters_at_the_singular_point(lam):
+    w = WeightSpec.jacobi(lam + 0.3j)
+    theta, nu, jac = circle_rule(w, 512)
+    assert np.all(np.diff(theta) >= 0)     # nodes next to 2 pi round to 2 pi
+    assert 0.0 < theta[0] < 1e-10 and 2.0 * math.pi - theta[-1] < 1e-10
+    assert abs(np.mean(jac) - 1.0) < 1e-14                 # integrates d theta
+    first = slice(0, 256)                                  # J folded into nu
+    assert np.allclose(nu[first], weight_values(w, theta[first]) * jac[first],
+                       rtol=1e-14, atol=0.0)
+    # the nodes next to 2 pi mirror those next to 0; their weight values come
+    # from the distance to theta = 0, which 2 pi - theta would have rounded
+    mirror = weight_values(w, 2.0 * math.pi - theta[first], dist=theta[first])
+    assert np.allclose(nu[::-1][first], mirror * jac[first], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [-0.49, -0.499])
+def test_graded_rule_next_to_lambda_minus_half(lam):
+    # the orders p = 400 and 4000 drive the first nodes' distance to
+    # theta = 0 below the smallest float; nu J keeps its value there
+    w = WeightSpec.jacobi(lam)
+    theta, nu, _ = circle_rule(w, 2048)
+    assert theta[0] == 0.0 and nu[0].real > 0.0
+    assert np.all(np.isfinite(nu))
+    c = moments_for(w, 1)
+    mass = 2.0 * math.pi * math.gamma(1.0 + 2.0 * lam) / math.gamma(1.0 + lam) ** 2
+    assert abs(c.c0 - mass) < 1e-12 * mass
+    assert abs(c.get(1) + mass * lam / (1.0 + lam)) < 1e-12 * mass
 
 
 def test_log_derivative2_fd():
