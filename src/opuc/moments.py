@@ -160,15 +160,16 @@ def bessel_i_series(j: int, x: float, rtol: float = 1e-16) -> float:
 
 
 def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
-    """c_j = 2pi I_j(ell) for the exponential-of-cosine weight."""
+    """c_j = 2pi I_j(ell) for the exponential-of-cosine weight; I_{-j} = I_j,
+    so each order is summed once."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if ell > BESSEL_MAX_ELL:
         raise ParameterRangeError(
             f"analytic route documented for ell <= {BESSEL_MAX_ELL:g} only"
         )
-    values = [2.0 * math.pi * bessel_i_series(abs(j), ell) for j in range(-jmax, jmax + 1)]
-    return MomentTable(-jmax, jmax, tuple(values), "analytic")
+    half = [2.0 * math.pi * bessel_i_series(j, ell) for j in range(jmax + 1)]
+    return MomentTable(-jmax, jmax, tuple(half[:0:-1] + half), "analytic")
 
 
 def lebesgue_moments(jmax: int) -> MomentTable:

@@ -51,7 +51,7 @@ from .rh import (
     transfer_matrix,
     transfer_matrix_deriv,
 )
-from .szego import VerblunskyTable, phi_pair
+from .szego import VerblunskyTable, _horner, phi_pair
 from .weights import WeightSpec, pearson_data
 
 _P = np.polynomial.polynomial
@@ -82,13 +82,6 @@ def _max_coeff(p: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # small polynomials
-
-
-def _horner(p: Poly, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
 
 
 def _lin(*terms: tuple[complex, Poly]) -> Poly:
@@ -238,10 +231,7 @@ def _rows(v: VerblunskyTable, w: WeightSpec, n: int, sign: float, order: int):
 def _differential_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                             rtol: float, order: int) -> tuple[float, float, float, float]:
     """(Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) residuals of the rows of given order."""
-    polys = []
-    for coeffs in (phi_pair(v, n).phi, phi_pair(v, n - 1).phistar):
-        u = tuple(coeffs.tolist())
-        polys.append((u, _der(u), _der(_der(u))))
+    polys = (phi_pair(v, n).derivatives[0], phi_pair(v, n - 1).derivatives[1])
     r_phi, r_star = (max(map(abs, _lin(*((1, _mul(c, polys[k][d])) for c, k, d in row))))
                      for row in _rows(v, w, n, -1.0, order))
     z = complex(z)

@@ -4,14 +4,21 @@ From moments we run the one-step recurrence Phi_{n+1} = z Phi_n -
 conj(alpha_n) Phi_n^*, extracting each alpha_n from the moment functional
 applied to z Phi_n.  The table stores the alphas, the normalization
 constants kappa_n^2 and b_n = 2 pi kappa_n^2, the subleading
-coefficients Phi_1^n, and the read-only coefficient arrays of every
-Phi_n and Phi_n^* that the one recursion pass builds.
+coefficients Phi_1^n, and the coefficients of every Phi_n and Phi_n^*.
+
+One recursion pass fills the rows of two preallocated read-only
+matrices, Phi_n in row n of one and Phi_n^* = conj(reversed Phi_n) in row
+n of the other; each ``PolyPair`` holds views of its two rows.  The moment
+sum that gives alpha_n is taken on arrays of real and imaginary parts,
+accumulated in index order, so it rounds exactly as the sequential sum of
+scalar complex products does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,29 +38,40 @@ class PolyPair:
     phi: np.ndarray
     phistar: np.ndarray
 
+    @cached_property
+    def derivatives(self) -> tuple[tuple[tuple[complex, ...], ...], ...]:
+        """((Phi_n, Phi_n', Phi_n''), (Phi_n^*, Phi_n^*', Phi_n^*'')) as
+        tuples of Python complex coefficients, computed once per pair."""
+        return tuple(tuple(tuple(_P.polyder(c, order).tolist()) for order in range(3))
+                     for c in (self.phi, self.phistar))
+
     def eval_phi_deriv(self, z: complex, order: int = 1) -> complex:
-        return complex(_P.polyval(z, _P.polyder(self.phi, order)))
+        """The derivative of order 0, 1 or 2 of Phi_n at z."""
+        return _horner(self.derivatives[0][order], complex(z))
 
     def eval_phistar_deriv(self, z: complex, order: int = 1) -> complex:
-        return complex(_P.polyval(z, _P.polyder(self.phistar, order)))
+        """The derivative of order 0, 1 or 2 of Phi_n^* at z."""
+        return _horner(self.derivatives[1][order], complex(z))
 
 
-def _read_only(coeffs: np.ndarray) -> np.ndarray:
-    coeffs.flags.writeable = False
-    return coeffs
+def _horner(p: tuple[complex, ...], z: complex) -> complex:
+    """p(z) for ascending coefficients; in Python complex arithmetic this
+    rounds as numpy's polyval does, step for step."""
+    acc = 0j
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
 
 
-def _szego_step(pair: PolyPair, alpha: complex) -> PolyPair:
-    """Phi_{n+1} = z Phi_n - conj(alpha_n) Phi_n^*, and its reciprocal."""
-    shifted = np.concatenate(([0.0], pair.phi))
-    padded = np.pad(pair.phistar, (0, 1))
-    return PolyPair(pair.n + 1,
-                    _read_only(shifted - alpha.conjugate() * padded),
-                    _read_only(padded - alpha * shifted))
-
-
-_ONE = _read_only(np.array([1.0 + 0.0j]))
-_DEGREE_ZERO = PolyPair(0, _ONE, _ONE)
+def _szego_rows(phi: np.ndarray, phistar: np.ndarray, n: int, alpha: complex) -> None:
+    """Row n + 1 of both matrices from row n:
+    Phi_{n+1} = z Phi_n - conj(alpha_n) Phi_n^*, Phi_{n+1}^* its reciprocal.
+    Row n + 1 must hold zeros; Phi_n^* is zero past degree n, so the
+    update runs over all n + 2 entries of row n + 1."""
+    row = phi[n + 1, :n + 2]
+    row[1:] = phi[n, :n + 1]
+    row -= alpha.conjugate() * phistar[n, :n + 2]
+    phistar[n + 1, :n + 2] = row[::-1].conj()
 
 
 def _phi1_sequence(alphas: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -65,6 +83,14 @@ def _phi1_sequence(alphas: tuple[complex, ...]) -> tuple[complex, ...]:
         acc += a.conjugate() * prev
         out.append(acc)
     return tuple(out)
+
+
+def _coefficient_matrices(nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed (nmax + 1, nmax + 1) matrices for Phi_n and Phi_n^*, row 0 = 1."""
+    phi = np.zeros((nmax + 1, nmax + 1), dtype=complex)
+    phistar = np.zeros_like(phi)
+    phi[0, 0] = phistar[0, 0] = 1.0
+    return phi, phistar
 
 
 @dataclass(frozen=True)
@@ -98,7 +124,7 @@ class VerblunskyTable:
     def from_alphas(cls, alphas, kappa0sq: float) -> "VerblunskyTable":
         alphas = tuple(complex(a) for a in alphas)
         kappa2 = [float(kappa0sq)]
-        polys = [_DEGREE_ZERO]
+        phi, phistar = _coefficient_matrices(len(alphas))
         for n, a in enumerate(alphas):
             r = 1.0 - abs(a) ** 2
             if r <= DEGENERACY_MARGIN:
@@ -106,14 +132,17 @@ class VerblunskyTable:
                     f"|alpha_{n}| leaves the unit disk", index=n
                 )
             kappa2.append(kappa2[-1] / r)
-            polys.append(_szego_step(polys[-1], a))
-        return cls._build(alphas, kappa2, polys)
+            _szego_rows(phi, phistar, n, a)
+        return cls._build(alphas, kappa2, phi, phistar)
 
     @classmethod
     def _build(cls, alphas: tuple[complex, ...], kappa2: list[float],
-               polys: list[PolyPair]) -> "VerblunskyTable":
+               phi: np.ndarray, phistar: np.ndarray) -> "VerblunskyTable":
+        phi.flags.writeable = phistar.flags.writeable = False
+        polys = tuple(PolyPair(n, phi[n, :n + 1], phistar[n, :n + 1])
+                      for n in range(len(alphas) + 1))
         b = tuple(2.0 * math.pi * k for k in kappa2)
-        return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas), tuple(polys))
+        return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas), polys)
 
     def perturbed(self, n: int, eps: complex) -> "VerblunskyTable":
         """Copy with alpha_n shifted by eps; downstream constants recomputed."""
@@ -131,11 +160,19 @@ def verblunsky_from_moments(c: MomentTable, nmax: int) -> VerblunskyTable:
         raise ValueError(f"moment table has c_0 = {c.c0}, not positive")
     kappa2 = [1.0 / c.c0]
     alphas: list[complex] = []
-    polys = [_DEGREE_ZERO]
+    phi, phistar = _coefficient_matrices(nmax)
+    neg = np.array([c.get(-(k + 1)) for k in range(nmax)], dtype=complex)
+    nr, ni = neg.real, neg.imag
     for n in range(nmax):
-        # conj(alpha_n) = kappa_n^2 * integral of t Phi_n dmu, as a moment sum
-        phi = polys[-1].phi
-        s = sum(phi[k] * c.get(-(k + 1)) for k in range(n + 1))
+        # conj(alpha_n) = kappa_n^2 * integral of t Phi_n dmu, the moment sum
+        # 0 + sum_k Phi_n[k] c_{-(k+1)} of scalar complex products, added in
+        # index order on real and imaginary parts; a complex array product
+        # or np.dot would round differently.  The leading 0.0 turns a sum
+        # of negative zeros into 0.0, as the 0 + does.
+        pr, pi = phi[n, :n + 1].real, phi[n, :n + 1].imag
+        mr, mi = nr[:n + 1], ni[:n + 1]
+        s = np.complex128(complex(0.0 + np.cumsum(pr * mr - pi * mi)[-1],
+                                  0.0 + np.cumsum(pr * mi + pi * mr)[-1]))
         alpha = (kappa2[-1] * s).conjugate()
         # a numpy float, as are kappa2[n >= 1] and b; the residuals computed
         # from them depend on numpy's scalar rounding bit for bit
@@ -145,9 +182,9 @@ def verblunsky_from_moments(c: MomentTable, nmax: int) -> VerblunskyTable:
                 f"|alpha_{n}| = {abs(alpha):.15f} leaves the unit disk", index=n
             )
         alphas.append(complex(alpha))
-        polys.append(_szego_step(polys[-1], alpha))
+        _szego_rows(phi, phistar, n, alpha)
         kappa2.append(kappa2[-1] / r)
-    return VerblunskyTable._build(tuple(alphas), kappa2, polys)
+    return VerblunskyTable._build(tuple(alphas), kappa2, phi, phistar)
 
 
 def phi_pair(v: VerblunskyTable, n: int) -> PolyPair:

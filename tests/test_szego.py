@@ -1,13 +1,17 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opuc.cli import standard_grid
 from opuc.errors import DegenerateMeasureError
 from opuc.moments import MomentTable, lebesgue_moments, moments_for
 from opuc.szego import (
     VerblunskyTable,
+    jacobi_alpha_ratio_residual,
     orthogonality_defect,
     phi_pair,
     verblunsky_from_moments,
@@ -168,3 +172,121 @@ def test_phi_pair_range_checked(bessel2):
     for n in (-1, v.nmax + 1):
         with pytest.raises(ValueError):
             phi_pair(v, n)
+
+
+# -- the recursion on arrays against the scalar loop ------------------------
+
+HIGH_DEGREE = 160
+
+
+def _poisson_moments(r, phi, jmax):
+    # c_j = 2 pi r^|j| e^{-i j phi} for the Poisson kernel centred at e^{i phi}
+    return MomentTable(-jmax, jmax, tuple(2.0 * math.pi * r ** abs(j) * complex(
+        math.cos(j * phi), -math.sin(j * phi)) for j in range(-jmax, jmax + 1)))
+
+
+HIGH_DEGREE_CASES = {
+    "bessel(2.2)": lambda: moments_for(WeightSpec.bessel(2.2), HIGH_DEGREE),
+    "jacobi(1.3+0.4i)": lambda: moments_for(WeightSpec.jacobi(1.3 + 0.4j), HIGH_DEGREE),
+    "jacobi(-0.3+0.5i)": lambda: moments_for(WeightSpec.jacobi(-0.3 + 0.5j), HIGH_DEGREE),
+    "jacobi(0.5+0.3i)": lambda: moments_for(WeightSpec.jacobi(0.5 + 0.3j), HIGH_DEGREE),
+    "jacobi(1.9-0.6i)": lambda: moments_for(WeightSpec.jacobi(1.9 - 0.6j), HIGH_DEGREE),
+    "lebesgue": lambda: lebesgue_moments(HIGH_DEGREE),
+    "poisson(0.5, 1)": lambda: _poisson_moments(0.5, 1.0, HIGH_DEGREE),
+    # signed zeros: the scalar sum's start from 0 turns -0.0 into 0.0
+    "negative zeros": lambda: MomentTable(-HIGH_DEGREE, HIGH_DEGREE, tuple(
+        2.0 * math.pi if j == 0 else -0.0 - 0.0j
+        for j in range(-HIGH_DEGREE, HIGH_DEGREE + 1))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _high_degree(case):
+    c = HIGH_DEGREE_CASES[case]()
+    return c, verblunsky_from_moments(c, HIGH_DEGREE)
+
+
+def _scalar_loop(c, nmax):
+    """Reference: the scalar moment sums and padded-array steps
+    verblunsky_from_moments ran before the recursion moved onto arrays.
+    Returns the alphas, kappa^2 and the (Phi_n, Phi_n^*) arrays."""
+    kappa2 = [1.0 / c.c0]
+    alphas = []
+    phi = phistar = np.array([1.0 + 0.0j])
+    pairs = [(phi, phistar)]
+    for n in range(nmax):
+        s = sum(phi[k] * c.get(-(k + 1)) for k in range(n + 1))
+        alpha = (kappa2[-1] * s).conjugate()
+        shifted, padded = np.concatenate(([0.0], phi)), np.pad(phistar, (0, 1))
+        phi, phistar = shifted - alpha.conjugate() * padded, padded - alpha * shifted
+        pairs.append((phi, phistar))
+        alphas.append(complex(alpha))
+        kappa2.append(kappa2[-1] / (1.0 - abs(alpha) ** 2))
+    return alphas, kappa2, pairs
+
+
+def _assert_table_equals(v, alphas, kappa2, pairs):
+    assert v.alphas == tuple(alphas)
+    assert repr(v.alphas) == repr(tuple(alphas))    # signs of zeros too
+    assert v.kappa2 == tuple(kappa2)
+    assert v.b == tuple(2.0 * math.pi * k for k in kappa2)
+    phi1, acc = [0j], 0j
+    for j, a in enumerate(alphas):
+        acc += a.conjugate() * (-1.0 if j == 0 else alphas[j - 1])
+        phi1.append(acc)
+    assert v.phi1 == tuple(phi1)
+    assert len(pairs) == v.nmax + 1
+    for n, (phi, phistar) in enumerate(pairs):
+        p = phi_pair(v, n)
+        assert np.array_equal(p.phi, phi)
+        assert np.array_equal(p.phistar, phistar)
+
+
+@pytest.mark.parametrize("case", ["bessel(2.2)", "jacobi(1.3+0.4i)", "jacobi(-0.3+0.5i)",
+                                  "lebesgue", "poisson(0.5, 1)", "negative zeros"])
+def test_high_degree_table_equals_scalar_loop(case):
+    c, v = _high_degree(case)
+    _assert_table_equals(v, *_scalar_loop(c, HIGH_DEGREE))
+
+
+def test_high_degree_perturbed_table_equals_scalar_loop():
+    _, v = _high_degree("bessel(2.2)")
+    vp = v.perturbed(5, 1e-3)
+    alphas = list(v.alphas)
+    alphas[5] += 1e-3
+    kappa2 = [v.kappa2[0]]
+    for a in alphas:
+        kappa2.append(kappa2[-1] / (1.0 - abs(a) ** 2))
+    _assert_table_equals(vp, alphas, kappa2, _pairs_from_alphas(alphas))
+
+
+@pytest.mark.parametrize("b", [1.3 + 0.4j, 0.5 + 0.3j, -0.3 + 0.5j, 1.9 - 0.6j])
+def test_jacobi_alpha_ratio_at_high_degree(b):
+    _, v = _high_degree(f"jacobi({b.real:g}{b.imag:+g}i)")
+    assert max(jacobi_alpha_ratio_residual(v, b, n) for n in range(1, HIGH_DEGREE)) < 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["bessel2", "jacobi_complex"])
+def test_derivative_evaluation_equals_polyval(fixture, request):
+    w, _, v = request.getfixturevalue(fixture)
+    P = np.polynomial.polynomial
+    for n in range(v.nmax + 1):
+        p = phi_pair(v, n)
+        for z in standard_grid(w):    # inner and outer radii
+            for order in (0, 1, 2):
+                assert p.eval_phi_deriv(z, order) == complex(
+                    P.polyval(z, P.polyder(p.phi, order)))
+                assert p.eval_phistar_deriv(z, order) == complex(
+                    P.polyval(z, P.polyder(p.phistar, order)))
+
+
+def test_derivative_cache_outside_equality_and_repr():
+    alphas = [0.3 + 0.1j, -0.2j, 0.4]
+    v1 = VerblunskyTable.from_alphas(alphas, 1.0)
+    v2 = VerblunskyTable.from_alphas(alphas, 1.0)
+    for p in v1.polys:
+        p.eval_phi_deriv(0.5, 2)
+    assert [f.name for f in dataclasses.fields(v1.polys[0])] == ["n", "phi", "phistar"]
+    assert v1 == v2 and repr(v1) == repr(v2)
+    assert v1.polys[0] == v2.polys[0]
+    assert repr(v1.polys[3]) == repr(v2.polys[3])
