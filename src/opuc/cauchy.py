@@ -13,11 +13,14 @@ transform of g is -(1/2 pi i) * contour integral of g(t) t^m dt.  They are
 summed on the same nodes and integrand samples as the transforms, with no
 sampling of the transform itself.
 
-Everything that does not depend on z is computed once per table and
-weight: the nodes and weight values of each level, and the integrand
-samples p(t) nu(t) / t^n of each polynomial at each level.  Converged
-values are memoized too, so a transform repeated by another identity
-check costs a lookup.  The state lives in ``VerblunskyTable.quadrature``.
+Every array a pass sums is computed once per table and weight: the nodes
+and weight values of each level, the integrand samples p(t) nu(t) / t^n
+of each polynomial at each level, and the kernel t / (t - z)^order (or
+t - z for the subtraction) of each point, order and level, which the
+identity checks ask for again at every degree.  Converged values are
+memoized too, so a transform repeated by another identity check costs a
+lookup.  The state lives in ``VerblunskyTable.quadrature``, with the
+structure matrices ``opuc.rh`` memoizes there.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AccuracyError, NearBoundaryError
+from .matrix2 import Matrix2C
 from .szego import VerblunskyTable, phi_pair
 from .weights import WeightSpec, circle_rule, eval_nu
 
@@ -38,11 +42,12 @@ SUBTRACT_BAND = (0.8, 1.25)  # |z| range where subtraction is used automatically
 
 
 class _Quadrature:
-    """z-independent quadrature data of one table and weight, plus a memo of
-    converged transforms.
+    """Quadrature data of one table and weight, plus memos of converged
+    transforms and of the structure matrices of ``opuc.rh``.
 
-    The integrand store holds at most NMAX samples, one pass at the finest
-    level, and drops the least recently used arrays to stay within it.
+    One store, ``integrands``, holds the integrand samples and the kernels.
+    It holds at most NMAX samples of both, one pass at the finest level,
+    and drops the least recently used arrays to stay within it.
     """
 
     def __init__(self, w: WeightSpec):
@@ -51,6 +56,7 @@ class _Quadrature:
         self.integrands: dict[tuple, np.ndarray] = {}
         self.samples = 0
         self.memo: dict[tuple, tuple[complex, int, float]] = {}
+        self.structure: dict[tuple, Matrix2C] = {}
 
     def circle(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes t_k = e^{i theta_k}, weight values nu(t_k) J_k and Jacobians
@@ -60,18 +66,30 @@ class _Quadrature:
             self.nodes[N] = np.exp(1j * theta), nu, jac
         return self.nodes[N]
 
-    def integrand(self, kind: str, coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
-        """Samples of p(t) nu(t) J / t^n at the N nodes; kind names p."""
-        key = (kind, n, N)
-        g = self.integrands.pop(key, None)
-        if g is None:
-            t, nu, _ = self.circle(N)
-            g = _P.polyval(t, coeffs) * nu / t ** n
+    def _stored(self, key: tuple, N: int, make) -> np.ndarray:
+        """The N samples under key, made by make() on a miss."""
+        a = self.integrands.pop(key, None)
+        if a is None:
+            a = make()
             self.samples += N
             while self.samples > NMAX and self.integrands:
                 self.samples -= len(self.integrands.pop(next(iter(self.integrands))))
-        self.integrands[key] = g
-        return g
+        self.integrands[key] = a
+        return a
+
+    def integrand(self, kind: str, coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
+        """Samples of p(t) nu(t) J / t^n at the N nodes; kind names p."""
+        def make():
+            t, nu, _ = self.circle(N)
+            return _P.polyval(t, coeffs) * nu / t ** n
+        return self._stored((kind, n, N), N, make)
+
+    def kernel(self, z: complex, order: int, N: int) -> np.ndarray:
+        """t / (t - z)^order at the N nodes; order 0 gives t - z instead."""
+        def make():
+            t = self.circle(N)[0]
+            return t - z if order == 0 else t / (t - z) ** order
+        return self._stored(("kernel", z, order, N), N, make)
 
 
 def _check_offcircle(z: complex, boundary: bool) -> None:
@@ -116,16 +134,15 @@ def _transform(q: _Quadrature, kind: str, coeffs: np.ndarray, n: int, z: complex
         gz = complex(_P.polyval(z, coeffs)) * eval_nu(q.w, z) / z ** n
 
     def eval_at(N: int) -> complex:
-        t, _, jac = q.circle(N)
         g = q.integrand(kind, coeffs, n, N)
         if subtract:
-            total = np.sum((g - gz * jac) * t / (t - z)) / N
+            t, _, jac = q.circle(N)
+            total = ((g - gz * jac) * t / q.kernel(z, 0, N)).sum() / N
             if abs(z) < 1.0:
                 total += gz
             return complex(total)
-        kern = t / (t - z) ** order
         scale = 2.0 if order == 3 else 1.0
-        return complex(scale * np.sum(g * kern) / N)
+        return complex(scale * (g * q.kernel(z, order, N)).sum() / N)
 
     return _converged(eval_at, rtol)
 

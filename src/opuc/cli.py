@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cauchy import DEFAULT_RTOL, cauchy_G, cauchy_Gstar, laurent_tail
@@ -147,6 +148,50 @@ class Suite:
     @property
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.checks)
+
+
+# One check as json.dumps(report, sort_keys=True, indent=2) lays it out in
+# the report's "checks" list, its fields the keys Suite.add writes, sorted.
+# With indent set, json.dumps falls back to its pure-Python encoder, so the
+# checks, nearly all of a report, are rendered from this template instead.
+_CHECK_JSON = """\
+    {{
+      "n": {n},
+      "name": {name},
+      "pass": {pass},
+      "residual": {residual},
+      "tolerance": {tolerance},
+      "z": {z}
+    }}"""
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes a float."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _check_json(c: dict) -> str:
+    z = c["z"]
+    return _CHECK_JSON.format_map({
+        "n": int.__repr__(c["n"]),
+        "name": encode_basestring_ascii(c["name"]),
+        "pass": "true" if c["pass"] else "false",
+        "residual": _json_float(c["residual"]),
+        "tolerance": _json_float(c["tolerance"]),
+        "z": "null" if z is None else encode_basestring_ascii(z),
+    })
+
+
+def _report_json(report: dict) -> str:
+    """json.dumps(report, sort_keys=True, indent=2), with the checks
+    rendered from _CHECK_JSON and only meta and summary through json."""
+    tail = json.dumps({"meta": report["meta"], "summary": report["summary"]},
+                      sort_keys=True, indent=2)
+    checks = ",\n".join(map(_check_json, report["checks"]))
+    checks = f"[\n{checks}\n  ]" if checks else "[]"
+    return f'{{\n  "checks": {checks},\n{tail[2:]}'
 
 
 def _weight_from_args(args, parser) -> WeightSpec:
@@ -336,7 +381,7 @@ def cmd_verify(args, parser) -> int:
         _suite_structure(suite, v, w, nmax, rtol)
     if args.suite in ("painleve", "all"):
         _suite_painleve(suite, v, w, nmax)
-    payload = json.dumps(suite.report(), sort_keys=True, indent=2) + "\n"
+    payload = _report_json(suite.report()) + "\n"
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(payload)

@@ -13,6 +13,7 @@ import cmath
 
 from .cauchy import (
     DEFAULT_RTOL,
+    _quadrature,
     cauchy_G,
     cauchy_Gstar,
     cauchy_derivatives,
@@ -158,15 +159,26 @@ def log_diag_factor_deriv(w: WeightSpec, n: int, z: complex) -> Matrix2C:
 
 def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                              rtol: float = DEFAULT_RTOL) -> Matrix2C:
-    """Structure matrix M_n(z) = Y' Y^{-1} + Y D Y^{-1}, trace-free."""
+    """Structure matrix M_n(z) = Y' Y^{-1} + Y D Y^{-1}, trace-free.
+
+    Computed once per table, weight, n, z and rtol: the zero-curvature,
+    second-order and trace-back checks and the finite-difference M_n' ask
+    for the same M_n(z) again, so a repeat is a lookup in the table's
+    quadrature state.  The pole checks run on every call.
+    """
     z = complex(z)
     if abs(z) < 1e-12:
         raise PoleError("structure matrix is singular at z = 0")
     for s in w.singular_points():
         if abs(z - s) < 1e-9:
             raise PoleError(f"structure matrix is singular at z = {s}")
-    Y = assemble_Y(v, w, n, z, rtol)
-    dY = assemble_Y_deriv(v, w, n, z, rtol)
-    Yinv = Y.inv()
-    D = log_diag_factor(w, n, z)
-    return (dY @ Yinv) + (Y @ D @ Yinv)
+    memo = _quadrature(v, w).structure
+    key = (n, z, rtol)
+    M = memo.get(key)
+    if M is None:
+        Y = assemble_Y(v, w, n, z, rtol)
+        dY = assemble_Y_deriv(v, w, n, z, rtol)
+        Yinv = Y.inv()
+        D = log_diag_factor(w, n, z)
+        M = memo[key] = (dY @ Yinv) + (Y @ D @ Yinv)
+    return M

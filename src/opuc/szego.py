@@ -30,13 +30,20 @@ DEGENERACY_MARGIN = 1e-12
 _P = np.polynomial.polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyPair:
     """Coefficients of the monic Phi_n and its reciprocal, ascending order."""
 
     n: int
     phi: np.ndarray
     phistar: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        # the generated __eq__ compares the arrays inside tuples, which raises;
+        # False, not NotImplemented, so that an array operand cannot broadcast
+        return (isinstance(other, PolyPair) and self.n == other.n
+                and np.array_equal(self.phi, other.phi)
+                and np.array_equal(self.phistar, other.phistar))
 
     @cached_property
     def derivatives(self) -> tuple[tuple[tuple[complex, ...], ...], ...]:

@@ -217,7 +217,8 @@ def _fresh(w, nmax=10):
 BAND = 1.1 * cmath.exp(1j * 0.9)   # inside the subtraction band, off the refusal band
 
 
-@pytest.mark.parametrize("z", [INSIDE, OUTSIDE, BAND], ids=["inside", "outside", "band"])
+@pytest.mark.parametrize("z", [INSIDE, OUTSIDE, BAND, OUTSIDE + 1e-4, BAND - 1e-4],
+                         ids=["inside", "outside", "band", "outside_fd", "band_fd"])
 def test_transforms_equal_uncached_reference(z):
     w = WeightSpec.bessel(2.0)
     v = _fresh(w)
@@ -232,7 +233,18 @@ def test_transforms_equal_uncached_reference(z):
         assert cauchy_Gstar(v, w, n, z) == Gs
         assert cauchy_derivatives(v, w, n, z) == d
         assert cauchy_second_derivatives(v, w, n, z) == d2
-    assert len(v.quadrature[w].memo) == 6
+    q = v.quadrature[w]
+    assert len(q.memo) == 6
+    # recomputed from the stored integrand samples and kernels; in the
+    # subtraction band the value's kernel is t - z, stored as order 0
+    band = SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
+    orders = {key[2] for key in q.integrands if key[0] == "kernel"}
+    assert orders == ({0, 2, 3} if band else {1, 2, 3})
+    q.memo.clear()
+    assert cauchy_G(v, w, n, z) == G
+    assert cauchy_Gstar(v, w, n, z) == Gs
+    assert cauchy_derivatives(v, w, n, z) == d
+    assert cauchy_second_derivatives(v, w, n, z) == d2
 
 
 def test_other_rtol_gets_its_own_entry():
@@ -282,3 +294,8 @@ def test_integrand_store_stays_within_one_finest_pass():
     assert cauchy_derivatives(v, w, 2, z)[0] == reference
     q.memo.clear()
     assert cauchy_derivatives(v, w, 2, z)[0] == reference
+    # the kernels share the store and its budget with the integrands
+    kernels = [key for key in q.integrands if key[0] == "kernel"]
+    assert kernels and all(key[1:3] == (z, 2) for key in kernels)
+    assert q.samples == sum(len(g) for g in q.integrands.values())
+    assert q.samples <= NMAX

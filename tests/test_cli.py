@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import string
 
 import pytest
 
-from opuc.cli import TOLERANCES, main, standard_grid
+from opuc import cli
+from opuc.cli import TOLERANCES, Suite, main, standard_grid
 from opuc.weights import WeightSpec
 
 I1_2 = 1.5906368546
@@ -312,3 +314,39 @@ def test_every_tolerance_belongs_to_a_reported_check(tmp_path):
     assert run(["verify", "all", "--weight", "bessel", "--ell", "2", "--n", "3",
                 "--report", str(rpt)]) == 0
     assert {c["name"] for c in json.loads(rpt.read_text())["checks"]} == set(TOLERANCES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rh", "--weight", "bessel", "--ell", "2", "--n", "3"],
+    ["structure", "--weight", "jacobi", "--lambda", "1.3", "--eta", "0.4", "--n", "3"],
+    ["painleve", "--weight", "bessel", "--ell", "2", "--n", "4"],
+    ["painleve", "--weight", "jacobi", "--lambda", "1.3", "--eta", "0.4", "--n", "4"],
+    ["all", "--weight", "bessel", "--ell", "2", "--n", "3", "--perturb", "2:1e-3"],
+], ids=["rh", "structure", "painleve", "painleve_no_checks", "all_failing"])
+def test_report_writer_equals_json_dumps(argv, tmp_path, capsys, monkeypatch):
+    reports = []
+    writer = cli._report_json
+    monkeypatch.setattr(cli, "_report_json", lambda r: reports.append(r) or writer(r))
+    rpt = tmp_path / "r.json"
+    code = run(["verify", *argv, "--report", str(rpt)])
+    assert run(["verify", *argv]) == code
+    text = json.dumps(reports[0], sort_keys=True, indent=2) + "\n"
+    assert rpt.read_text() == text
+    assert capsys.readouterr().out == text
+    assert reports[0] == reports[1]
+
+
+def test_report_writer_spells_special_floats_as_json_does():
+    suite = Suite({"weight": "bessel(ell=2)", "nmax": 2, "rtol": 1e-12}, "bessel")
+    for residual, z in ((math.nan, None), (math.inf, 0.4 + 0j), (-math.inf, None),
+                        (-0.0, -2.5 - 1e-17j), (5e-324, None), (1e16, 1j)):
+        suite.add("det_unimodular", 1, residual, z)
+    report = suite.report()
+    assert cli._report_json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_report_template_has_the_keys_a_check_has():
+    suite = Suite({}, "bessel")
+    suite.add("dpii_relation", 2, 0.0)
+    fields = {f for _, f, _, _ in string.Formatter().parse(cli._CHECK_JSON) if f}
+    assert set(suite.checks[0]) == fields

@@ -2,8 +2,11 @@ import cmath
 
 import pytest
 
+from opuc.cauchy import DEFAULT_RTOL
+from opuc.cli import standard_grid
 from opuc.errors import PoleError
 from opuc.matrix2 import Matrix2C
+from opuc.moments import moments_for
 from opuc.rh import (
     assemble_Y,
     assemble_Y_deriv,
@@ -16,6 +19,9 @@ from opuc.rh import (
     transfer_matrix,
     transfer_residual,
 )
+from opuc.structure import FD_STEP
+from opuc.szego import verblunsky_from_moments
+from opuc.weights import WeightSpec
 
 INSIDE = 0.4 * cmath.exp(1j * 0.7)
 OUTSIDE = 2.5 * cmath.exp(1j * 2.1)
@@ -103,6 +109,44 @@ def test_structure_matrix_refusals(bessel2, jacobi1):
     wj, _, vj = jacobi1
     with pytest.raises(PoleError):
         structure_matrix_numeric(vj, wj, 3, 1.0)
+
+
+def _fresh(w, nmax=10):
+    return verblunsky_from_moments(moments_for(w, nmax + 2), nmax)
+
+
+@pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.3 + 0.4j)],
+                         ids=["bessel2", "jacobi_complex"])
+def test_memoized_structure_matrix_equals_its_definition(w):
+    v = _fresh(w)
+    points = []
+    for z in standard_grid(w)[::3]:
+        h = FD_STEP * max(1.0, abs(z))
+        points += [z, z + h, z - h, z + h / 2.0, z - h / 2.0]
+    for n in (2, 5):
+        for z in points:
+            Y = assemble_Y(v, w, n, z)
+            Yinv = Y.inv()
+            D = log_diag_factor(w, n, z)
+            expected = (assemble_Y_deriv(v, w, n, z) @ Yinv) + (Y @ D @ Yinv)
+            M = structure_matrix_numeric(v, w, n, z)
+            assert M.entries() == expected.entries()
+            assert structure_matrix_numeric(v, w, n, z) is M
+    assert len(v.quadrature[w].structure) == 2 * len(points)
+
+
+def test_structure_matrix_memo_is_per_table():
+    w = WeightSpec.bessel(2.0)
+    v = _fresh(w)
+    M = structure_matrix_numeric(v, w, 4, OUTSIDE)
+    vp = v.perturbed(2, 1e-3)
+    assert vp.quadrature == {}
+    Mp = structure_matrix_numeric(vp, w, 4, OUTSIDE)
+    assert Mp != M
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            structure_matrix_numeric(v, w, 3, 0.0)
+    assert list(v.quadrature[w].structure) == [(4, OUTSIDE, DEFAULT_RTOL)]
 
 
 def test_log_diag_factor_antisymmetric(jacobi_complex):

@@ -290,3 +290,21 @@ def test_derivative_cache_outside_equality_and_repr():
     assert v1 == v2 and repr(v1) == repr(v2)
     assert v1.polys[0] == v2.polys[0]
     assert repr(v1.polys[3]) == repr(v2.polys[3])
+
+
+def test_pair_equality_compares_coefficients():
+    v1 = VerblunskyTable.from_alphas([0.3, 0.2j, 0.1], 1.0)
+    v2 = VerblunskyTable.from_alphas([0.3, 0.2j, 0.1], 1.0)
+    vp = v1.perturbed(1, 1e-3)
+    for n in range(4):
+        assert v1.polys[n] == v2.polys[n]
+        assert v1.polys[n] is not v2.polys[n]
+    assert v1.polys[2] != vp.polys[2]
+    assert v1.polys[2] != v1.polys[1]
+    assert (v1.polys[2] == v1.polys[2].phi) is False
+    assert (v1.polys[2] == "Phi_2") is False
+    with pytest.raises(TypeError):
+        hash(v1.polys[2])
+    # the table's equality and repr still leave the pairs out
+    assert v1 == v2 and repr(v1) == repr(v2)
+    assert "polys" not in repr(v1)
