@@ -14,22 +14,28 @@ summed on the same nodes and integrand samples as the transforms, with no
 sampling of the transform itself.
 
 Every array a pass sums is computed once per table and weight: the nodes
-and weight values of each level, the integrand samples p(t) nu(t) / t^n
-of each polynomial at each level, and the kernel t / (t - z)^order (or
-t - z for the subtraction) of each point, order and level, which the
-identity checks ask for again at every degree.  Converged values are
-memoized too, so a transform repeated by another identity check costs a
-lookup.  The state lives in ``VerblunskyTable.quadrature``, with the
-structure matrices ``opuc.rh`` memoizes there.
+and weight values of each level; one integrand matrix per kind and level,
+whose rows are the samples p(t) nu(t) / t^n of every degree of the kind,
+built by one Horner pass; and the kernel t / (t - z)^order (or t - z for
+the subtraction) of each point, order and level.  Outside the subtraction
+band a transform is converged for a whole column, every degree of its kind
+at one point and order, in one array pass per level: each row leaves the
+pass at its own first convergence, so its value, nodes and residual are
+those of a transform converged alone.  Converged values are memoized, so
+the other degrees of the column, which the identity checks ask for next,
+cost a lookup.  The state lives in ``VerblunskyTable.quadrature``, with
+the structure matrices ``opuc.rh`` memoizes there.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
 from .errors import AccuracyError, NearBoundaryError
 from .matrix2 import Matrix2C
-from .szego import VerblunskyTable, phi_pair
+from .szego import PolyPair, VerblunskyTable, phi_pair
 from .weights import WeightSpec, circle_rule, eval_nu
 
 _P = np.polynomial.polynomial
@@ -40,18 +46,35 @@ DEFAULT_RTOL = 1e-12
 NEAR_BOUNDARY = 0.02        # refusal band around |z| = 1
 SUBTRACT_BAND = (0.8, 1.25)  # |z| range where subtraction is used automatically
 
+# the lowest degree n of each kind: row i of its integrand matrix is degree
+# i + _FIRST[kind], Phi_i for "G" and Phi*_i for "Gstar"
+_FIRST = {"G": 0, "Gstar": 1}
+
+
+def _rows_per_pass(N: int) -> int:
+    """The most rows a pass at N nodes takes at a time, so that no block of
+    an integrand matrix holds more than NMAX samples."""
+    return max(1, NMAX // N)
+
 
 class _Quadrature:
     """Quadrature data of one table and weight, plus memos of converged
     transforms and of the structure matrices of ``opuc.rh``.
 
-    One store, ``integrands``, holds the integrand samples and the kernels.
+    One store, ``integrands``, holds the integrand matrices and the kernels.
     It holds at most NMAX samples of both, one pass at the finest level,
-    and drops the least recently used arrays to stay within it.
+    and drops the least recently used arrays to stay within it.  The matrix
+    of a kind at N nodes is stored in blocks of ``_rows_per_pass(N)`` rows.
     """
 
-    def __init__(self, w: WeightSpec):
+    def __init__(self, w: WeightSpec, polys: tuple[PolyPair, ...]):
         self.w = w
+        size = len(polys)
+        # zero-padded coefficient rows of every degree, by kind
+        self.coefficients = {kind: np.zeros((size, size), dtype=complex) for kind in _FIRST}
+        for n, p in enumerate(polys):
+            self.coefficients["G"][n, :n + 1] = p.phi
+            self.coefficients["Gstar"][n, :n + 1] = p.phistar
         self.nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.integrands: dict[tuple, np.ndarray] = {}
         self.samples = 0
@@ -66,30 +89,55 @@ class _Quadrature:
             self.nodes[N] = np.exp(1j * theta), nu, jac
         return self.nodes[N]
 
-    def _stored(self, key: tuple, N: int, make) -> np.ndarray:
-        """The N samples under key, made by make() on a miss."""
+    def _stored(self, key: tuple, make) -> np.ndarray:
+        """The array under key, made by make() on a miss."""
         a = self.integrands.pop(key, None)
         if a is None:
             a = make()
-            self.samples += N
+            self.samples += a.size
             while self.samples > NMAX and self.integrands:
-                self.samples -= len(self.integrands.pop(next(iter(self.integrands))))
+                self.samples -= self.integrands.pop(next(iter(self.integrands))).size
         self.integrands[key] = a
         return a
 
-    def integrand(self, kind: str, coeffs: np.ndarray, n: int, N: int) -> np.ndarray:
-        """Samples of p(t) nu(t) J / t^n at the N nodes; kind names p."""
+    def block(self, kind: str, b: int, N: int) -> np.ndarray:
+        """Block b of the integrand matrix of kind at N nodes: with
+        B = _rows_per_pass(N), row i holds the samples p(t) nu(t) J / t^n
+        of degree n = b B + i + _FIRST[kind]."""
         def make():
             t, nu, _ = self.circle(N)
-            return _P.polyval(t, coeffs) * nu / t ** n
-        return self._stored((kind, n, N), N, make)
+            rows = _rows_per_pass(N)
+            lo = b * rows
+            c = self.coefficients[kind][lo:lo + rows]
+            m = np.empty((len(c), N), dtype=complex)
+            # polyval on every row at once, step for step: row i, the
+            # polynomial of degree lo + i, starts at its leading coefficient
+            # and takes one Horner step per lower one
+            for k in range(lo + len(c) - 1, -1, -1):
+                i = max(k - lo, 0)
+                if k >= lo:
+                    m[i] = c[i, k] + t * 0
+                    i += 1
+                m[i:] *= t
+                m[i:] += c[i:, k:k + 1]
+            m *= nu
+            for i in range(len(m)):
+                # a Python int power; an integer-array power rounds differently
+                m[i] /= t ** (lo + i + _FIRST[kind])
+            return m
+        return self._stored((kind, N, b), make)
+
+    def row(self, kind: str, n: int, N: int) -> np.ndarray:
+        """The integrand samples of degree n of kind at N nodes."""
+        i, rows = n - _FIRST[kind], _rows_per_pass(N)
+        return self.block(kind, i // rows, N)[i % rows]
 
     def kernel(self, z: complex, order: int, N: int) -> np.ndarray:
         """t / (t - z)^order at the N nodes; order 0 gives t - z instead."""
         def make():
             t = self.circle(N)[0]
             return t - z if order == 0 else t / (t - z) ** order
-        return self._stored(("kernel", z, order, N), N, make)
+        return self._stored(("kernel", z, order, N), make)
 
 
 def _check_offcircle(z: complex, boundary: bool) -> None:
@@ -103,69 +151,104 @@ def _check_offcircle(z: complex, boundary: bool) -> None:
         )
 
 
-def _converged(eval_at, rtol: float):
-    """Double nodes from N0 until two successive values agree to rtol."""
+def _converged(eval_at, rows: list, rtol: float) -> dict:
+    """Double nodes from N0 until two successive values of each row agree to
+    rtol.  eval_at(N, rows) gives the values of the listed rows at N nodes;
+    a row leaves the pass at its first convergence.  Returns, by row,
+    (value, nodes, residual), or the AccuracyError of a row that never
+    converged."""
     N = N0
-    prev = eval_at(N)
-    while N < NMAX:
+    prev = eval_at(N, rows)
+    out = {}
+    while N < NMAX and rows:
         N *= 2
-        cur = eval_at(N)
-        resid = abs(cur - prev)
-        if resid <= rtol * max(1.0, abs(cur)):
-            return cur, N, resid
-        prev = cur
-    raise AccuracyError(
-        f"contour quadrature did not converge below rtol={rtol:g}",
-        residual=abs(cur - prev),
-        nodes=N,
-    )
+        pending, values, residuals = [], [], []
+        for row, cur, before in zip(rows, eval_at(N, rows), prev):
+            resid = abs(cur - before)
+            if resid <= rtol * max(1.0, abs(cur)):
+                out[row] = cur, N, resid
+            else:
+                pending.append(row)
+                values.append(cur)
+                residuals.append(resid)
+        rows, prev = pending, values
+    for row, resid in zip(rows, residuals):
+        out[row] = AccuracyError(
+            f"contour quadrature did not converge below rtol={rtol:g}",
+            residual=resid,
+            nodes=N,
+        )
+    return out
 
 
-def _transform(q: _Quadrature, kind: str, coeffs: np.ndarray, n: int, z: complex,
-               rtol: float, order: int, subtract: bool):
-    """(1/2 pi i) * contour integral of p(t) nu(t) / (t^n (t-z)^order) dt.
+def _value(result):
+    """The converged (value, nodes, residual) of a row, or its error raised."""
+    if isinstance(result, AccuracyError):
+        raise result
+    return result
+
+
+def _transform(q: _Quadrature, kind: str, degrees: list[int], z: complex,
+               rtol: float, order: int, subtract: bool) -> dict:
+    """(1/2 pi i) * contour integral of p(t) nu(t) / (t^n (t-z)^order) dt
+    for each degree n of kind in degrees, converged together by _converged.
 
     order 1 gives the value, 2 the derivative, 3 half the second derivative.
-    With subtract=True (order 1 only) the integrand is regularized by
-    removing g(z) J, restoring spectral accuracy next to the circle.
+    With subtract=True (order 1 and one degree only) the integrand is
+    regularized by removing g(z) J, restoring spectral accuracy next to the
+    circle.
     """
-    gz = 0.0 + 0.0j
+    first = _FIRST[kind]
     if subtract:
+        (n,) = degrees
+        coeffs = q.coefficients[kind][n - first, :n - first + 1]
         gz = complex(_P.polyval(z, coeffs)) * eval_nu(q.w, z) / z ** n
 
-    def eval_at(N: int) -> complex:
-        g = q.integrand(kind, coeffs, n, N)
-        if subtract:
+        def eval_at(N: int, rows: list[int]) -> list[complex]:
             t, _, jac = q.circle(N)
-            total = ((g - gz * jac) * t / q.kernel(z, 0, N)).sum() / N
+            total = ((q.row(kind, n, N) - gz * jac) * t / q.kernel(z, 0, N)).sum() / N
             if abs(z) < 1.0:
                 total += gz
-            return complex(total)
-        scale = 2.0 if order == 3 else 1.0
-        return complex(scale * (g * q.kernel(z, order, N)).sum() / N)
+            return [complex(total)]
 
-    return _converged(eval_at, rtol)
+        return _converged(eval_at, degrees, rtol)
+
+    scale = 2.0 if order == 3 else 1.0
+
+    def eval_at(N: int, rows: list[int]) -> list[complex]:
+        kernel = q.kernel(z, order, N)
+        per_pass = _rows_per_pass(N)
+        values = []
+        start = 0
+        while start < len(rows):
+            # the rows of block b, one pass
+            b = (rows[start] - first) // per_pass
+            end = bisect.bisect_left(rows, first + (b + 1) * per_pass, start)
+            m = q.block(kind, b, N)
+            if end - start < len(m):
+                m = m[[n - first - b * per_pass for n in rows[start:end]]]
+            values += (scale * (m * kernel).sum(axis=1) / N).tolist()
+            start = end
+        return values
+
+    return _converged(eval_at, degrees, rtol)
 
 
 def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
     """The quadrature state of table v and weight w, created on first use."""
     q = v.quadrature.get(w)
     if q is None:
-        q = v.quadrature[w] = _Quadrature(w)
+        q = v.quadrature[w] = _Quadrature(w, v.polys)
     return q
-
-
-def _polynomial(v: VerblunskyTable, kind: str, n: int) -> np.ndarray:
-    """Coefficients of the polynomial kind integrates against nu/t^n:
-    Phi_n for kind "G", Phi*_{n-1} for kind "Gstar"."""
-    return phi_pair(v, n).phi if kind == "G" else phi_pair(v, n - 1).phistar
 
 
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
                          z: complex, rtol: float, order: int = 1):
     """(value, nodes, residual) of one transform, computed once per table.
 
-    Values inside the subtraction band are regularized.
+    Values inside the subtraction band are regularized and converged alone.
+    Outside it a miss converges every degree of the column (kind, z, order)
+    not yet memoized, and memoizes each that converges.
     """
     z = complex(z)
     subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
@@ -173,8 +256,17 @@ def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
     key = (kind, n, z, order, subtract, rtol)
     result = q.memo.get(key)
     if result is None:
-        result = q.memo[key] = _transform(q, kind, _polynomial(v, kind, n), n, z,
-                                          rtol, order, subtract)
+        phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
+        degrees = [n]
+        if not subtract:
+            first = _FIRST[kind]
+            degrees = [m for m in range(first, first + len(q.coefficients[kind]))
+                       if (kind, m, z, order, False, rtol) not in q.memo]
+        results = _transform(q, kind, degrees, z, rtol, order, subtract)
+        for m, r in results.items():
+            if not isinstance(r, AccuracyError):
+                q.memo[(kind, m, z, order, subtract, rtol)] = r
+        result = _value(results[n])
     return result
 
 
@@ -225,20 +317,22 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,
     """
     q = _quadrature(v, w)
 
-    def coefficient(kind: str, m: int) -> complex:
-        coeffs = _polynomial(v, kind, n)
+    def coefficients(kind: str, powers: range) -> np.ndarray:
+        """The coefficients of the powers t^m of kind, converged together."""
+        phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
 
-        def eval_at(N: int) -> complex:
+        def eval_at(N: int, rows: list[int]) -> list[complex]:
             t, _, _ = q.circle(N)
-            return complex(-np.mean(q.integrand(kind, coeffs, n, N) * t ** m))
+            g = q.row(kind, n, N)
+            return [complex(-np.mean(g * t ** m)) for m in rows]
 
-        return _converged(eval_at, rtol)[0]
+        results = _converged(eval_at, list(powers), rtol)
+        return np.array([_value(results[m])[0] for m in powers])
 
-    g_coeffs = np.array([coefficient("G", n + 1 + k) for k in range(kmax + 1)])
+    g_coeffs = coefficients("G", range(n + 1, n + kmax + 2))
     if n < 1:
         return g_coeffs, np.array([])
-    gstar_coeffs = np.array([coefficient("Gstar", n + k) for k in range(kmax + 1)])
-    return g_coeffs, gstar_coeffs
+    return g_coeffs, coefficients("Gstar", range(n, n + kmax + 1))
 
 
 def g_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,

@@ -233,9 +233,12 @@ def _moments(w: WeightSpec, jmax: int, parser):
 def _apply_perturb(v, spec: str, parser):
     try:
         idx, eps = spec.split(":")
-        return v.perturbed(int(idx), float(eps))
+        idx, eps = int(idx), float(eps)
+        if idx < 0 or not math.isfinite(eps):
+            raise ValueError(spec)
+        return v.perturbed(idx, eps)
     except (ValueError, IndexError):
-        parser.error("--perturb expects n:eps, e.g. 5:1e-3")
+        parser.error("--perturb expects n:eps with n >= 0 and eps finite, e.g. 5:1e-3")
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ class VerblunskyTable:
         phi, phistar = _coefficient_matrices(len(alphas))
         for n, a in enumerate(alphas):
             r = 1.0 - abs(a) ** 2
-            if r <= DEGENERACY_MARGIN:
+            if not r > DEGENERACY_MARGIN:   # also when alpha is NaN
                 raise DegenerateMeasureError(
                     f"|alpha_{n}| leaves the unit disk", index=n
                 )
@@ -184,7 +184,7 @@ def verblunsky_from_moments(c: MomentTable, nmax: int) -> VerblunskyTable:
         # a numpy float, as are kappa2[n >= 1] and b; the residuals computed
         # from them depend on numpy's scalar rounding bit for bit
         r = 1.0 - abs(alpha) ** 2
-        if r <= DEGENERACY_MARGIN:
+        if not r > DEGENERACY_MARGIN:   # also when alpha is NaN
             raise DegenerateMeasureError(
                 f"|alpha_{n}| = {abs(alpha):.15f} leaves the unit disk", index=n
             )

@@ -1,10 +1,13 @@
 import cmath
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from opuc import cauchy, cli
 from opuc.cauchy import (
+    DEFAULT_RTOL,
     N0,
     NMAX,
     SUBTRACT_BAND,
@@ -15,10 +18,10 @@ from opuc.cauchy import (
     g_recurrence_residuals,
     laurent_tail,
 )
-from opuc.errors import NearBoundaryError
+from opuc.errors import AccuracyError, NearBoundaryError
 from opuc.moments import moments_for
 from opuc.szego import phi_pair, verblunsky_from_moments
-from opuc.weights import WeightSpec, eval_nu, weight_values
+from opuc.weights import WeightSpec, circle_rule, eval_nu
 
 _P = np.polynomial.polynomial
 
@@ -178,8 +181,11 @@ def test_region_classification_and_refusal(bessel2):
     cauchy_G(v, w, 2, 1.001, boundary=True)
 
 
-def _reference_transform(w, coeffs, n, z, rtol=1e-12, order=1, subtract=None):
-    """Reference: the uncached midpoint transform with node doubling."""
+def _reference_transform(w, coeffs, n, z, rtol=DEFAULT_RTOL, order=1, subtract=None,
+                         nmax=NMAX):
+    """Reference: the uncached transform of one polynomial on the circle rule,
+    with node doubling.  Returns (value, nodes, residual); value is None for
+    a transform that does not converge by nmax nodes."""
     z = complex(z)
     if subtract is None:
         subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
@@ -188,26 +194,41 @@ def _reference_transform(w, coeffs, n, z, rtol=1e-12, order=1, subtract=None):
         gz = complex(_P.polyval(z, coeffs)) * eval_nu(w, z) / z ** n
 
     def eval_at(N):
-        theta = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
+        theta, nu, jac = circle_rule(w, N)
         t = np.exp(1j * theta)
-        g = _P.polyval(t, coeffs) * weight_values(w, theta) / t ** n
+        g = _P.polyval(t, coeffs) * nu / t ** n
         if subtract:
-            total = np.sum((g - gz) * t / (t - z)) / N
+            total = np.sum((g - gz * jac) * t / (t - z)) / N
             if abs(z) < 1.0:
                 total += gz
             return complex(total)
         scale = 2.0 if order == 3 else 1.0
-        return complex(scale * np.sum(g * (t / (t - z) ** order)) / N)
+        # the kernel is named, not a temporary: numpy computes a product with
+        # a temporary operand of 256 KiB or more in place, which can round
+        # differently, as the program's product with a stored kernel does not
+        kernel = t / (t - z) ** order
+        return complex(scale * np.sum(g * kernel) / N)
 
     N = N0
     prev = eval_at(N)
-    while N < NMAX:
+    while N < nmax:
         N *= 2
         cur = eval_at(N)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
+        resid = abs(cur - prev)
+        if resid <= rtol * max(1.0, abs(cur)):
+            return cur, N, resid
         prev = cur
-    raise AssertionError("reference transform did not converge")
+    return None, N, resid
+
+
+def _coefficients(v, kind, n):
+    return phi_pair(v, n).phi if kind == "G" else phi_pair(v, n - 1).phistar
+
+
+def _degrees(v, kind):
+    """Every degree of kind the table holds: G_0..G_nmax, G*_0..G*_nmax."""
+    first = 0 if kind == "G" else 1
+    return range(first, first + v.nmax + 1)
 
 
 def _fresh(w, nmax=10):
@@ -224,20 +245,27 @@ def test_transforms_equal_uncached_reference(z):
     v = _fresh(w)
     n = 4
     phi, star = phi_pair(v, n).phi, phi_pair(v, n - 1).phistar
-    G = _reference_transform(w, phi, n, z)
-    Gs = _reference_transform(w, star, n, z)
-    d = tuple(_reference_transform(w, p, n, z, order=2, subtract=False) for p in (phi, star))
-    d2 = tuple(_reference_transform(w, p, n, z, order=3, subtract=False) for p in (phi, star))
+    G = _reference_transform(w, phi, n, z)[0]
+    Gs = _reference_transform(w, star, n, z)[0]
+    d = tuple(_reference_transform(w, p, n, z, order=2, subtract=False)[0] for p in (phi, star))
+    d2 = tuple(_reference_transform(w, p, n, z, order=3, subtract=False)[0] for p in (phi, star))
     for _ in ("cold", "warm"):
         assert cauchy_G(v, w, n, z) == G
         assert cauchy_Gstar(v, w, n, z) == Gs
         assert cauchy_derivatives(v, w, n, z) == d
         assert cauchy_second_derivatives(v, w, n, z) == d2
     q = v.quadrature[w]
-    assert len(q.memo) == 6
+    # every request off the subtraction band converged its whole column,
+    # every degree of its kind at (z, order); a subtracted value, its own row
+    band = SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
+    z = complex(z)
+    columns = {(kind, m, z, order, False, DEFAULT_RTOL)
+               for kind in ("G", "Gstar") for m in _degrees(v, kind)
+               for order in ((2, 3) if band else (1, 2, 3))}
+    subtracted = {(kind, n, z, 1, True, DEFAULT_RTOL) for kind in ("G", "Gstar")}
+    assert set(q.memo) == (columns | subtracted if band else columns)
     # recomputed from the stored integrand samples and kernels; in the
     # subtraction band the value's kernel is t - z, stored as order 0
-    band = SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     orders = {key[2] for key in q.integrands if key[0] == "kernel"}
     assert orders == ({0, 2, 3} if band else {1, 2, 3})
     q.memo.clear()
@@ -251,10 +279,13 @@ def test_other_rtol_gets_its_own_entry():
     w = WeightSpec.bessel(2.0)
     v = _fresh(w)
     phi = phi_pair(v, 3).phi
-    assert cauchy_G(v, w, 3, OUTSIDE) == _reference_transform(w, phi, 3, OUTSIDE)
+    assert cauchy_G(v, w, 3, OUTSIDE) == _reference_transform(w, phi, 3, OUTSIDE)[0]
     tight = cauchy_G(v, w, 3, OUTSIDE, rtol=1e-14)
-    assert tight == _reference_transform(w, phi, 3, OUTSIDE, rtol=1e-14)
-    assert len(v.quadrature[w].memo) == 2
+    assert tight == _reference_transform(w, phi, 3, OUTSIDE, rtol=1e-14)[0]
+    # one G column per rtol
+    assert set(v.quadrature[w].memo) == {("G", m, OUTSIDE, 1, False, rtol)
+                                         for m in _degrees(v, "G")
+                                         for rtol in (DEFAULT_RTOL, 1e-14)}
 
 
 def test_perturbed_copy_does_not_reuse_original_values():
@@ -264,7 +295,7 @@ def test_perturbed_copy_does_not_reuse_original_values():
     vp = v.perturbed(5, 1e-3)
     assert vp.quadrature == {}
     after = cauchy_G(vp, w, 6, OUTSIDE)
-    assert after == _reference_transform(w, phi_pair(vp, 6).phi, 6, OUTSIDE)
+    assert after == _reference_transform(w, phi_pair(vp, 6).phi, 6, OUTSIDE)[0]
     assert after != before
 
 
@@ -277,25 +308,104 @@ def test_evaluation_state_outside_equality_and_repr():
 
 
 def test_integrand_store_stays_within_one_finest_pass():
-    # the order-2 kernel next to the circle needs 2^12 nodes, so nine
-    # degrees of both kinds fill about 143k samples, more than the store
-    # holds, and evict the oldest integrands
+    # the order-2 kernel next to the circle needs 2^12 nodes, so the G and
+    # G* integrand matrices of 11 rows at 256..4096 nodes fill 2 x 87296
+    # samples, more than the store holds: the G* column's pass evicts every
+    # G block, and the kernels, shared by both columns, stay
     w = WeightSpec.bessel(2.0)
     v = _fresh(w)
     z = 1.021 * cmath.exp(0.4j)
     for n in range(2, 11):
         cauchy_derivatives(v, w, n, z)
     q = v.quadrature[w]
-    assert q.samples == sum(len(g) for g in q.integrands.values())
+    assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
-    assert ("G", 2, 256) not in q.integrands
+    levels = [256, 512, 1024, 2048, 4096]
+    assert list(q.integrands) == [key for N in levels
+                                  for key in (("kernel", z, 2, N), ("Gstar", N, 0))]
     phi = phi_pair(v, 2).phi
-    reference = _reference_transform(w, phi, 2, z, order=2, subtract=False)
+    reference = _reference_transform(w, phi, 2, z, order=2, subtract=False)[0]
     assert cauchy_derivatives(v, w, 2, z)[0] == reference
     q.memo.clear()
     assert cauchy_derivatives(v, w, 2, z)[0] == reference
     # the kernels share the store and its budget with the integrands
     kernels = [key for key in q.integrands if key[0] == "kernel"]
     assert kernels and all(key[1:3] == (z, 2) for key in kernels)
-    assert q.samples == sum(len(g) for g in q.integrands.values())
+    assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
+
+
+@pytest.mark.parametrize("flags", [["--weight", "bessel", "--ell", "2", "--n", "8"],
+                                   ["--weight", "jacobi", "--lambda", "-0.45",
+                                    "--eta", "0.3", "--n", "12"]],
+                         ids=["bessel2-n8", "jacobi-low-lambda-n12"])
+def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
+    # every transform a verify run memoizes has the value, nodes and residual
+    # of the same transform converged alone
+    tables = []
+
+    def build(*args):
+        tables.append(verblunsky_from_moments(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "verblunsky_from_moments", build)
+    assert cli.main(["verify", "all", *flags, "--report", str(tmp_path / "r.json")]) == 0
+    (v,) = tables
+    ((w, q),) = v.quadrature.items()
+    columns = collections.defaultdict(dict)
+    for key, result in q.memo.items():
+        kind, n, z, order, subtract, rtol = key
+        reference = _reference_transform(w, _coefficients(v, kind, n), n, z, rtol, order,
+                                         subtract)
+        assert result == reference, key
+        columns[kind, z, order, subtract, rtol][n] = result[1]
+    for (kind, _, _, subtract, _), rows in columns.items():
+        if not subtract:
+            assert set(rows) == set(_degrees(v, kind))
+    if w.kind == "jacobi":
+        # rows of one column converge at different levels
+        assert {512, 1024} in [set(rows.values()) for rows in columns.values()]
+
+
+def test_row_that_does_not_converge_fails_alone(monkeypatch):
+    # with the finest level lowered to 512 nodes, the top row of this G*
+    # column, which needs 1024, cannot converge; its fourteen other rows can
+    monkeypatch.setattr(cauchy, "NMAX", 512)
+    w = WeightSpec.jacobi(-0.45 + 0.3j)
+    v = _fresh(w, 14)
+    z = 0.4 * cmath.exp(1j * math.pi / 4)
+    references = {n: _reference_transform(w, _coefficients(v, "Gstar", n), n, z, nmax=512)
+                  for n in _degrees(v, "Gstar")}
+    failing = [n for n, (value, _, _) in references.items() if value is None]
+    assert failing == [v.nmax + 1]
+    for _ in ("cold", "warm"):
+        for n, (value, nodes, residual) in references.items():
+            if n in failing:
+                with pytest.raises(AccuracyError) as exc:
+                    cauchy_Gstar(v, w, n, z)
+                assert (exc.value.residual, exc.value.nodes) == (residual, nodes)
+                assert residual > DEFAULT_RTOL
+            else:
+                assert cauchy_Gstar(v, w, n, z) == value
+    # the error is not memoized
+    assert {key[1] for key in v.quadrature[w].memo} == set(references) - set(failing)
+
+
+def test_column_at_the_finest_level_is_chunked(monkeypatch):
+    # without the subtraction, a transform 5e-4 outside the circle converges
+    # only at NMAX nodes, where a pass takes one row at a time
+    monkeypatch.setattr(cauchy, "SUBTRACT_BAND", (1.0, 1.0))
+    w = WeightSpec.bessel(2.0)
+    v = _fresh(w, 4)
+    z = 1.0005 * cmath.exp(0.9j)
+    assert len(list(_degrees(v, "G"))) > NMAX // (NMAX // 2)
+    cauchy_G(v, w, 2, z, boundary=True)
+    q = v.quadrature[w]
+    for n in _degrees(v, "G"):
+        reference = _reference_transform(w, _coefficients(v, "G", n), n, z, subtract=False)
+        assert reference[1] == NMAX
+        assert q.memo["G", n, complex(z), 1, False, DEFAULT_RTOL] == reference
+    assert q.samples == sum(g.size for g in q.integrands.values())
+    assert q.samples <= NMAX
+    blocks = {key: len(a) for key, a in q.integrands.items() if key[0] == "G"}
+    assert blocks and all(rows <= max(1, NMAX // N) for (_, N, _), rows in blocks.items())

@@ -135,6 +135,20 @@ def test_standard_grid_avoids_singularities():
     assert radii == {0.4, 2.5}
 
 
+@pytest.mark.parametrize("spec", ["-1:1e-3", "5:nan", "5:inf", "6:1e-3"],
+                         ids=["negative-index", "nan-eps", "inf-eps", "index-past-table"])
+def test_perturbation_outside_the_table_or_not_finite_is_usage_error(spec, tmp_path, capsys):
+    # the table of --n 4 holds alpha_0..alpha_5; a negative index would
+    # count from its end, and a NaN eps would write NaN residuals
+    rpt = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "4",
+             f"--perturb={spec}", "--report", str(rpt)])
+    assert exc.value.code == 2
+    assert "--perturb expects" in capsys.readouterr().err
+    assert not rpt.exists()
+
+
 @pytest.mark.parametrize("n", ["1", "0"])
 def test_verify_degree_below_minimum_is_usage_error(n, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -124,6 +124,23 @@ def test_degenerate_alpha_rejected():
         VerblunskyTable.from_alphas([0.5, 1.0], 1.0)
 
 
+def test_nan_alpha_rejected_by_from_alphas():
+    with pytest.raises(DegenerateMeasureError):
+        VerblunskyTable.from_alphas([0.3, math.nan], 1.0)
+
+
+def test_nan_perturbation_rejected():
+    v = VerblunskyTable.from_alphas([0.3, 0.2], 1.0)
+    with pytest.raises(DegenerateMeasureError):
+        v.perturbed(0, math.nan)
+
+
+def test_nan_moments_rejected():
+    # c_0 = 1 passes the mass check; alpha_0 comes out as nan + nanj
+    with pytest.raises(DegenerateMeasureError):
+        verblunsky_from_moments(MomentTable(-2, 2, (0.1, math.nan, 1.0, math.nan, 0.1)), 2)
+
+
 def test_alpha_seed():
     v = VerblunskyTable.from_alphas([0.2], 1.0)
     assert v.alpha(-1) == -1.0
