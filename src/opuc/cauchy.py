@@ -5,7 +5,10 @@ G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use
 the circle rule of ``weights.circle_rule`` with node doubling: the periodic
 midpoint rule, graded towards theta = 0 for a weight singular at z = 1, with
 the Jacobian folded into the weight values.  Near the circle a singularity
-subtraction keeps the rule spectrally accurate.
+subtraction keeps the rule spectrally accurate.  ``cauchy_G`` and
+``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2 and integrate
+against the kernel of order k + 1; a derivative gets no subtraction, so it
+is refused next to the circle even in boundary mode.
 
 The Laurent coefficients at infinity are integrals too: for |z| > 1,
 1/(t - z) = -sum_m t^m / z^{m+1}, so the coefficient of z^{-(m+1)} in the
@@ -35,10 +38,8 @@ import numpy as np
 
 from .errors import AccuracyError, NearBoundaryError
 from .matrix2 import Matrix2C
-from .szego import PolyPair, VerblunskyTable, phi_pair
+from .szego import PolyPair, VerblunskyTable, _horner, phi_pair
 from .weights import WeightSpec, circle_rule, eval_nu
-
-_P = np.polynomial.polynomial
 
 N0 = 256
 NMAX = 1 << 17
@@ -140,11 +141,15 @@ class _Quadrature:
         return self._stored(("kernel", z, order, N), make)
 
 
-def _check_offcircle(z: complex, boundary: bool) -> None:
+def _check_offcircle(z: complex, boundary: bool, order: int) -> None:
+    """Refuse z on the circle, and within NEAR_BOUNDARY of it unless boundary
+    is set and order is 0: derivatives have no subtraction there."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"derivative order {order} outside 0..2")
     r = abs(z)
     if abs(r - 1.0) < 1e-14:
         raise NearBoundaryError("evaluation exactly on the circle is not supported")
-    if not boundary and abs(r - 1.0) < NEAR_BOUNDARY:
+    if (order or not boundary) and abs(r - 1.0) < NEAR_BOUNDARY:
         raise NearBoundaryError(
             f"|z| = {r:.6f} is within {NEAR_BOUNDARY} of the circle; "
             "request boundary mode for jump checks"
@@ -202,7 +207,7 @@ def _transform(q: _Quadrature, kind: str, degrees: list[int], z: complex,
     if subtract:
         (n,) = degrees
         coeffs = q.coefficients[kind][n - first, :n - first + 1]
-        gz = complex(_P.polyval(z, coeffs)) * eval_nu(q.w, z) / z ** n
+        gz = _horner(coeffs.tolist(), z) * eval_nu(q.w, z) / z ** n
 
         def eval_at(N: int, rows: list[int]) -> list[complex]:
             t, _, jac = q.circle(N)
@@ -243,7 +248,7 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
 
 
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
-                         z: complex, rtol: float, order: int = 1):
+                         z: complex, rtol: float, order: int):
     """(value, nodes, residual) of one transform, computed once per table.
 
     Values inside the subtraction band are regularized and converged alone.
@@ -271,37 +276,22 @@ def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
 
 
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-             rtol: float = DEFAULT_RTOL, boundary: bool = False) -> complex:
-    """G_n(z) off the circle."""
-    _check_offcircle(z, boundary)
-    return _converged_transform(v, w, "G", n, z, rtol)[0]
+             rtol: float = DEFAULT_RTOL, boundary: bool = False,
+             order: int = 0) -> complex:
+    """G_n(z) off the circle, or its z-derivative of order 1 or 2."""
+    _check_offcircle(z, boundary, order)
+    return _converged_transform(v, w, "G", n, z, rtol, order + 1)[0]
 
 
 def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                 rtol: float = DEFAULT_RTOL, boundary: bool = False) -> complex:
-    """G*_{n-1}(z): reciprocal-polynomial transform with kernel nu/t^n."""
+                 rtol: float = DEFAULT_RTOL, boundary: bool = False,
+                 order: int = 0) -> complex:
+    """G*_{n-1}(z), the reciprocal-polynomial transform with kernel nu/t^n,
+    or its z-derivative of order 1 or 2."""
     if n < 1:
         raise ValueError("G*_{n-1} needs n >= 1")
-    _check_offcircle(z, boundary)
-    return _converged_transform(v, w, "Gstar", n, z, rtol)[0]
-
-
-def cauchy_derivatives(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                       rtol: float = DEFAULT_RTOL) -> tuple[complex, complex]:
-    """(G_n'(z), (G*_{n-1})'(z)) by the squared-kernel integrals."""
-    _check_offcircle(z, boundary=False)
-    dG = _converged_transform(v, w, "G", n, z, rtol, order=2)[0]
-    dGs = _converged_transform(v, w, "Gstar", n, z, rtol, order=2)[0]
-    return dG, dGs
-
-
-def cauchy_second_derivatives(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                              rtol: float = DEFAULT_RTOL) -> tuple[complex, complex]:
-    """(G_n''(z), (G*_{n-1})''(z)) by the cubed-kernel integrals."""
-    _check_offcircle(z, boundary=False)
-    d2G = _converged_transform(v, w, "G", n, z, rtol, order=3)[0]
-    d2Gs = _converged_transform(v, w, "Gstar", n, z, rtol, order=3)[0]
-    return d2G, d2Gs
+    _check_offcircle(z, boundary, order)
+    return _converged_transform(v, w, "Gstar", n, z, rtol, order + 1)[0]
 
 
 def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,

@@ -346,8 +346,8 @@ def cmd_verblunsky(args, parser) -> int:
 
 
 def cmd_dpii(args, parser) -> int:
-    if args.ell is None or args.ell <= 0:
-        parser.error("dpii requires --ell > 0")
+    if args.ell is None or not (math.isfinite(args.ell) and args.ell > 0):
+        parser.error("dpii requires a finite --ell > 0")
     w = WeightSpec.bessel(args.ell)
     c = moments_for(w, args.n + 3)
     v = verblunsky_from_moments(c, args.n + 1)

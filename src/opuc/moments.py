@@ -120,10 +120,13 @@ def moments_quadrature(
     """Moments by the circle rule with node doubling.
 
     Starts at DEFAULT_N nodes, or 4 jmax if more, and doubles N until two
-    successive tables agree to rtol relative to c_0.
+    successive tables agree to rtol relative to c_0; the start must not
+    exceed nmax.
     """
     N = max(DEFAULT_N, 4 * jmax)
     N = 1 << (N - 1).bit_length()  # round up to a power of two
+    if N > nmax:
+        raise ValueError(f"nmax={nmax} is below the starting node count {N}")
     prev = _quadrature_pass(w, jmax, N)
     while N <= nmax:
         N *= 2
@@ -162,7 +165,7 @@ def bessel_i_series(j: int, x: float, rtol: float = 1e-16) -> float:
 def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
     """c_j = 2pi I_j(ell) for the exponential-of-cosine weight; I_{-j} = I_j,
     so each order is summed once."""
-    if ell < 0:
+    if not ell >= 0:    # also when ell is NaN
         raise ValueError("ell must be >= 0")
     if ell > BESSEL_MAX_ELL:
         raise ParameterRangeError(

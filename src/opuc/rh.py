@@ -5,62 +5,36 @@ The solution matrix packages the monic polynomial, its reciprocal, and the
 two second-kind functions; the transfer matrix realizes the degree shift.
 The structure matrix is computed without fractional powers, using only the
 single-valued logarithmic derivative of the diagonal normalizing factor.
+``assemble_Y`` and ``log_diag_factor`` take the z-derivative order as an
+argument, so each derivative of Y_n and D_n has the value's code path.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .cauchy import (
-    DEFAULT_RTOL,
-    _quadrature,
-    cauchy_G,
-    cauchy_Gstar,
-    cauchy_derivatives,
-    cauchy_second_derivatives,
-)
+from .cauchy import DEFAULT_RTOL, _quadrature, cauchy_G, cauchy_Gstar
 from .errors import PoleError
 from .matrix2 import Matrix2C
 from .szego import VerblunskyTable, phi_pair
-from .weights import WeightSpec, eval_weight, log_derivative, log_derivative2
+from .weights import WeightSpec, eval_weight, log_derivative
 
 JUMP_DELTA = 5e-5   # radial offset of the jump check's first approach to the circle
 
 
-def _assemble(v: VerblunskyTable, w: WeightSpec, n: int, z: complex, rtol: float,
-              order: int, boundary: bool = False) -> Matrix2C:
-    """Y_n at z (order 0) or its analytic z-derivative of order 1 or 2."""
+def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
+               rtol: float = DEFAULT_RTOL, boundary: bool = False,
+               order: int = 0) -> Matrix2C:
+    """The unit-determinant solution matrix Y_n at z off the circle (order 0),
+    or its analytic z-derivative of order 1 or 2, with no finite differences."""
     if n < 1:
         raise ValueError("solution matrix defined for n >= 1")
     z = complex(z)
     bm1 = v.b[n - 1]
-    if order == 0:
-        G = cauchy_G(v, w, n, z, rtol, boundary)
-        Gs = cauchy_Gstar(v, w, n, z, rtol, boundary)
-    elif order == 1:
-        G, Gs = cauchy_derivatives(v, w, n, z, rtol)
-    else:
-        G, Gs = cauchy_second_derivatives(v, w, n, z, rtol)
+    G = cauchy_G(v, w, n, z, rtol, boundary, order)
+    Gs = cauchy_Gstar(v, w, n, z, rtol, boundary, order)
     return Matrix2C(phi_pair(v, n).eval_phi_deriv(z, order), G,
                     -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
-
-
-def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-               rtol: float = DEFAULT_RTOL, boundary: bool = False) -> Matrix2C:
-    """The unit-determinant solution matrix at z (off the circle)."""
-    return _assemble(v, w, n, z, rtol, 0, boundary)
-
-
-def assemble_Y_deriv(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                     rtol: float = DEFAULT_RTOL) -> Matrix2C:
-    """z-derivative of the solution matrix (analytic, no finite differences)."""
-    return _assemble(v, w, n, z, rtol, 1)
-
-
-def assemble_Y_second_deriv(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                            rtol: float = DEFAULT_RTOL) -> Matrix2C:
-    """Second z-derivative of the solution matrix."""
-    return _assemble(v, w, n, z, rtol, 2)
 
 
 def transfer_matrix(v: VerblunskyTable, n: int, z: complex) -> Matrix2C:
@@ -138,22 +112,16 @@ def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex,
     return extrapolated.frobenius()
 
 
-def log_diag_factor(w: WeightSpec, n: int, z: complex) -> Matrix2C:
-    """Logarithmic derivative of the diagonal normalizing factor.
+def log_diag_factor(w: WeightSpec, n: int, z: complex, order: int = 0) -> Matrix2C:
+    """Logarithmic derivative D_n of the diagonal normalizing factor (order 0),
+    or its z-derivative (order 1).
 
-    diag(-n/(2z) + nu'/(2 nu), n/(2z) - nu'/(2 nu)); single-valued, so no
-    fractional powers are ever formed.
+    D_n = diag(-n/(2z) + nu'/(2 nu), n/(2z) - nu'/(2 nu)); single-valued, so
+    no fractional powers are ever formed.
     """
     z = complex(z)
-    ld = log_derivative(w, z)
-    d = -n / (2.0 * z) + ld / 2.0
-    return Matrix2C.diag(d, -d)
-
-
-def log_diag_factor_deriv(w: WeightSpec, n: int, z: complex) -> Matrix2C:
-    z = complex(z)
-    ld2 = log_derivative2(w, z)
-    d = n / (2.0 * z ** 2) + ld2 / 2.0
+    ld = log_derivative(w, z, order)
+    d = (-n / (2.0 * z) if order == 0 else n / (2.0 * z ** 2)) + ld / 2.0
     return Matrix2C.diag(d, -d)
 
 
@@ -177,7 +145,7 @@ def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: compl
     M = memo.get(key)
     if M is None:
         Y = assemble_Y(v, w, n, z, rtol)
-        dY = assemble_Y_deriv(v, w, n, z, rtol)
+        dY = assemble_Y(v, w, n, z, rtol, order=1)
         Yinv = Y.inv()
         D = log_diag_factor(w, n, z)
         M = memo[key] = (dY @ Yinv) + (Y @ D @ Yinv)

@@ -32,35 +32,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cauchy import (
-    DEFAULT_RTOL,
-    cauchy_G,
-    cauchy_Gstar,
-    cauchy_derivatives,
-    cauchy_second_derivatives,
-)
+from .cauchy import DEFAULT_RTOL, cauchy_G, cauchy_Gstar
 from .errors import UnsupportedWeightError
 from .matrix2 import Matrix2C
 from .rh import (
     assemble_Y,
-    assemble_Y_deriv,
-    assemble_Y_second_deriv,
     log_diag_factor,
-    log_diag_factor_deriv,
     structure_matrix_numeric,
     transfer_matrix,
     transfer_matrix_deriv,
 )
-from .szego import VerblunskyTable, _horner, phi_pair
+from .szego import VerblunskyTable, _der, _horner, phi_pair
 from .weights import WeightSpec, pearson_data
-
-_P = np.polynomial.polynomial
 
 _REAL_ALPHA_TOL = 1e-10
 FD_STEP = 1e-4     # step of the finite-difference M_n', relative to max(1, |z|)
 
-# A polynomial as a tuple of ascending Python-scalar coefficients: for the
-# short polynomials here, tuple arithmetic and Horner's rule beat numpy calls.
+# A polynomial as a tuple of ascending Python-scalar coefficients, as in
+# PolyPair.derivatives: tuple arithmetic and Horner's rule beat numpy calls.
 Poly = tuple
 PolyMatrix = tuple[Poly, Poly, Poly, Poly]
 
@@ -76,8 +65,9 @@ def _real_alphas(v: VerblunskyTable, upto: int) -> list[float]:
     return [v.alphas[k].real for k in range(upto + 1)]
 
 
-def _max_coeff(p: np.ndarray) -> float:
-    return float(np.max(np.abs(p))) if len(p) else 0.0
+def _max_coeff(p: Poly) -> float:
+    # numpy's complex abs, which rounds differently from Python's abs
+    return float(np.max(np.abs(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +89,6 @@ def _mul(p: Poly, q: Poly) -> Poly:
         for j, y in enumerate(q):
             out[i + j] += x * y
     return tuple(out)
-
-
-def _der(p: Poly) -> Poly:
-    return tuple(k * p[k] for k in range(1, len(p))) or (0j,)
 
 
 def _quotient(p: Poly, A: Poly) -> Poly:
@@ -147,21 +133,14 @@ def _bessel_relations(v: VerblunskyTable, w: WeightSpec, n: int
     """The three-term derivative relation and its z-weighted variant."""
     a = _real_alphas(v, n)
     k2 = v.kappa2
-    pn = phi_pair(v, n)
-    pm1 = phi_pair(v, n - 1)
-    pm2 = phi_pair(v, n - 2)
-
-    r1 = _max_coeff(
-        _P.polysub(_P.polyder(pn.phi),
-                   _P.polyadd(n * pm1.phi,
-                              (w.ell * k2[n - 2] / (2.0 * k2[n])) * pm2.phi))
-    )
-    inner = _P.polysub(pm1.phi, a[n] * pm1.phistar)
-    r2 = _max_coeff(
-        _P.polysub(_P.polymulx(_P.polyder(pn.phi)),
-                   _P.polyadd(n * pn.phi,
-                              (w.ell / 2.0) * (k2[n - 1] / k2[n]) * inner))
-    )
+    phi, dphi, _ = phi_pair(v, n).derivatives[0]
+    (pm1, _, _), (pm1_star, _, _) = phi_pair(v, n - 1).derivatives
+    pm2 = phi_pair(v, n - 2).derivatives[0][0]
+    rhs = _lin((n, pm1), (w.ell * k2[n - 2] / (2.0 * k2[n]), pm2))
+    r1 = _max_coeff(_lin((1, dphi), (-1, rhs)))
+    inner = _lin((1, pm1), (-a[n], pm1_star))
+    rhs = _lin((n, phi), ((w.ell / 2.0) * (k2[n - 1] / k2[n]), inner))
+    r2 = _max_coeff(_lin((1, (0j,) + dphi), (-1, rhs)))
     return r1, r2
 
 
@@ -169,12 +148,11 @@ def _jacobi_relations(v: VerblunskyTable, w: WeightSpec, n: int) -> tuple[float]
     """(z-1) Phi_n' = -(conj(b)+n)(1-|alpha_{n-1}|^2) Phi_{n-1} + n Phi_n."""
     bb = w.b.conjugate()
     a = v.alphas[n - 1]
-    pn = phi_pair(v, n)
-    pm1 = phi_pair(v, n - 1)
-    zm1 = np.array([-1.0, 1.0], dtype=complex)
-    lhs = _P.polymul(zm1, _P.polyder(pn.phi))
-    rhs = _P.polyadd(-(bb + n) * (1.0 - abs(a) ** 2) * pm1.phi, n * pn.phi)
-    return (_max_coeff(_P.polysub(lhs, rhs)),)
+    phi, dphi, _ = phi_pair(v, n).derivatives[0]
+    # numpy's complex array product, which rounds differently from Python's
+    pm1 = tuple((-(bb + n) * (1.0 - abs(a) ** 2) * phi_pair(v, n - 1).phi).tolist())
+    rhs = _lin((1, pm1), (n, phi))
+    return (_max_coeff(_lin((1, _mul((-1.0, 1.0), dphi)), (-1, rhs))),)
 
 
 # weight kind -> (lowest degree n, coefficients of Mtilde_n, residuals of the
@@ -237,8 +215,10 @@ def _differential_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: comple
     z = complex(z)
     G = cauchy_G(v, w, n, z, rtol)
     Gs = cauchy_Gstar(v, w, n, z, rtol)
-    dG, dGs = cauchy_derivatives(v, w, n, z, rtol)
-    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z, rtol) if order == 2 else (0j, 0j)
+    dG = cauchy_G(v, w, n, z, rtol, order=1)
+    dGs = cauchy_Gstar(v, w, n, z, rtol, order=1)
+    d2G = cauchy_G(v, w, n, z, rtol, order=2) if order == 2 else 0j
+    d2Gs = cauchy_Gstar(v, w, n, z, rtol, order=2) if order == 2 else 0j
     values = ((G, dG, d2G), (Gs, dGs, d2Gs))
     r_g, r_gs = (abs(sum(_horner(c, z) * values[k][d] for c, k, d in row))
                  for row in _rows(v, w, n, 1.0, order))
@@ -348,10 +328,10 @@ def generic_second_order_residual(v: VerblunskyTable, w: WeightSpec, n: int,
     """|| Y'' + 2 Y' D + Y (D' + D^2) - (M' + M^2) Y || with numeric M, FD M'."""
     z = complex(z)
     Y = assemble_Y(v, w, n, z, rtol)
-    dY = assemble_Y_deriv(v, w, n, z, rtol)
-    d2Y = assemble_Y_second_deriv(v, w, n, z, rtol)
+    dY = assemble_Y(v, w, n, z, rtol, order=1)
+    d2Y = assemble_Y(v, w, n, z, rtol, order=2)
     D = log_diag_factor(w, n, z)
-    dD = log_diag_factor_deriv(w, n, z)
+    dD = log_diag_factor(w, n, z, order=1)
     M = structure_matrix_numeric(v, w, n, z, rtol)
     dM = structure_matrix_deriv_fd(v, w, n, z, rtol)
     lhs = d2Y + (dY @ D).scale(2.0) + (Y @ (dD + (D @ D)))

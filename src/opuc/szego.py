@@ -27,8 +27,6 @@ from .moments import MomentTable
 
 DEGENERACY_MARGIN = 1e-12
 
-_P = np.polynomial.polynomial
-
 
 @dataclass(frozen=True, eq=False)
 class PolyPair:
@@ -49,8 +47,8 @@ class PolyPair:
     def derivatives(self) -> tuple[tuple[tuple[complex, ...], ...], ...]:
         """((Phi_n, Phi_n', Phi_n''), (Phi_n^*, Phi_n^*', Phi_n^*'')) as
         tuples of Python complex coefficients, computed once per pair."""
-        return tuple(tuple(tuple(_P.polyder(c, order).tolist()) for order in range(3))
-                     for c in (self.phi, self.phistar))
+        return tuple((p, _der(p), _der(_der(p)))
+                     for p in (tuple(self.phi.tolist()), tuple(self.phistar.tolist())))
 
     def eval_phi_deriv(self, z: complex, order: int = 1) -> complex:
         """The derivative of order 0, 1 or 2 of Phi_n at z."""
@@ -68,6 +66,11 @@ def _horner(p: tuple[complex, ...], z: complex) -> complex:
     for c in reversed(p):
         acc = acc * z + c
     return acc
+
+
+def _der(p: tuple[complex, ...]) -> tuple[complex, ...]:
+    """The derivative of p, ascending coefficients; (0j,) for a constant."""
+    return tuple(k * p[k] for k in range(1, len(p))) or (0j,)
 
 
 def _szego_rows(phi: np.ndarray, phistar: np.ndarray, n: int, alpha: complex) -> None:
@@ -152,7 +155,10 @@ class VerblunskyTable:
         return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas), polys)
 
     def perturbed(self, n: int, eps: complex) -> "VerblunskyTable":
-        """Copy with alpha_n shifted by eps; downstream constants recomputed."""
+        """Copy with alpha_n shifted by eps; downstream constants recomputed.
+        IndexError unless 0 <= n < nmax."""
+        if not 0 <= n < self.nmax:
+            raise IndexError(f"alpha index {n} outside 0..{self.nmax - 1}")
         alphas = list(self.alphas)
         alphas[n] = alphas[n] + eps
         return VerblunskyTable.from_alphas(alphas, self.kappa2[0])

@@ -40,9 +40,9 @@ class WeightSpec:
     """A weight on the unit circle.
 
     kind is one of "lebesgue", "bessel", "jacobi", "custom".  Bessel carries
-    ell > 0, Jacobi carries b = lambda + i*eta with lambda > -1/2.  Custom
-    weights are defined by their moment table only and support no pointwise
-    evaluation; their table must be that of a positive measure.
+    a finite ell >= 0, Jacobi a finite b = lambda + i*eta with lambda > -1/2.
+    Custom weights are defined by their moment table only and support no
+    pointwise evaluation; their table must be that of a positive measure.
     """
 
     kind: str
@@ -53,14 +53,16 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in (LEBESGUE, BESSEL, JACOBI, CUSTOM):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        object.__setattr__(self, "b", complex(self.b))
+        object.__setattr__(self, "ell", float(self.ell))
+        if not (math.isfinite(self.ell) and cmath.isfinite(self.b)):
+            raise ValueError(f"{self.kind} weight parameters must be finite")
         if self.kind == BESSEL and self.ell < 0:
             raise ValueError("bessel parameter must be >= 0")
-        if self.kind == JACOBI and complex(self.b).real <= -0.5:
+        if self.kind == JACOBI and self.b.real <= -0.5:
             raise ValueError("jacobi parameter requires Re(b) > -1/2")
         if self.kind == CUSTOM:
             _check_positive_table(self.moments)
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "ell", float(self.ell))
 
     # -- constructors ------------------------------------------------------
 
@@ -220,39 +222,24 @@ def eval_nu(w: WeightSpec, z: complex) -> complex:
     return cmath.exp(-w.b.conjugate() * cmath.log(-z) + bb * cmath.log(1.0 - z))
 
 
-def log_derivative(w: WeightSpec, z: complex) -> complex:
-    """nu'(z)/nu(z); single-valued off the singular set."""
+def log_derivative(w: WeightSpec, z: complex, order: int = 0) -> complex:
+    """nu'(z)/nu(z) (order 0) or its z-derivative (order 1); single-valued
+    and analytic off the singular set."""
+    if order not in (0, 1):
+        raise ValueError(f"log-derivative order {order} outside 0..1")
     z = complex(z)
     if w.kind == CUSTOM:
         raise UnsupportedWeightError("custom weights are moment-only")
+    for s in w.singular_points():
+        if abs(z - s) < _SINGULAR_RADIUS:
+            raise PoleError(f"log-derivative pole at z = {s.real:g}")
     if w.kind == LEBESGUE:
         return 0j
     if w.kind == BESSEL:
-        if abs(z) < _SINGULAR_RADIUS:
-            raise PoleError("log-derivative pole at z = 0")
-        return (w.ell / 2.0) * (1.0 - z ** -2)
-    if abs(z) < _SINGULAR_RADIUS:
-        raise PoleError("log-derivative pole at z = 0")
-    if abs(z - 1.0) < _SINGULAR_RADIUS:
-        raise PoleError("log-derivative pole at z = 1")
+        return (w.ell / 2.0) * (1.0 - z ** -2) if order == 0 else w.ell * z ** -3
     bb = w.b + w.b.conjugate()
-    return -w.b.conjugate() / z - bb / (1.0 - z)
-
-
-def log_derivative2(w: WeightSpec, z: complex) -> complex:
-    """d/dz of nu'/nu, analytic off the singular set."""
-    z = complex(z)
-    if w.kind == CUSTOM:
-        raise UnsupportedWeightError("custom weights are moment-only")
-    if w.kind == LEBESGUE:
-        return 0j
-    if w.kind == BESSEL:
-        if abs(z) < _SINGULAR_RADIUS:
-            raise PoleError("log-derivative pole at z = 0")
-        return w.ell * z ** -3
-    if abs(z) < _SINGULAR_RADIUS or abs(z - 1.0) < _SINGULAR_RADIUS:
-        raise PoleError("log-derivative pole at a singular point")
-    bb = w.b + w.b.conjugate()
+    if order == 0:
+        return -w.b.conjugate() / z - bb / (1.0 - z)
     return w.b.conjugate() / z ** 2 - bb / (1.0 - z) ** 2
 
 

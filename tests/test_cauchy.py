@@ -13,8 +13,6 @@ from opuc.cauchy import (
     SUBTRACT_BAND,
     cauchy_G,
     cauchy_Gstar,
-    cauchy_derivatives,
-    cauchy_second_derivatives,
     g_recurrence_residuals,
     laurent_tail,
 )
@@ -59,7 +57,7 @@ def test_recurrences(bessel2, jacobi_complex):
 def test_derivatives_against_finite_differences(bessel2):
     w, _, v = bessel2
     n, z, h = 4, OUTSIDE, 1e-5
-    dG, dGs = cauchy_derivatives(v, w, n, z)
+    dG, dGs = cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)
     fd_G = (cauchy_G(v, w, n, z + h) - cauchy_G(v, w, n, z - h)) / (2 * h)
     fd_Gs = (cauchy_Gstar(v, w, n, z + h) - cauchy_Gstar(v, w, n, z - h)) / (2 * h)
     assert abs(dG - fd_G) < 1e-8
@@ -69,7 +67,7 @@ def test_derivatives_against_finite_differences(bessel2):
 def test_second_derivatives_against_finite_differences(jacobi1):
     w, _, v = jacobi1
     n, z, h = 3, INSIDE, 1e-4
-    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z)
+    d2G, d2Gs = cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)
     fd = (cauchy_G(v, w, n, z + h) - 2 * cauchy_G(v, w, n, z)
           + cauchy_G(v, w, n, z - h)) / h ** 2
     fds = (cauchy_Gstar(v, w, n, z + h) - 2 * cauchy_Gstar(v, w, n, z)
@@ -181,6 +179,25 @@ def test_region_classification_and_refusal(bessel2):
     cauchy_G(v, w, 2, 1.001, boundary=True)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_in_the_band_refused_in_boundary_mode(bessel2, order):
+    # derivatives have no singularity subtraction, so boundary mode does not
+    # admit them next to the circle
+    w, _, v = bessel2
+    for transform in (cauchy_G, cauchy_Gstar):
+        for z in (1.001, 0.99 * cmath.exp(2.0j)):
+            with pytest.raises(NearBoundaryError):
+                transform(v, w, 2, z, boundary=True, order=order)
+
+
+@pytest.mark.parametrize("order", [-1, 3])
+def test_derivative_order_outside_range_rejected(bessel2, order):
+    w, _, v = bessel2
+    for transform in (cauchy_G, cauchy_Gstar):
+        with pytest.raises(ValueError, match="order"):
+            transform(v, w, 2, OUTSIDE, order=order)
+
+
 def _reference_transform(w, coeffs, n, z, rtol=DEFAULT_RTOL, order=1, subtract=None,
                          nmax=NMAX):
     """Reference: the uncached transform of one polynomial on the circle rule,
@@ -252,8 +269,8 @@ def test_transforms_equal_uncached_reference(z):
     for _ in ("cold", "warm"):
         assert cauchy_G(v, w, n, z) == G
         assert cauchy_Gstar(v, w, n, z) == Gs
-        assert cauchy_derivatives(v, w, n, z) == d
-        assert cauchy_second_derivatives(v, w, n, z) == d2
+        assert (cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)) == d
+        assert (cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)) == d2
     q = v.quadrature[w]
     # every request off the subtraction band converged its whole column,
     # every degree of its kind at (z, order); a subtracted value, its own row
@@ -271,8 +288,8 @@ def test_transforms_equal_uncached_reference(z):
     q.memo.clear()
     assert cauchy_G(v, w, n, z) == G
     assert cauchy_Gstar(v, w, n, z) == Gs
-    assert cauchy_derivatives(v, w, n, z) == d
-    assert cauchy_second_derivatives(v, w, n, z) == d2
+    assert (cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)) == d
+    assert (cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)) == d2
 
 
 def test_other_rtol_gets_its_own_entry():
@@ -316,7 +333,8 @@ def test_integrand_store_stays_within_one_finest_pass():
     v = _fresh(w)
     z = 1.021 * cmath.exp(0.4j)
     for n in range(2, 11):
-        cauchy_derivatives(v, w, n, z)
+        cauchy_G(v, w, n, z, order=1)
+        cauchy_Gstar(v, w, n, z, order=1)
     q = v.quadrature[w]
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
@@ -325,9 +343,9 @@ def test_integrand_store_stays_within_one_finest_pass():
                                   for key in (("kernel", z, 2, N), ("Gstar", N, 0))]
     phi = phi_pair(v, 2).phi
     reference = _reference_transform(w, phi, 2, z, order=2, subtract=False)[0]
-    assert cauchy_derivatives(v, w, 2, z)[0] == reference
+    assert cauchy_G(v, w, 2, z, order=1) == reference
     q.memo.clear()
-    assert cauchy_derivatives(v, w, 2, z)[0] == reference
+    assert cauchy_G(v, w, 2, z, order=1) == reference
     # the kernels share the store and its budget with the integrands
     kernels = [key for key in q.integrands if key[0] == "kernel"]
     assert kernels and all(key[1:3] == (z, 2) for key in kernels)

@@ -181,6 +181,26 @@ def test_weight_parameter_out_of_family_is_usage_error(flags):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--weight", "bessel", "--ell", "nan", "--jmax", "2"],
+    ["moments", "--weight", "bessel", "--ell", "inf", "--jmax", "2"],
+    ["moments", "--weight", "jacobi", "--lambda", "nan", "--jmax", "2"],
+    ["moments", "--weight", "jacobi", "--lambda", "1", "--eta", "nan", "--jmax", "2"],
+    ["verify", "all", "--weight", "jacobi", "--lambda", "inf", "--n", "4"],
+    ["dpii", "--ell", "nan", "--n", "4"],
+    ["dpii", "--ell", "inf", "--n", "4"],
+], ids=["moments-ell-nan", "moments-ell-inf", "moments-lambda-nan", "moments-eta-nan",
+        "verify-lambda-inf", "dpii-ell-nan", "dpii-ell-inf"])
+def test_non_finite_weight_parameter_is_usage_error(argv, capsys):
+    # a NaN ell never met the Bessel series' stop test, and a NaN lambda or
+    # eta reached the circle rule or 2^20 quadrature nodes
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [["--weight", "bessel", "--ell", "2"],
                                    ["--weight", "jacobi", "--lambda", "1", "--eta", "0.5"]],
                          ids=["bessel", "jacobi"])

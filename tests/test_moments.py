@@ -130,6 +130,21 @@ def test_accuracy_error_reported():
         moments_quadrature(w, 4, rtol=1e-16, nmax=1 << 12)
 
 
+def test_node_limit_below_the_starting_count_rejected():
+    w = WeightSpec.jacobi(1.0)
+    with pytest.raises(ValueError, match="nmax=128.*256"):
+        moments_quadrature(w, 4, nmax=128)
+    # a limit at the start takes one doubling, as before
+    assert moments_quadrature(w, 4, nmax=256).source == "quadrature(512)"
+
+
+@pytest.mark.parametrize("ell", [math.nan, -1.0])
+def test_bessel_analytic_rejects_ell_not_at_least_zero(ell):
+    # a NaN ell never met the series' stop test
+    with pytest.raises(ValueError, match="ell"):
+        bessel_moments_analytic(ell, 2)
+
+
 def test_bessel_series_order_limit():
     assert 0.0 < bessel_i_series(BESSEL_MAX_ORDER, 2.0) < 1e-300
     with pytest.raises(ParameterRangeError, match="170"):

@@ -4,17 +4,15 @@ import pytest
 
 from opuc.cauchy import DEFAULT_RTOL
 from opuc.cli import standard_grid
-from opuc.errors import PoleError
+from opuc.errors import NearBoundaryError, PoleError
 from opuc.matrix2 import Matrix2C
 from opuc.moments import moments_for
 from opuc.rh import (
     assemble_Y,
-    assemble_Y_deriv,
     transfer_recurrence_residuals,
     jump_matrix,
     jump_residual,
     log_diag_factor,
-    log_diag_factor_deriv,
     structure_matrix_numeric,
     transfer_matrix,
     transfer_residual,
@@ -128,7 +126,7 @@ def test_memoized_structure_matrix_equals_its_definition(w):
             Y = assemble_Y(v, w, n, z)
             Yinv = Y.inv()
             D = log_diag_factor(w, n, z)
-            expected = (assemble_Y_deriv(v, w, n, z) @ Yinv) + (Y @ D @ Yinv)
+            expected = (assemble_Y(v, w, n, z, order=1) @ Yinv) + (Y @ D @ Yinv)
             M = structure_matrix_numeric(v, w, n, z)
             assert M.entries() == expected.entries()
             assert structure_matrix_numeric(v, w, n, z) is M
@@ -154,17 +152,36 @@ def test_log_diag_factor_antisymmetric(jacobi_complex):
     D = log_diag_factor(w, 4, INSIDE)
     assert D.a11 == -D.a22
     assert D.a12 == 0.0 and D.a21 == 0.0
-    dD = log_diag_factor_deriv(w, 4, INSIDE)
+    dD = log_diag_factor(w, 4, INSIDE, order=1)
     h = 1e-6
     fd = (log_diag_factor(w, 4, INSIDE + h).a11
           - log_diag_factor(w, 4, INSIDE - h).a11) / (2 * h)
     assert abs(dD.a11 - fd) < 1e-6
 
 
+@pytest.mark.parametrize("order", [-1, 3])
+def test_derivative_order_outside_range_rejected(bessel2, order):
+    w, _, v = bessel2
+    with pytest.raises(ValueError, match="order"):
+        assemble_Y(v, w, 3, OUTSIDE, order=order)
+    with pytest.raises(ValueError, match="order"):
+        log_diag_factor(w, 3, OUTSIDE, order=order)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_near_circle_refused_in_boundary_mode(bessel2, order):
+    # boundary mode admits the value next to the circle, by subtraction,
+    # but no derivative
+    w, _, v = bessel2
+    assemble_Y(v, w, 3, 1.001, boundary=True)
+    with pytest.raises(NearBoundaryError):
+        assemble_Y(v, w, 3, 1.001, boundary=True, order=order)
+
+
 def test_deriv_matches_finite_difference(bessel2):
     w, _, v = bessel2
     h = 1e-5
-    dY = assemble_Y_deriv(v, w, 3, OUTSIDE)
+    dY = assemble_Y(v, w, 3, OUTSIDE, order=1)
     fd = (assemble_Y(v, w, 3, OUTSIDE + h) - assemble_Y(v, w, 3, OUTSIDE - h)) \
         .scale(1.0 / (2 * h))
     assert (dY - fd).frobenius() < 1e-8

@@ -11,8 +11,6 @@ import opuc.structure
 from opuc.cauchy import (
     cauchy_G,
     cauchy_Gstar,
-    cauchy_derivatives,
-    cauchy_second_derivatives,
 )
 from opuc.errors import UnsupportedWeightError
 from opuc.matrix2 import Matrix2C
@@ -261,7 +259,7 @@ def _ref_first_order_bessel(v, w, ell, n, z):
     z = complex(z)
     G = cauchy_G(v, w, n, z)
     Gs = cauchy_Gstar(v, w, n, z)
-    dG, dGs = cauchy_derivatives(v, w, n, z)
+    dG, dGs = cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)
     r_G = abs(z ** 2 * dG
               - (ell / 2.0 * z ** 2 - ell / 2.0 * a[n - 1] ** 2) * G
               - (ell / 2.0) * ratio * (a[n - 1] - a[n] * z) * Gs)
@@ -294,7 +292,7 @@ def _ref_first_order_jacobi(v, w, b, n, z):
     z = complex(z)
     G = cauchy_G(v, w, n, z)
     Gs = cauchy_Gstar(v, w, n, z)
-    dG, dGs = cauchy_derivatives(v, w, n, z)
+    dG, dGs = cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)
     r_G = abs(z * (1.0 - z) * dG
               - (-b * z - (bb + n) * asq) * G
               - (bb + n) * (1.0 - asq) * a.conjugate() * Gs)
@@ -333,8 +331,8 @@ def _ref_second_order_bessel(v, w, ell, n, z):
     z = complex(z)
     G = cauchy_G(v, w, n, z)
     Gs = cauchy_Gstar(v, w, n, z)
-    dG, dGs = cauchy_derivatives(v, w, n, z)
-    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z)
+    dG, dGs = cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)
+    d2G, d2Gs = cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)
     pre_G = -ell / 2.0 * z ** 2 + (n + 2.0) * z + ell / 2.0
     r_G = abs(z ** 2 * d2G + pre_G * dG
               - (ell * (n / 2.0 + 1.0) * z + ell ** 2 / 4.0 + ell ** 2 / 4.0 * K) * G
@@ -369,12 +367,54 @@ def _ref_hypergeometric_jacobi(v, w, b, n, z):
     z = complex(z)
     G = cauchy_G(v, w, n, z)
     Gs = cauchy_Gstar(v, w, n, z)
-    dG, dGs = cauchy_derivatives(v, w, n, z)
-    d2G, d2Gs = cauchy_second_derivatives(v, w, n, z)
+    dG, dGs = cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)
+    d2G, d2Gs = cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)
     pre = (b - n - 2.0) * z + (1.0 + n + bb)
     r_G = abs(z * (1.0 - z) * d2G + pre * dG + b * (1.0 + n) * G)
     r_Gs = abs(z * (1.0 - z) * d2Gs + pre * dGs + n * (b - 1.0) * Gs)
     return r_phi, r_G, r_star, r_Gs
+
+
+def _ref_relations_bessel(v, ell, n):
+    """The numpy.polynomial body that structure._bessel_relations replaced."""
+    a = _ref_real_alphas(v, n)
+    k2 = v.kappa2
+    pn, pm1, pm2 = phi_pair(v, n), phi_pair(v, n - 1), phi_pair(v, n - 2)
+    r1 = _ref_max_coeff(
+        _P.polysub(_P.polyder(pn.phi),
+                   _P.polyadd(n * pm1.phi, (ell * k2[n - 2] / (2.0 * k2[n])) * pm2.phi))
+    )
+    inner = _P.polysub(pm1.phi, a[n] * pm1.phistar)
+    r2 = _ref_max_coeff(
+        _P.polysub(_P.polymulx(_P.polyder(pn.phi)),
+                   _P.polyadd(n * pn.phi, (ell / 2.0) * (k2[n - 1] / k2[n]) * inner))
+    )
+    return r1, r2
+
+
+def _ref_relations_jacobi(v, b, n):
+    """The numpy.polynomial body that structure._jacobi_relations replaced."""
+    bb = b.conjugate()
+    a = v.alphas[n - 1]
+    pn, pm1 = phi_pair(v, n), phi_pair(v, n - 1)
+    zm1 = np.array([-1.0, 1.0], dtype=complex)
+    lhs = _P.polymul(zm1, _P.polyder(pn.phi))
+    rhs = _P.polyadd(-(bb + n) * (1.0 - abs(a) ** 2) * pm1.phi, n * pn.phi)
+    return (_ref_max_coeff(_P.polysub(lhs, rhs)),)
+
+
+@pytest.mark.parametrize("table", ["exact", "perturbed"])
+@pytest.mark.parametrize("fixture", ["bessel2", "jacobi_complex", "jacobi_near_one"])
+def test_structure_relations_equal_numpy_polynomial_reference(fixture, table, request):
+    w, _, v = request.getfixturevalue(fixture)
+    if table == "perturbed":
+        v = v.perturbed(5, 1e-3)
+    for n in range(2 if w.kind == "bessel" else 1, 13):
+        if w.kind == "bessel":
+            want = _ref_relations_bessel(v, w.ell, n)
+        else:
+            want = _ref_relations_jacobi(v, w.b, n)
+        assert structure_relation_residuals(v, w, n) == want
 
 
 REFERENCE_POINTS = (INSIDE, OUTSIDE, 1.7 * cmath.exp(-0.9j))

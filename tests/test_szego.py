@@ -113,6 +113,15 @@ def test_perturbed_table(bessel2):
     assert vp.kappa2[4] != v.kappa2[4]
 
 
+@pytest.mark.parametrize("n", [-1, 2])
+def test_perturbation_index_outside_the_table_rejected(n):
+    # a negative n used to perturb alpha_{nmax + n}
+    v = VerblunskyTable.from_alphas([0.3, 0.2], 1.0)
+    with pytest.raises(IndexError):
+        v.perturbed(n, 0.1)
+    assert v.perturbed(1, 0.1).alphas == (0.3, 0.2 + 0.1)
+
+
 @pytest.mark.parametrize("c0", [0.0, -1.0])
 def test_table_without_positive_mass_rejected(c0):
     with pytest.raises(ValueError, match="c_0"):

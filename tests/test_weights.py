@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from opuc.errors import PoleError, UnsupportedWeightError
 from opuc.moments import MomentTable, moments_for
 from opuc.weights import (
     HERMITIAN_RTOL,
@@ -13,7 +14,6 @@ from opuc.weights import (
     eval_nu,
     eval_weight,
     log_derivative,
-    log_derivative2,
     pearson_data,
     weight_values,
 )
@@ -124,7 +124,7 @@ def test_log_derivative2_fd():
         z = 2.5 * cmath.exp(0.6j)
         h = 1e-5
         fd = (log_derivative(w, z + h) - log_derivative(w, z - h)) / (2 * h)
-        assert abs(log_derivative2(w, z) - fd) < 1e-7
+        assert abs(log_derivative(w, z, order=1) - fd) < 1e-7
 
 
 def test_pearson_data_bessel():
@@ -151,6 +151,41 @@ def test_invalid_parameters_rejected():
         WeightSpec.bessel(-1.0)
     with pytest.raises(ValueError):
         WeightSpec.jacobi(-0.6)
+
+
+@pytest.mark.parametrize("kind, ell, b", [
+    ("bessel", math.nan, 0.0),
+    ("bessel", math.inf, 0.0),
+    ("jacobi", 0.0, complex(math.nan, 0.0)),
+    ("jacobi", 0.0, complex(1.0, math.nan)),
+    ("jacobi", 0.0, complex(math.inf, 0.0)),
+    ("lebesgue", math.nan, 0.0),
+], ids=["bessel-nan", "bessel-inf", "jacobi-lambda-nan", "jacobi-eta-nan",
+        "jacobi-lambda-inf", "lebesgue-nan"])
+def test_non_finite_parameters_rejected(kind, ell, b):
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec(kind, ell=ell, b=b)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.0 + 0.5j)],
+                         ids=["bessel", "jacobi"])
+def test_log_derivative_raises_at_each_singular_point(w, order):
+    for s in w.singular_points():
+        for z in (s, s + 1e-14j):
+            with pytest.raises(PoleError):
+                log_derivative(w, z, order)
+    assert cmath.isfinite(log_derivative(w, 0.5 + 0.5j, order))
+
+
+def test_log_derivative_order_outside_range_rejected():
+    w = WeightSpec.jacobi(1.0 + 0.5j)
+    for order in (-1, 2):
+        with pytest.raises(ValueError, match="order"):
+            log_derivative(w, 2.0, order)
+    for order in (0, 1):
+        with pytest.raises(UnsupportedWeightError):
+            log_derivative(WeightSpec.custom(_table(0.5)), 2.0, order)
 
 
 def _table(c1, c0=2.0 * math.pi, cm1=None):
