@@ -7,8 +7,8 @@ midpoint rule, graded towards theta = 0 for a weight singular at z = 1, with
 the Jacobian folded into the weight values.  Near the circle a singularity
 subtraction keeps the rule spectrally accurate.  ``cauchy_G`` and
 ``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2 and integrate
-against the kernel of order k + 1; a derivative gets no subtraction, so it
-is refused next to the circle even in boundary mode.
+against the kernel of order k + 1; a value is admitted anywhere off the
+circle, but a derivative, which gets no subtraction, not within 0.02.
 
 The Laurent coefficients at infinity are integrals too: for |z| > 1,
 1/(t - z) = -sum_m t^m / z^{m+1}, so the coefficient of z^{-(m+1)} in the
@@ -38,17 +38,18 @@ import numpy as np
 
 from .errors import AccuracyError, NearBoundaryError
 from .matrix2 import Matrix2C
-from .szego import PolyPair, VerblunskyTable, _horner, phi_pair
+from .szego import VerblunskyTable, _horner, phi_pair
 from .weights import WeightSpec, circle_rule, eval_nu
 
 N0 = 256
 NMAX = 1 << 17
 DEFAULT_RTOL = 1e-12
-NEAR_BOUNDARY = 0.02        # refusal band around |z| = 1
-SUBTRACT_BAND = (0.8, 1.25)  # |z| range where subtraction is used automatically
+NEAR_BOUNDARY = 0.02        # band around |z| = 1 where derivatives are refused
+SUBTRACT_BAND = (0.8, 1.25)  # |z| range where a value is computed by subtraction
+TAIL_KMAX = 2               # laurent_tail gives the coefficients k = 0..TAIL_KMAX
 
 # the lowest degree n of each kind: row i of its integrand matrix is degree
-# i + _FIRST[kind], Phi_i for "G" and Phi*_i for "Gstar"
+# i + _FIRST[kind], from row i of the table's Phi ("G") or Phi* ("Gstar")
 _FIRST = {"G": 0, "Gstar": 1}
 
 
@@ -68,14 +69,9 @@ class _Quadrature:
     of a kind at N nodes is stored in blocks of ``_rows_per_pass(N)`` rows.
     """
 
-    def __init__(self, w: WeightSpec, polys: tuple[PolyPair, ...]):
+    def __init__(self, w: WeightSpec, v: VerblunskyTable):
         self.w = w
-        size = len(polys)
-        # zero-padded coefficient rows of every degree, by kind
-        self.coefficients = {kind: np.zeros((size, size), dtype=complex) for kind in _FIRST}
-        for n, p in enumerate(polys):
-            self.coefficients["G"][n, :n + 1] = p.phi
-            self.coefficients["Gstar"][n, :n + 1] = p.phistar
+        self.coefficients = {"G": v.phi, "Gstar": v.phistar}
         self.nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.integrands: dict[tuple, np.ndarray] = {}
         self.samples = 0
@@ -141,18 +137,18 @@ class _Quadrature:
         return self._stored(("kernel", z, order, N), make)
 
 
-def _check_offcircle(z: complex, boundary: bool, order: int) -> None:
-    """Refuse z on the circle, and within NEAR_BOUNDARY of it unless boundary
-    is set and order is 0: derivatives have no subtraction there."""
+def _check_offcircle(z: complex, order: int) -> None:
+    """Refuse z on the circle, and a derivative within NEAR_BOUNDARY of it:
+    a value there is computed by subtraction, a derivative has none."""
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order {order} outside 0..2")
     r = abs(z)
     if abs(r - 1.0) < 1e-14:
         raise NearBoundaryError("evaluation exactly on the circle is not supported")
-    if (order or not boundary) and abs(r - 1.0) < NEAR_BOUNDARY:
+    if order and abs(r - 1.0) < NEAR_BOUNDARY:
         raise NearBoundaryError(
-            f"|z| = {r:.6f} is within {NEAR_BOUNDARY} of the circle; "
-            "request boundary mode for jump checks"
+            f"|z| = {r:.6f} is within {NEAR_BOUNDARY} of the circle, "
+            "where only values are computed, not derivatives"
         )
 
 
@@ -243,7 +239,7 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
     """The quadrature state of table v and weight w, created on first use."""
     q = v.quadrature.get(w)
     if q is None:
-        q = v.quadrature[w] = _Quadrature(w, v.polys)
+        q = v.quadrature[w] = _Quadrature(w, v)
     return q
 
 
@@ -258,48 +254,45 @@ def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
     z = complex(z)
     subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     q = _quadrature(v, w)
-    key = (kind, n, z, order, subtract, rtol)
-    result = q.memo.get(key)
+    result = q.memo.get((kind, n, z, order, rtol))
     if result is None:
         phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
         degrees = [n]
         if not subtract:
             first = _FIRST[kind]
             degrees = [m for m in range(first, first + len(q.coefficients[kind]))
-                       if (kind, m, z, order, False, rtol) not in q.memo]
+                       if (kind, m, z, order, rtol) not in q.memo]
         results = _transform(q, kind, degrees, z, rtol, order, subtract)
         for m, r in results.items():
             if not isinstance(r, AccuracyError):
-                q.memo[(kind, m, z, order, subtract, rtol)] = r
+                q.memo[(kind, m, z, order, rtol)] = r
         result = _value(results[n])
     return result
 
 
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-             rtol: float = DEFAULT_RTOL, boundary: bool = False,
-             order: int = 0) -> complex:
+             rtol: float = DEFAULT_RTOL, order: int = 0) -> complex:
     """G_n(z) off the circle, or its z-derivative of order 1 or 2."""
-    _check_offcircle(z, boundary, order)
+    _check_offcircle(z, order)
     return _converged_transform(v, w, "G", n, z, rtol, order + 1)[0]
 
 
 def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                 rtol: float = DEFAULT_RTOL, boundary: bool = False,
-                 order: int = 0) -> complex:
+                 rtol: float = DEFAULT_RTOL, order: int = 0) -> complex:
     """G*_{n-1}(z), the reciprocal-polynomial transform with kernel nu/t^n,
     or its z-derivative of order 1 or 2."""
     if n < 1:
         raise ValueError("G*_{n-1} needs n >= 1")
-    _check_offcircle(z, boundary, order)
+    _check_offcircle(z, order)
     return _converged_transform(v, w, "Gstar", n, z, rtol, order + 1)[0]
 
 
-def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,
+def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int,
                  rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Laurent coefficients of G_n and G*_{n-1} at infinity, by their
     defining integrals over the transforms' nodes t_j and integrand samples.
 
-    Returns (g_coeffs, gstar_coeffs) for k = 0..kmax: g_coeffs[k], the
+    Returns (g_coeffs, gstar_coeffs) for k = 0..TAIL_KMAX: g_coeffs[k], the
     coefficient of z^{-(n+1+k)} in G_n, is -(1/N) sum_j Phi_n(t_j) nu(t_j)
     J_j t_j^{k+1}, and gstar_coeffs[k], that of z^{-(n+k)} in G*_{n-1}, is
     -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) J_j t_j^k (empty for n = 0).  Each
@@ -319,10 +312,10 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int, kmax: int = 2,
         results = _converged(eval_at, list(powers), rtol)
         return np.array([_value(results[m])[0] for m in powers])
 
-    g_coeffs = coefficients("G", range(n + 1, n + kmax + 2))
+    g_coeffs = coefficients("G", range(n + 1, n + TAIL_KMAX + 2))
     if n < 1:
         return g_coeffs, np.array([])
-    return g_coeffs, coefficients("Gstar", range(n, n + kmax + 1))
+    return g_coeffs, coefficients("Gstar", range(n, n + TAIL_KMAX + 1))
 
 
 def g_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,

@@ -203,8 +203,17 @@ def _weight_from_args(args, parser) -> WeightSpec:
         parser.error(f"cannot read --moments: {exc}")
 
 
+# the weight flags, by argparse dest, and the family that reads each
+_WEIGHT_FLAGS = {"ell": ("--ell", "bessel"), "lam": ("--lambda", "jacobi"),
+                 "eta": ("--eta", "jacobi"), "moments": ("--moments", "custom")}
+
+
 def _weight(args, parser) -> WeightSpec:
     kind = args.weight
+    foreign = [flag for dest, (flag, family) in _WEIGHT_FLAGS.items()
+               if family != kind and getattr(args, dest) is not None]
+    if foreign:
+        parser.error(f"--weight {kind} does not read {', '.join(foreign)}")
     if kind == "lebesgue":
         return WeightSpec.lebesgue()
     if kind == "bessel":

@@ -19,7 +19,8 @@ from .weights import WeightSpec, circle_rule
 
 DEFAULT_N = 256
 NMAX_NODES = 1 << 20
-DEFAULT_RTOL = 1e-12
+MOMENT_RTOL = 1e-12         # node doubling stops at this change, relative to c_0
+BESSEL_RTOL = 1e-16         # the Bessel series stops at this term, relative to its sum
 BESSEL_MAX_ORDER = 170      # j! overflows a float for j > 170
 BESSEL_MAX_ELL = 50.0
 
@@ -111,38 +112,37 @@ def _quadrature_pass(w: WeightSpec, jmax: int, N: int) -> np.ndarray:
     return np.concatenate((c[:0:-1].conj(), c))
 
 
-def moments_quadrature(
-    w: WeightSpec,
-    jmax: int,
-    rtol: float = DEFAULT_RTOL,
-    nmax: int = NMAX_NODES,
-) -> MomentTable:
+def moments_quadrature(w: WeightSpec, jmax: int) -> MomentTable:
     """Moments by the circle rule with node doubling.
 
     Starts at DEFAULT_N nodes, or 4 jmax if more, and doubles N until two
-    successive tables agree to rtol relative to c_0; the start must not
-    exceed nmax.
+    successive tables agree to MOMENT_RTOL relative to c_0.
+    ParameterRangeError if the start exceeds NMAX_NODES, that is for
+    jmax > NMAX_NODES / 4.
     """
     N = max(DEFAULT_N, 4 * jmax)
     N = 1 << (N - 1).bit_length()  # round up to a power of two
-    if N > nmax:
-        raise ValueError(f"nmax={nmax} is below the starting node count {N}")
+    if N > NMAX_NODES:
+        raise ParameterRangeError(
+            f"moment quadrature supports degrees up to {NMAX_NODES // 4}, got {jmax}: "
+            f"it would start at {N} nodes, above the limit {NMAX_NODES}"
+        )
     prev = _quadrature_pass(w, jmax, N)
-    while N <= nmax:
+    while N <= NMAX_NODES:
         N *= 2
         cur = _quadrature_pass(w, jmax, N)
         resid = float(np.max(np.abs(cur - prev))) / abs(cur[jmax].real)
-        if resid <= rtol:
+        if resid <= MOMENT_RTOL:
             return MomentTable(-jmax, jmax, tuple(cur), f"quadrature({N})")
         prev = cur
     raise AccuracyError(
-        f"moment quadrature did not converge below rtol={rtol:g} at N={N // 2}",
+        f"moment quadrature did not converge below rtol={MOMENT_RTOL:g} at N={N // 2}",
         residual=resid,
         nodes=N // 2,
     )
 
 
-def bessel_i_series(j: int, x: float, rtol: float = 1e-16) -> float:
+def bessel_i_series(j: int, x: float) -> float:
     """Modified Bessel function I_j(x) by its power series (j >= 0)."""
     if j < 0:
         j = -j
@@ -158,7 +158,7 @@ def bessel_i_series(j: int, x: float, rtol: float = 1e-16) -> float:
         m += 1
         term *= half * half / (m * (m + j))
         total += term
-        if term <= rtol * max(total, 1e-300):
+        if term <= BESSEL_RTOL * max(total, 1e-300):
             return total
 
 

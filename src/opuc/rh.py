@@ -7,6 +7,7 @@ The structure matrix is computed without fractional powers, using only the
 single-valued logarithmic derivative of the diagonal normalizing factor.
 ``assemble_Y`` and ``log_diag_factor`` take the z-derivative order as an
 argument, so each derivative of Y_n and D_n has the value's code path.
+Y_n is admitted anywhere off the circle, its derivatives as in ``cauchy``.
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ JUMP_DELTA = 5e-5   # radial offset of the jump check's first approach to the ci
 
 
 def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-               rtol: float = DEFAULT_RTOL, boundary: bool = False,
-               order: int = 0) -> Matrix2C:
+               rtol: float = DEFAULT_RTOL, order: int = 0) -> Matrix2C:
     """The unit-determinant solution matrix Y_n at z off the circle (order 0),
     or its analytic z-derivative of order 1 or 2, with no finite differences."""
     if n < 1:
         raise ValueError("solution matrix defined for n >= 1")
     z = complex(z)
     bm1 = v.b[n - 1]
-    G = cauchy_G(v, w, n, z, rtol, boundary, order)
-    Gs = cauchy_Gstar(v, w, n, z, rtol, boundary, order)
+    G = cauchy_G(v, w, n, z, rtol, order)
+    Gs = cauchy_Gstar(v, w, n, z, rtol, order)
     return Matrix2C(phi_pair(v, n).eval_phi_deriv(z, order), G,
                     -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
 
@@ -88,7 +88,7 @@ def jump_matrix(w: WeightSpec, n: int, t: complex) -> Matrix2C:
 
 def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex,
                   rtol: float = DEFAULT_RTOL) -> float:
-    """Richardson-extrapolated boundary-jump defect at circle point t.
+    """Richardson-extrapolated jump defect at circle point t.
 
     Compares the inside limit against the outside limit times the jump,
     approaching along the radius at offsets JUMP_DELTA and JUMP_DELTA/2; the
@@ -102,8 +102,8 @@ def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex,
     J = jump_matrix(w, n, t)
 
     def defect(d: float) -> Matrix2C:
-        inner = assemble_Y(v, w, n, (1.0 - d) * t, rtol, boundary=True)
-        outer = assemble_Y(v, w, n, (1.0 + d) * t, rtol, boundary=True)
+        inner = assemble_Y(v, w, n, (1.0 - d) * t, rtol)
+        outer = assemble_Y(v, w, n, (1.0 + d) * t, rtol)
         return inner - (outer @ J)
 
     e1 = defect(JUMP_DELTA)

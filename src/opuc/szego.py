@@ -73,11 +73,20 @@ def _der(p: tuple[complex, ...]) -> tuple[complex, ...]:
     return tuple(k * p[k] for k in range(1, len(p))) or (0j,)
 
 
-def _szego_rows(phi: np.ndarray, phistar: np.ndarray, n: int, alpha: complex) -> None:
-    """Row n + 1 of both matrices from row n:
-    Phi_{n+1} = z Phi_n - conj(alpha_n) Phi_n^*, Phi_{n+1}^* its reciprocal.
-    Row n + 1 must hold zeros; Phi_n^* is zero past degree n, so the
-    update runs over all n + 2 entries of row n + 1."""
+def _szego_step(phi: np.ndarray, phistar: np.ndarray, kappa2: list, n: int,
+                alpha) -> None:
+    """One step of the recursion, in the scalar types of alpha and kappa2:
+    kappa_{n+1}^2 appended to kappa2, and row n + 1 of both matrices from
+    row n, Phi_{n+1} = z Phi_n - conj(alpha_n) Phi_n^* and Phi_{n+1}^* its
+    reciprocal.  Row n + 1 must hold zeros; Phi_n^* is zero past degree n,
+    so the update runs over all n + 2 entries of row n + 1.
+    DegenerateMeasureError unless 1 - |alpha_n|^2 exceeds DEGENERACY_MARGIN."""
+    r = 1.0 - abs(alpha) ** 2
+    if not r > DEGENERACY_MARGIN:   # also when alpha is NaN
+        raise DegenerateMeasureError(
+            f"|alpha_{n}| = {abs(alpha):.15f} leaves the unit disk", index=n
+        )
+    kappa2.append(kappa2[-1] / r)
     row = phi[n + 1, :n + 2]
     row[1:] = phi[n, :n + 1]
     row -= alpha.conjugate() * phistar[n, :n + 2]
@@ -117,6 +126,9 @@ class VerblunskyTable:
     b: tuple[float, ...]
     phi1: tuple[complex, ...]
     polys: tuple[PolyPair, ...] = field(compare=False, repr=False)
+    # read-only; Phi_n and Phi_n^* zero-padded in row n, viewed by the pairs
+    phi: np.ndarray = field(compare=False, repr=False)
+    phistar: np.ndarray = field(compare=False, repr=False)
     quadrature: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
 
@@ -136,13 +148,7 @@ class VerblunskyTable:
         kappa2 = [float(kappa0sq)]
         phi, phistar = _coefficient_matrices(len(alphas))
         for n, a in enumerate(alphas):
-            r = 1.0 - abs(a) ** 2
-            if not r > DEGENERACY_MARGIN:   # also when alpha is NaN
-                raise DegenerateMeasureError(
-                    f"|alpha_{n}| leaves the unit disk", index=n
-                )
-            kappa2.append(kappa2[-1] / r)
-            _szego_rows(phi, phistar, n, a)
+            _szego_step(phi, phistar, kappa2, n, a)
         return cls._build(alphas, kappa2, phi, phistar)
 
     @classmethod
@@ -152,7 +158,7 @@ class VerblunskyTable:
         polys = tuple(PolyPair(n, phi[n, :n + 1], phistar[n, :n + 1])
                       for n in range(len(alphas) + 1))
         b = tuple(2.0 * math.pi * k for k in kappa2)
-        return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas), polys)
+        return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas), polys, phi, phistar)
 
     def perturbed(self, n: int, eps: complex) -> "VerblunskyTable":
         """Copy with alpha_n shifted by eps; downstream constants recomputed.
@@ -186,17 +192,11 @@ def verblunsky_from_moments(c: MomentTable, nmax: int) -> VerblunskyTable:
         mr, mi = nr[:n + 1], ni[:n + 1]
         s = np.complex128(complex(0.0 + np.cumsum(pr * mr - pi * mi)[-1],
                                   0.0 + np.cumsum(pr * mi + pi * mr)[-1]))
+        # a numpy complex, so kappa2[n >= 1] and b are numpy floats; the
+        # residuals computed from them depend on numpy's scalar rounding
         alpha = (kappa2[-1] * s).conjugate()
-        # a numpy float, as are kappa2[n >= 1] and b; the residuals computed
-        # from them depend on numpy's scalar rounding bit for bit
-        r = 1.0 - abs(alpha) ** 2
-        if not r > DEGENERACY_MARGIN:   # also when alpha is NaN
-            raise DegenerateMeasureError(
-                f"|alpha_{n}| = {abs(alpha):.15f} leaves the unit disk", index=n
-            )
+        _szego_step(phi, phistar, kappa2, n, alpha)
         alphas.append(complex(alpha))
-        _szego_rows(phi, phistar, n, alpha)
-        kappa2.append(kappa2[-1] / r)
     return VerblunskyTable._build(tuple(alphas), kappa2, phi, phistar)
 
 

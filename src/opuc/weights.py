@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -30,6 +31,9 @@ _SINGULAR_RADIUS = 1e-13
 # log of the distance to theta = 0 below which circle_rule scales the weight
 # as dist^{2 lambda}: there 2 sin(dist/2) = dist in floating point
 _LOG_DIST_FLOOR = math.log(1e-100)
+# log of the bound on the Jacobi weight's largest value, 2^32 below the largest
+# float: the graded rule's Jacobian (< 1e3 for lambda >= -0.499) times 2^21 nodes
+_LOG_JACOBI_MAX = math.log(sys.float_info.max) - 32.0 * math.log(2.0)
 # largest Hermitian defect max_j |c_{-j} - conj(c_j)| of a custom moment
 # table, relative to c_0; the quadrature tables are Hermitian exactly
 HERMITIAN_RTOL = 1e-12
@@ -40,7 +44,9 @@ class WeightSpec:
     """A weight on the unit circle.
 
     kind is one of "lebesgue", "bessel", "jacobi", "custom".  Bessel carries
-    a finite ell >= 0, Jacobi a finite b = lambda + i*eta with lambda > -1/2.
+    a finite ell >= 0, Jacobi a finite b = lambda + i*eta with lambda > -1/2
+    whose largest weight value 2^{2 lambda} e^{pi |eta|} is a float with
+    room to spare (below 2^-32 of the largest).
     Custom weights are defined by their moment table only and support no
     pointwise evaluation; their table must be that of a positive measure.
     """
@@ -61,6 +67,11 @@ class WeightSpec:
             raise ValueError("bessel parameter must be >= 0")
         if self.kind == JACOBI and self.b.real <= -0.5:
             raise ValueError("jacobi parameter requires Re(b) > -1/2")
+        if self.kind == JACOBI and not (2.0 * self.lam * math.log(2.0)
+                                        + math.pi * abs(self.eta) <= _LOG_JACOBI_MAX):
+            raise ValueError("jacobi parameters must keep the largest weight value "
+                             "2^(2 lambda) e^(pi |eta|) finite, below 2^-32 of "
+                             "the largest float")
         if self.kind == CUSTOM:
             _check_positive_table(self.moments)
 

@@ -168,26 +168,32 @@ def test_graded_transform_matches_mpmath_quad(z):
         a = math.pi / 8
         exact = complex(mpmath.quad(integrand, [0, a - 0.01, a, a + 0.01, 2 * mpmath.pi])
                         / (2 * mpmath.pi))
-    assert abs(cauchy_G(v, w, n, z, boundary=True) - exact) < 1e-14 * max(1.0, abs(exact))
+    assert abs(cauchy_G(v, w, n, z) - exact) < 1e-14 * max(1.0, abs(exact))
 
 
 def test_region_classification_and_refusal(bessel2):
+    # a value next to the circle is admitted and computed by subtraction;
+    # only the circle itself is refused
     w, _, v = bessel2
-    with pytest.raises(NearBoundaryError):
-        cauchy_G(v, w, 2, 1.001)
-    # boundary mode admits the same point
-    cauchy_G(v, w, 2, 1.001, boundary=True)
+    for z in (1.001, 0.99 * cmath.exp(2.0j)):
+        assert cauchy_G(v, w, 2, z) == _reference_transform(
+            w, phi_pair(v, 2).phi, 2, z, subtract=True)[0]
+        assert cauchy_Gstar(v, w, 2, z) == _reference_transform(
+            w, phi_pair(v, 1).phistar, 2, z, subtract=True)[0]
+    for transform in (cauchy_G, cauchy_Gstar):
+        with pytest.raises(NearBoundaryError):
+            transform(v, w, 2, cmath.exp(0.3j))
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivative_in_the_band_refused_in_boundary_mode(bessel2, order):
-    # derivatives have no singularity subtraction, so boundary mode does not
-    # admit them next to the circle
+    # derivatives have no singularity subtraction, so they are refused next
+    # to the circle, where values are admitted
     w, _, v = bessel2
     for transform in (cauchy_G, cauchy_Gstar):
         for z in (1.001, 0.99 * cmath.exp(2.0j)):
             with pytest.raises(NearBoundaryError):
-                transform(v, w, 2, z, boundary=True, order=order)
+                transform(v, w, 2, z, order=order)
 
 
 @pytest.mark.parametrize("order", [-1, 3])
@@ -276,10 +282,10 @@ def test_transforms_equal_uncached_reference(z):
     # every degree of its kind at (z, order); a subtracted value, its own row
     band = SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     z = complex(z)
-    columns = {(kind, m, z, order, False, DEFAULT_RTOL)
+    columns = {(kind, m, z, order, DEFAULT_RTOL)
                for kind in ("G", "Gstar") for m in _degrees(v, kind)
                for order in ((2, 3) if band else (1, 2, 3))}
-    subtracted = {(kind, n, z, 1, True, DEFAULT_RTOL) for kind in ("G", "Gstar")}
+    subtracted = {(kind, n, z, 1, DEFAULT_RTOL) for kind in ("G", "Gstar")}
     assert set(q.memo) == (columns | subtracted if band else columns)
     # recomputed from the stored integrand samples and kernels; in the
     # subtraction band the value's kernel is t - z, stored as order 0
@@ -300,7 +306,7 @@ def test_other_rtol_gets_its_own_entry():
     tight = cauchy_G(v, w, 3, OUTSIDE, rtol=1e-14)
     assert tight == _reference_transform(w, phi, 3, OUTSIDE, rtol=1e-14)[0]
     # one G column per rtol
-    assert set(v.quadrature[w].memo) == {("G", m, OUTSIDE, 1, False, rtol)
+    assert set(v.quadrature[w].memo) == {("G", m, OUTSIDE, 1, rtol)
                                          for m in _degrees(v, "G")
                                          for rtol in (DEFAULT_RTOL, 1e-14)}
 
@@ -372,13 +378,12 @@ def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
     ((w, q),) = v.quadrature.items()
     columns = collections.defaultdict(dict)
     for key, result in q.memo.items():
-        kind, n, z, order, subtract, rtol = key
-        reference = _reference_transform(w, _coefficients(v, kind, n), n, z, rtol, order,
-                                         subtract)
+        kind, n, z, order, rtol = key
+        reference = _reference_transform(w, _coefficients(v, kind, n), n, z, rtol, order)
         assert result == reference, key
-        columns[kind, z, order, subtract, rtol][n] = result[1]
-    for (kind, _, _, subtract, _), rows in columns.items():
-        if not subtract:
+        columns[kind, z, order, rtol][n] = result[1]
+    for (kind, z, order, _), rows in columns.items():
+        if not (order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]):
             assert set(rows) == set(_degrees(v, kind))
     if w.kind == "jacobi":
         # rows of one column converge at different levels
@@ -417,12 +422,12 @@ def test_column_at_the_finest_level_is_chunked(monkeypatch):
     v = _fresh(w, 4)
     z = 1.0005 * cmath.exp(0.9j)
     assert len(list(_degrees(v, "G"))) > NMAX // (NMAX // 2)
-    cauchy_G(v, w, 2, z, boundary=True)
+    cauchy_G(v, w, 2, z)
     q = v.quadrature[w]
     for n in _degrees(v, "G"):
         reference = _reference_transform(w, _coefficients(v, "G", n), n, z, subtract=False)
         assert reference[1] == NMAX
-        assert q.memo["G", n, complex(z), 1, False, DEFAULT_RTOL] == reference
+        assert q.memo["G", n, complex(z), 1, DEFAULT_RTOL] == reference
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
     blocks = {key: len(a) for key, a in q.integrands.items() if key[0] == "G"}

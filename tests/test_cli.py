@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import string
+import warnings
 
 import pytest
 
@@ -189,16 +190,51 @@ def test_weight_parameter_out_of_family_is_usage_error(flags):
     ["verify", "all", "--weight", "jacobi", "--lambda", "inf", "--n", "4"],
     ["dpii", "--ell", "nan", "--n", "4"],
     ["dpii", "--ell", "inf", "--n", "4"],
+    ["moments", "--weight", "jacobi", "--lambda", "1", "--eta", "1e3", "--jmax", "2"],
+    ["moments", "--weight", "jacobi", "--lambda", "1e308", "--jmax", "2"],
+    ["verblunsky", "--weight", "jacobi", "--lambda", "1", "--eta", "800", "--n", "2"],
 ], ids=["moments-ell-nan", "moments-ell-inf", "moments-lambda-nan", "moments-eta-nan",
-        "verify-lambda-inf", "dpii-ell-nan", "dpii-ell-inf"])
+        "verify-lambda-inf", "dpii-ell-nan", "dpii-ell-inf", "moments-eta-overflow",
+        "moments-lambda-overflow", "verblunsky-eta-overflow"])
 def test_non_finite_weight_parameter_is_usage_error(argv, capsys):
-    # a NaN ell never met the Bessel series' stop test, and a NaN lambda or
-    # eta reached the circle rule or 2^20 quadrature nodes
-    with pytest.raises(SystemExit) as exc:
+    # a NaN ell never met the Bessel series' stop test, a NaN lambda or eta
+    # reached the circle rule or 2^20 quadrature nodes, and so did a finite
+    # lambda or eta whose weight values overflow, with numpy warnings
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("always")
         run(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "finite" in err and "Traceback" not in err
+    assert "finite" in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--weight", "jacobi", "--lambda", "1", "--jmax", "300000"],
+    ["verblunsky", "--weight", "jacobi", "--lambda", "1", "--n", "299999"],
+], ids=["moments", "verblunsky"])
+def test_jacobi_degree_beyond_the_node_limit_exits_3(argv, capsys):
+    # it raised a ValueError with a traceback (exit 1, the code of failed checks)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "up to 262144" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--lambda", "1", "--n", "8"],
+    ["moments", "--weight", "lebesgue", "--ell", "2"],
+    ["moments", "--weight", "bessel", "--ell", "2", "--eta", "0.5"],
+    ["verblunsky", "--weight", "jacobi", "--lambda", "1", "--ell", "2"],
+    ["verblunsky", "--weight", "jacobi", "--lambda", "1", "--moments", "table.csv"],
+    ["verify", "rh", "--weight", "custom", "--moments", "table.csv", "--lambda", "1"],
+], ids=["lebesgue-lambda", "lebesgue-ell", "bessel-eta", "jacobi-ell", "jacobi-moments",
+        "custom-lambda"])
+def test_weight_flag_the_family_does_not_read_is_usage_error(argv, capsys):
+    # with --weight forgotten, verify all --lambda 1 verified the Lebesgue weight
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "does not read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--weight", "bessel", "--ell", "2"],

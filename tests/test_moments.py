@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opuc import moments
 from opuc.errors import AccuracyError, OpucError, ParameterRangeError
 from opuc.moments import (
     BESSEL_MAX_ORDER,
@@ -123,19 +124,25 @@ def test_moment_symmetry_bessel(ell, j):
     assert c.get(j).imag == 0.0
 
 
-def test_accuracy_error_reported():
+def test_accuracy_error_reported(monkeypatch):
     # a weight this rough cannot converge to an absurd tolerance
+    monkeypatch.setattr(moments, "MOMENT_RTOL", 1e-16)
+    monkeypatch.setattr(moments, "NMAX_NODES", 1 << 12)
     w = WeightSpec.jacobi(-0.49)
     with pytest.raises(AccuracyError):
-        moments_quadrature(w, 4, rtol=1e-16, nmax=1 << 12)
+        moments_quadrature(w, 4)
 
 
-def test_node_limit_below_the_starting_count_rejected():
+def test_node_limit_below_the_starting_count_rejected(monkeypatch):
+    # the largest degree whose starting count, 4 jmax nodes, fits the limit
+    monkeypatch.setattr(moments, "NMAX_NODES", 1 << 12)
     w = WeightSpec.jacobi(1.0)
-    with pytest.raises(ValueError, match="nmax=128.*256"):
-        moments_quadrature(w, 4, nmax=128)
+    with pytest.raises(ParameterRangeError, match="up to 1024, got 1025.*8192.*4096"):
+        moments_quadrature(w, 1025)
+    assert moments_quadrature(w, 1024).jmax == 1024
     # a limit at the start takes one doubling, as before
-    assert moments_quadrature(w, 4, nmax=256).source == "quadrature(512)"
+    monkeypatch.setattr(moments, "NMAX_NODES", 256)
+    assert moments_quadrature(w, 4).source == "quadrature(512)"
 
 
 @pytest.mark.parametrize("ell", [math.nan, -1.0])

@@ -170,12 +170,12 @@ def test_derivative_order_outside_range_rejected(bessel2, order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_derivative_near_circle_refused_in_boundary_mode(bessel2, order):
-    # boundary mode admits the value next to the circle, by subtraction,
-    # but no derivative
+    # the value next to the circle is admitted, by subtraction, but no
+    # derivative
     w, _, v = bessel2
-    assemble_Y(v, w, 3, 1.001, boundary=True)
+    assemble_Y(v, w, 3, 1.001)
     with pytest.raises(NearBoundaryError):
-        assemble_Y(v, w, 3, 1.001, boundary=True, order=order)
+        assemble_Y(v, w, 3, 1.001, order=order)
 
 
 def test_deriv_matches_finite_difference(bessel2):

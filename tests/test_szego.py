@@ -275,6 +275,17 @@ def test_high_degree_table_equals_scalar_loop(case):
     _assert_table_equals(v, *_scalar_loop(c, HIGH_DEGREE))
 
 
+def test_each_constructor_keeps_its_scalar_types():
+    # both share one Szego step, but the moment path's kappa^2 and b stay
+    # numpy floats and from_alphas' Python floats: the residuals computed
+    # from them depend on the type (Python floats change the last bits of
+    # 26 of the 347 checks of the bessel(2) n=8 report)
+    _, v = _high_degree("bessel(2.2)")
+    vp = v.perturbed(5, 1e-3)
+    for table, kind in ((v, np.float64), (vp, float)):
+        assert all(type(k) is kind for k in table.kappa2[1:] + table.b[1:])
+
+
 def test_high_degree_perturbed_table_equals_scalar_loop():
     _, v = _high_degree("bessel(2.2)")
     vp = v.perturbed(5, 1e-3)

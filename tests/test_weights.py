@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ def test_invalid_parameters_rejected():
 def test_non_finite_parameters_rejected(kind, ell, b):
     with pytest.raises(ValueError, match="finite"):
         WeightSpec(kind, ell=ell, b=b)
+
+
+@pytest.mark.parametrize("eta", [218.3, -218.3])
+def test_jacobi_weight_values_stay_finite_up_to_the_bound(eta):
+    # at lambda = 1 the bound 2^(2 lambda) e^(pi |eta|) <= 2^-32 DBL_MAX
+    # lies between |eta| = 218.3 and 218.5; below it the moment quadrature
+    # runs without an overflow, beyond it the weight is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = moments_for(WeightSpec.jacobi(complex(1.0, eta)), 4)
+    assert all(map(cmath.isfinite, c.values)) and c.c0 > 1e290
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec.jacobi(complex(1.0, math.copysign(218.5, eta)))
 
 
 @pytest.mark.parametrize("order", [0, 1])
