@@ -2,13 +2,15 @@
 
 G_n is the Cauchy transform of Phi_n nu / t^n over the unit circle, and
 G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use
-the circle rule of ``weights.circle_rule`` with node doubling: the periodic
-midpoint rule, graded towards theta = 0 for a weight singular at z = 1, with
-the Jacobian folded into the weight values.  Near the circle a singularity
-subtraction keeps the rule spectrally accurate.  ``cauchy_G`` and
-``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2 and integrate
-against the kernel of order k + 1; a value is admitted anywhere off the
-circle, but a derivative, which gets no subtraction, not within 0.02.
+the circle rule of ``weights.circle_rule`` with node doubling until two
+levels agree to the one tolerance RTOL, relative to max(1, |value|): the
+periodic midpoint rule, graded towards theta = 0 for a weight singular at
+z = 1, with the Jacobian folded into the weight values.  Near the circle a
+singularity subtraction keeps the rule spectrally accurate.  ``cauchy_G``
+and ``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2 and
+integrate against the kernel of order k + 1; a value is admitted anywhere
+off the circle, but a derivative, which gets no subtraction, not within
+0.02.
 
 The Laurent coefficients at infinity are integrals too: for |z| > 1,
 1/(t - z) = -sum_m t^m / z^{m+1}, so the coefficient of z^{-(m+1)} in the
@@ -43,7 +45,7 @@ from .weights import WeightSpec, circle_rule, eval_nu
 
 N0 = 256
 NMAX = 1 << 17
-DEFAULT_RTOL = 1e-12
+RTOL = 1e-12                # doubling stops at this change, relative to max(1, |value|)
 NEAR_BOUNDARY = 0.02        # band around |z| = 1 where derivatives are refused
 SUBTRACT_BAND = (0.8, 1.25)  # |z| range where a value is computed by subtraction
 TAIL_KMAX = 2               # laurent_tail gives the coefficients k = 0..TAIL_KMAX
@@ -152,9 +154,9 @@ def _check_offcircle(z: complex, order: int) -> None:
         )
 
 
-def _converged(eval_at, rows: list, rtol: float) -> dict:
+def _converged(eval_at, rows: list) -> dict:
     """Double nodes from N0 until two successive values of each row agree to
-    rtol.  eval_at(N, rows) gives the values of the listed rows at N nodes;
+    RTOL.  eval_at(N, rows) gives the values of the listed rows at N nodes;
     a row leaves the pass at its first convergence.  Returns, by row,
     (value, nodes, residual), or the AccuracyError of a row that never
     converged."""
@@ -166,7 +168,7 @@ def _converged(eval_at, rows: list, rtol: float) -> dict:
         pending, values, residuals = [], [], []
         for row, cur, before in zip(rows, eval_at(N, rows), prev):
             resid = abs(cur - before)
-            if resid <= rtol * max(1.0, abs(cur)):
+            if resid <= RTOL * max(1.0, abs(cur)):
                 out[row] = cur, N, resid
             else:
                 pending.append(row)
@@ -175,7 +177,7 @@ def _converged(eval_at, rows: list, rtol: float) -> dict:
         rows, prev = pending, values
     for row, resid in zip(rows, residuals):
         out[row] = AccuracyError(
-            f"contour quadrature did not converge below rtol={rtol:g}",
+            f"contour quadrature did not converge below rtol={RTOL:g}",
             residual=resid,
             nodes=N,
         )
@@ -190,7 +192,7 @@ def _value(result):
 
 
 def _transform(q: _Quadrature, kind: str, degrees: list[int], z: complex,
-               rtol: float, order: int, subtract: bool) -> dict:
+               order: int, subtract: bool) -> dict:
     """(1/2 pi i) * contour integral of p(t) nu(t) / (t^n (t-z)^order) dt
     for each degree n of kind in degrees, converged together by _converged.
 
@@ -212,7 +214,7 @@ def _transform(q: _Quadrature, kind: str, degrees: list[int], z: complex,
                 total += gz
             return [complex(total)]
 
-        return _converged(eval_at, degrees, rtol)
+        return _converged(eval_at, degrees)
 
     scale = 2.0 if order == 3 else 1.0
 
@@ -232,7 +234,7 @@ def _transform(q: _Quadrature, kind: str, degrees: list[int], z: complex,
             start = end
         return values
 
-    return _converged(eval_at, degrees, rtol)
+    return _converged(eval_at, degrees)
 
 
 def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
@@ -244,7 +246,7 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
 
 
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
-                         z: complex, rtol: float, order: int):
+                         z: complex, order: int):
     """(value, nodes, residual) of one transform, computed once per table.
 
     Values inside the subtraction band are regularized and converged alone.
@@ -254,41 +256,41 @@ def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
     z = complex(z)
     subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     q = _quadrature(v, w)
-    result = q.memo.get((kind, n, z, order, rtol))
+    result = q.memo.get((kind, n, z, order))
     if result is None:
         phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
         degrees = [n]
         if not subtract:
             first = _FIRST[kind]
             degrees = [m for m in range(first, first + len(q.coefficients[kind]))
-                       if (kind, m, z, order, rtol) not in q.memo]
-        results = _transform(q, kind, degrees, z, rtol, order, subtract)
+                       if (kind, m, z, order) not in q.memo]
+        results = _transform(q, kind, degrees, z, order, subtract)
         for m, r in results.items():
             if not isinstance(r, AccuracyError):
-                q.memo[(kind, m, z, order, rtol)] = r
+                q.memo[(kind, m, z, order)] = r
         result = _value(results[n])
     return result
 
 
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-             rtol: float = DEFAULT_RTOL, order: int = 0) -> complex:
+             order: int = 0) -> complex:
     """G_n(z) off the circle, or its z-derivative of order 1 or 2."""
     _check_offcircle(z, order)
-    return _converged_transform(v, w, "G", n, z, rtol, order + 1)[0]
+    return _converged_transform(v, w, "G", n, z, order + 1)[0]
 
 
 def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                 rtol: float = DEFAULT_RTOL, order: int = 0) -> complex:
+                 order: int = 0) -> complex:
     """G*_{n-1}(z), the reciprocal-polynomial transform with kernel nu/t^n,
     or its z-derivative of order 1 or 2."""
     if n < 1:
         raise ValueError("G*_{n-1} needs n >= 1")
     _check_offcircle(z, order)
-    return _converged_transform(v, w, "Gstar", n, z, rtol, order + 1)[0]
+    return _converged_transform(v, w, "Gstar", n, z, order + 1)[0]
 
 
-def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int,
-                 rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Laurent coefficients of G_n and G*_{n-1} at infinity, by their
     defining integrals over the transforms' nodes t_j and integrand samples.
 
@@ -296,7 +298,7 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int,
     coefficient of z^{-(n+1+k)} in G_n, is -(1/N) sum_j Phi_n(t_j) nu(t_j)
     J_j t_j^{k+1}, and gstar_coeffs[k], that of z^{-(n+k)} in G*_{n-1}, is
     -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) J_j t_j^k (empty for n = 0).  Each
-    is converged to rtol by node doubling.
+    is converged to RTOL by node doubling.
     """
     q = _quadrature(v, w)
 
@@ -309,7 +311,7 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int,
             g = q.row(kind, n, N)
             return [complex(-np.mean(g * t ** m)) for m in rows]
 
-        results = _converged(eval_at, list(powers), rtol)
+        results = _converged(eval_at, list(powers))
         return np.array([_value(results[m])[0] for m in powers])
 
     g_coeffs = coefficients("G", range(n + 1, n + TAIL_KMAX + 2))
@@ -318,8 +320,8 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int,
     return g_coeffs, coefficients("Gstar", range(n, n + TAIL_KMAX + 1))
 
 
-def g_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                           rtol: float = DEFAULT_RTOL) -> tuple[float, float]:
+def g_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex
+                           ) -> tuple[float, float]:
     """Residuals of the two one-step recurrences of the second-kind functions.
 
     r1 = |G_n - G_{n-1} + conj(alpha_{n-1}) G*_{n-1}|
@@ -328,10 +330,10 @@ def g_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex
     if n < 1:
         raise ValueError("recurrences need n >= 1")
     a = v.alphas[n - 1]
-    Gn = cauchy_G(v, w, n, z, rtol)
-    Gn1 = cauchy_G(v, w, n - 1, z, rtol)
-    Gs_n1 = cauchy_Gstar(v, w, n, z, rtol)       # G*_{n-1}
-    Gs_n = cauchy_Gstar(v, w, n + 1, z, rtol)    # G*_n
+    Gn = cauchy_G(v, w, n, z)
+    Gn1 = cauchy_G(v, w, n - 1, z)
+    Gs_n1 = cauchy_Gstar(v, w, n, z)       # G*_{n-1}
+    Gs_n = cauchy_Gstar(v, w, n + 1, z)    # G*_n
     r1 = abs(Gn - Gn1 + a.conjugate() * Gs_n1)
     r2 = abs(z * Gs_n - Gs_n1 + a * Gn1)
     return r1, r2

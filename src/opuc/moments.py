@@ -116,19 +116,20 @@ def moments_quadrature(w: WeightSpec, jmax: int) -> MomentTable:
     """Moments by the circle rule with node doubling.
 
     Starts at DEFAULT_N nodes, or 4 jmax if more, and doubles N until two
-    successive tables agree to MOMENT_RTOL relative to c_0.
-    ParameterRangeError if the start exceeds NMAX_NODES, that is for
-    jmax > NMAX_NODES / 4.
+    successive tables agree to MOMENT_RTOL relative to c_0; the last pass
+    runs at NMAX_NODES nodes.  One comparison takes two passes, so
+    ParameterRangeError if the start exceeds NMAX_NODES / 2, that is for
+    jmax > NMAX_NODES / 8.
     """
     N = max(DEFAULT_N, 4 * jmax)
     N = 1 << (N - 1).bit_length()  # round up to a power of two
-    if N > NMAX_NODES:
+    if 2 * N > NMAX_NODES:
         raise ParameterRangeError(
-            f"moment quadrature supports degrees up to {NMAX_NODES // 4}, got {jmax}: "
-            f"it would start at {N} nodes, above the limit {NMAX_NODES}"
+            f"moment quadrature supports degrees up to {NMAX_NODES // 8}, got {jmax}: "
+            f"it would start at {N} nodes, above {NMAX_NODES // 2}, half the node limit"
         )
     prev = _quadrature_pass(w, jmax, N)
-    while N <= NMAX_NODES:
+    while N < NMAX_NODES:
         N *= 2
         cur = _quadrature_pass(w, jmax, N)
         resid = float(np.max(np.abs(cur - prev))) / abs(cur[jmax].real)
@@ -136,9 +137,9 @@ def moments_quadrature(w: WeightSpec, jmax: int) -> MomentTable:
             return MomentTable(-jmax, jmax, tuple(cur), f"quadrature({N})")
         prev = cur
     raise AccuracyError(
-        f"moment quadrature did not converge below rtol={MOMENT_RTOL:g} at N={N // 2}",
+        f"moment quadrature did not converge below rtol={MOMENT_RTOL:g} at N={N}",
         residual=resid,
-        nodes=N // 2,
+        nodes=N,
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 
-from .cauchy import DEFAULT_RTOL, _quadrature, cauchy_G, cauchy_Gstar
+from .cauchy import _quadrature, cauchy_G, cauchy_Gstar
 from .errors import PoleError
 from .matrix2 import Matrix2C
 from .szego import VerblunskyTable, phi_pair
@@ -24,15 +24,15 @@ JUMP_DELTA = 5e-5   # radial offset of the jump check's first approach to the ci
 
 
 def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-               rtol: float = DEFAULT_RTOL, order: int = 0) -> Matrix2C:
+               order: int = 0) -> Matrix2C:
     """The unit-determinant solution matrix Y_n at z off the circle (order 0),
     or its analytic z-derivative of order 1 or 2, with no finite differences."""
     if n < 1:
         raise ValueError("solution matrix defined for n >= 1")
     z = complex(z)
     bm1 = v.b[n - 1]
-    G = cauchy_G(v, w, n, z, rtol, order)
-    Gs = cauchy_Gstar(v, w, n, z, rtol, order)
+    G = cauchy_G(v, w, n, z, order)
+    Gs = cauchy_Gstar(v, w, n, z, order)
     return Matrix2C(phi_pair(v, n).eval_phi_deriv(z, order), G,
                     -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
 
@@ -52,30 +52,27 @@ def transfer_matrix_deriv() -> Matrix2C:
     return Matrix2C(1.0, 0.0, 0.0, 0.0)
 
 
-def _transfer_defect(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                     rtol: float) -> Matrix2C:
+def _transfer_defect(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> Matrix2C:
     """Y_{n+1} diag(1, z) - T_n Y_n."""
     z = complex(z)
-    lhs = assemble_Y(v, w, n + 1, z, rtol) @ Matrix2C.diag(1.0, z)
-    return lhs - transfer_matrix(v, n, z) @ assemble_Y(v, w, n, z, rtol)
+    lhs = assemble_Y(v, w, n + 1, z) @ Matrix2C.diag(1.0, z)
+    return lhs - transfer_matrix(v, n, z) @ assemble_Y(v, w, n, z)
 
 
-def transfer_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                      rtol: float = DEFAULT_RTOL) -> float:
+def transfer_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> float:
     """Frobenius norm of Y_{n+1} diag(1, z) - T_n Y_n."""
-    return _transfer_defect(v, w, n, z, rtol).frobenius()
+    return _transfer_defect(v, w, n, z).frobenius()
 
 
 def transfer_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int,
-                                   z: complex, rtol: float = DEFAULT_RTOL
-                                   ) -> tuple[float, float, float, float]:
+                                   z: complex) -> tuple[float, float, float, float]:
     """Residuals of the four scalar recurrences behind the transfer relation:
     the polynomial, reciprocal-polynomial and two second-kind rows.
 
     They are the entry magnitudes |D11|, |D21|, |D12|, |D22| of the defect
     D = Y_{n+1} diag(1, z) - T_n Y_n.
     """
-    D = _transfer_defect(v, w, n, z, rtol)
+    D = _transfer_defect(v, w, n, z)
     return abs(D.a11), abs(D.a21), abs(D.a12), abs(D.a22)
 
 
@@ -86,8 +83,7 @@ def jump_matrix(w: WeightSpec, n: int, t: complex) -> Matrix2C:
     return Matrix2C(1.0, nu / t ** n, 0.0, 1.0)
 
 
-def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex,
-                  rtol: float = DEFAULT_RTOL) -> float:
+def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex) -> float:
     """Richardson-extrapolated jump defect at circle point t.
 
     Compares the inside limit against the outside limit times the jump,
@@ -102,8 +98,8 @@ def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex,
     J = jump_matrix(w, n, t)
 
     def defect(d: float) -> Matrix2C:
-        inner = assemble_Y(v, w, n, (1.0 - d) * t, rtol)
-        outer = assemble_Y(v, w, n, (1.0 + d) * t, rtol)
+        inner = assemble_Y(v, w, n, (1.0 - d) * t)
+        outer = assemble_Y(v, w, n, (1.0 + d) * t)
         return inner - (outer @ J)
 
     e1 = defect(JUMP_DELTA)
@@ -125,11 +121,11 @@ def log_diag_factor(w: WeightSpec, n: int, z: complex, order: int = 0) -> Matrix
     return Matrix2C.diag(d, -d)
 
 
-def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                             rtol: float = DEFAULT_RTOL) -> Matrix2C:
+def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: complex
+                             ) -> Matrix2C:
     """Structure matrix M_n(z) = Y' Y^{-1} + Y D Y^{-1}, trace-free.
 
-    Computed once per table, weight, n, z and rtol: the zero-curvature,
+    Computed once per table, weight, n and z: the zero-curvature,
     second-order and trace-back checks and the finite-difference M_n' ask
     for the same M_n(z) again, so a repeat is a lookup in the table's
     quadrature state.  The pole checks run on every call.
@@ -141,11 +137,11 @@ def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: compl
         if abs(z - s) < 1e-9:
             raise PoleError(f"structure matrix is singular at z = {s}")
     memo = _quadrature(v, w).structure
-    key = (n, z, rtol)
+    key = (n, z)
     M = memo.get(key)
     if M is None:
-        Y = assemble_Y(v, w, n, z, rtol)
-        dY = assemble_Y(v, w, n, z, rtol, order=1)
+        Y = assemble_Y(v, w, n, z)
+        dY = assemble_Y(v, w, n, z, order=1)
         Yinv = Y.inv()
         D = log_diag_factor(w, n, z)
         M = memo[key] = (dY @ Yinv) + (Y @ D @ Yinv)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cauchy import DEFAULT_RTOL, cauchy_G, cauchy_Gstar
+from .cauchy import cauchy_G, cauchy_Gstar
 from .errors import UnsupportedWeightError
 from .matrix2 import Matrix2C
 from .rh import (
@@ -207,18 +207,18 @@ def _rows(v: VerblunskyTable, w: WeightSpec, n: int, sign: float, order: int):
 
 
 def _differential_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                            rtol: float, order: int) -> tuple[float, float, float, float]:
+                            order: int) -> tuple[float, float, float, float]:
     """(Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) residuals of the rows of given order."""
     polys = (phi_pair(v, n).derivatives[0], phi_pair(v, n - 1).derivatives[1])
     r_phi, r_star = (max(map(abs, _lin(*((1, _mul(c, polys[k][d])) for c, k, d in row))))
                      for row in _rows(v, w, n, -1.0, order))
     z = complex(z)
-    G = cauchy_G(v, w, n, z, rtol)
-    Gs = cauchy_Gstar(v, w, n, z, rtol)
-    dG = cauchy_G(v, w, n, z, rtol, order=1)
-    dGs = cauchy_Gstar(v, w, n, z, rtol, order=1)
-    d2G = cauchy_G(v, w, n, z, rtol, order=2) if order == 2 else 0j
-    d2Gs = cauchy_Gstar(v, w, n, z, rtol, order=2) if order == 2 else 0j
+    G = cauchy_G(v, w, n, z)
+    Gs = cauchy_Gstar(v, w, n, z)
+    dG = cauchy_G(v, w, n, z, order=1)
+    dGs = cauchy_Gstar(v, w, n, z, order=1)
+    d2G = cauchy_G(v, w, n, z, order=2) if order == 2 else 0j
+    d2Gs = cauchy_Gstar(v, w, n, z, order=2) if order == 2 else 0j
     values = ((G, dG, d2G), (Gs, dGs, d2Gs))
     r_g, r_gs = (abs(sum(_horner(c, z) * values[k][d] for c, k, d in row))
                  for row in _rows(v, w, n, 1.0, order))
@@ -253,18 +253,18 @@ def curvature_residual_closed(v: VerblunskyTable, w: WeightSpec, n: int,
     return resid.frobenius()
 
 
-def first_order_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                          rtol: float = DEFAULT_RTOL) -> tuple[float, float, float, float]:
+def first_order_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex
+                          ) -> tuple[float, float, float, float]:
     """Residuals (Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) of the four scalar
     first-order relations; G rows at z, off circle and singularities."""
-    return _differential_residuals(v, w, n, z, rtol, 1)
+    return _differential_residuals(v, w, n, z, 1)
 
 
-def second_order_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                           rtol: float = DEFAULT_RTOL) -> tuple[float, float, float, float]:
+def second_order_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex
+                           ) -> tuple[float, float, float, float]:
     """Residuals (Phi_n, G_n, Phi*_{n-1}, G*_{n-1}) of the four scalar
     second-order equations (hypergeometric-type for the Jacobi family)."""
-    return _differential_residuals(v, w, n, z, rtol, 2)
+    return _differential_residuals(v, w, n, z, 2)
 
 
 def structure_relation_residuals(v: VerblunskyTable, w: WeightSpec, n: int
@@ -279,25 +279,25 @@ def structure_relation_residuals(v: VerblunskyTable, w: WeightSpec, n: int
 
 
 def curvature_residual_generic(v: VerblunskyTable, w: WeightSpec, n: int,
-                               z: complex, rtol: float = DEFAULT_RTOL) -> float:
+                               z: complex) -> float:
     """|| T_n' - T_n/(2z) - (M_{n+1} T_n - T_n M_n) || with numeric M."""
     z = complex(z)
     T = transfer_matrix(v, n, z)
     dT = transfer_matrix_deriv()
-    Mn = structure_matrix_numeric(v, w, n, z, rtol)
-    Mn1 = structure_matrix_numeric(v, w, n + 1, z, rtol)
+    Mn = structure_matrix_numeric(v, w, n, z)
+    Mn1 = structure_matrix_numeric(v, w, n + 1, z)
     resid = dT - T.scale(1.0 / (2.0 * z)) - ((Mn1 @ T) - (T @ Mn))
     return resid.frobenius()
 
 
 def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
-                              z: complex, rtol: float = DEFAULT_RTOL) -> float:
+                              z: complex) -> float:
     """Residual of the quadratic compatibility relation (numeric M)."""
     z = complex(z)
     T = transfer_matrix(v, n, z)
     A = transfer_matrix_deriv() - T.scale(1.0 / (2.0 * z))
-    Mn = structure_matrix_numeric(v, w, n, z, rtol)
-    Mn1 = structure_matrix_numeric(v, w, n + 1, z, rtol)
+    Mn = structure_matrix_numeric(v, w, n, z)
+    Mn1 = structure_matrix_numeric(v, w, n + 1, z)
     lhs = (Mn1 @ A) + (A @ Mn)
     rhs = (Mn1 @ Mn1 @ T) - (T @ Mn @ Mn)
     return (lhs - rhs).frobenius()
@@ -308,14 +308,14 @@ def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
 
 
 def structure_matrix_deriv_fd(v: VerblunskyTable, w: WeightSpec, n: int,
-                              z: complex, rtol: float = DEFAULT_RTOL) -> Matrix2C:
+                              z: complex) -> Matrix2C:
     """dM_n/dz by central differences with one Richardson step."""
     z = complex(z)
     h = FD_STEP * max(1.0, abs(z))
 
     def central(step: float) -> Matrix2C:
-        plus = structure_matrix_numeric(v, w, n, z + step, rtol)
-        minus = structure_matrix_numeric(v, w, n, z - step, rtol)
+        plus = structure_matrix_numeric(v, w, n, z + step)
+        minus = structure_matrix_numeric(v, w, n, z - step)
         return (plus - minus).scale(1.0 / (2.0 * step))
 
     d1 = central(h)
@@ -324,23 +324,22 @@ def structure_matrix_deriv_fd(v: VerblunskyTable, w: WeightSpec, n: int,
 
 
 def generic_second_order_residual(v: VerblunskyTable, w: WeightSpec, n: int,
-                                  z: complex, rtol: float = DEFAULT_RTOL) -> float:
+                                  z: complex) -> float:
     """|| Y'' + 2 Y' D + Y (D' + D^2) - (M' + M^2) Y || with numeric M, FD M'."""
     z = complex(z)
-    Y = assemble_Y(v, w, n, z, rtol)
-    dY = assemble_Y(v, w, n, z, rtol, order=1)
-    d2Y = assemble_Y(v, w, n, z, rtol, order=2)
+    Y = assemble_Y(v, w, n, z)
+    dY = assemble_Y(v, w, n, z, order=1)
+    d2Y = assemble_Y(v, w, n, z, order=2)
     D = log_diag_factor(w, n, z)
     dD = log_diag_factor(w, n, z, order=1)
-    M = structure_matrix_numeric(v, w, n, z, rtol)
-    dM = structure_matrix_deriv_fd(v, w, n, z, rtol)
+    M = structure_matrix_numeric(v, w, n, z)
+    dM = structure_matrix_deriv_fd(v, w, n, z)
     lhs = d2Y + (dY @ D).scale(2.0) + (Y @ (dD + (D @ D)))
     rhs = (dM + (M @ M)) @ Y
     return (lhs - rhs).frobenius()
 
 
-def traceback_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
-                       rtol: float = DEFAULT_RTOL) -> float:
+def traceback_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> float:
     """Residual of the first-order relation recovered from the second-order one.
 
     Checks M_n against -T_n(-z)^{-1} { z [(M_{n+1}' + M_{n+1}^2) T_n
@@ -350,10 +349,10 @@ def traceback_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
     T = transfer_matrix(v, n, z)
     Tm = transfer_matrix(v, n, -z)
     dT = transfer_matrix_deriv()
-    Mn = structure_matrix_numeric(v, w, n, z, rtol)
-    Mn1 = structure_matrix_numeric(v, w, n + 1, z, rtol)
-    dMn = structure_matrix_deriv_fd(v, w, n, z, rtol)
-    dMn1 = structure_matrix_deriv_fd(v, w, n + 1, z, rtol)
+    Mn = structure_matrix_numeric(v, w, n, z)
+    Mn1 = structure_matrix_numeric(v, w, n + 1, z)
+    dMn = structure_matrix_deriv_fd(v, w, n, z)
+    dMn1 = structure_matrix_deriv_fd(v, w, n + 1, z)
     An = dMn + (Mn @ Mn)
     An1 = dMn1 + (Mn1 @ Mn1)
     inner = ((An1 @ T) - (T @ An)).scale(z) + dT - T.scale(3.0 / (4.0 * z))

@@ -7,7 +7,6 @@ import pytest
 
 from opuc import cauchy, cli
 from opuc.cauchy import (
-    DEFAULT_RTOL,
     N0,
     NMAX,
     SUBTRACT_BAND,
@@ -103,8 +102,10 @@ def test_laurent_tail_bessel(bessel2):
     assert abs(gs[2] - expected) < 1e-9
 
 
-def _sampled_tail(v, w, n, R=3.0, kmax=2, samples=128, rtol=1e-14):
-    """Reference Laurent coefficients from transforms sampled on |z| = R.
+def _sampled_tail(w, nmax, n, R=3.0, kmax=2, samples=128):
+    """Reference Laurent coefficients from transforms sampled on |z| = R,
+    converged to 1e-14 on a fresh table of degree nmax: the memo does not
+    key on the tolerance, so a shared table would return 1e-12 values.
 
     The coefficient c_m of z^{-m} is R^m times the m-th discrete Fourier
     coefficient of the samples; the factor R^m amplifies every sample error.
@@ -115,8 +116,11 @@ def _sampled_tail(v, w, n, R=3.0, kmax=2, samples=128, rtol=1e-14):
         phase = np.exp(2j * math.pi * m * np.arange(samples) / samples)
         return complex(R ** m * np.mean(values * phase))
 
-    gv = np.array([cauchy_G(v, w, n, z, rtol) for z in zs])
-    gsv = np.array([cauchy_Gstar(v, w, n, z, rtol) for z in zs])
+    v = _fresh(w, nmax)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cauchy, "RTOL", 1e-14)
+        gv = np.array([cauchy_G(v, w, n, z) for z in zs])
+        gsv = np.array([cauchy_Gstar(v, w, n, z) for z in zs])
     return (np.array([coeff(gv, n + 1 + k) for k in range(kmax + 1)]),
             np.array([coeff(gsv, n + k) for k in range(kmax + 1)]))
 
@@ -124,7 +128,7 @@ def _sampled_tail(v, w, n, R=3.0, kmax=2, samples=128, rtol=1e-14):
 def test_laurent_tail_matches_sampled_reference(bessel2, jacobi_complex):
     for w, _, v in (bessel2, jacobi_complex):
         g, gs = laurent_tail(v, w, 3)
-        g_ref, gs_ref = _sampled_tail(v, w, 3)
+        g_ref, gs_ref = _sampled_tail(w, v.nmax, 3)
         assert np.max(np.abs(g - g_ref)) < 1e-10
         assert np.max(np.abs(gs - gs_ref)) < 1e-10
 
@@ -204,8 +208,7 @@ def test_derivative_order_outside_range_rejected(bessel2, order):
             transform(v, w, 2, OUTSIDE, order=order)
 
 
-def _reference_transform(w, coeffs, n, z, rtol=DEFAULT_RTOL, order=1, subtract=None,
-                         nmax=NMAX):
+def _reference_transform(w, coeffs, n, z, order=1, subtract=None, nmax=NMAX):
     """Reference: the uncached transform of one polynomial on the circle rule,
     with node doubling.  Returns (value, nodes, residual); value is None for
     a transform that does not converge by nmax nodes."""
@@ -238,7 +241,7 @@ def _reference_transform(w, coeffs, n, z, rtol=DEFAULT_RTOL, order=1, subtract=N
         N *= 2
         cur = eval_at(N)
         resid = abs(cur - prev)
-        if resid <= rtol * max(1.0, abs(cur)):
+        if resid <= cauchy.RTOL * max(1.0, abs(cur)):
             return cur, N, resid
         prev = cur
     return None, N, resid
@@ -282,10 +285,10 @@ def test_transforms_equal_uncached_reference(z):
     # every degree of its kind at (z, order); a subtracted value, its own row
     band = SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     z = complex(z)
-    columns = {(kind, m, z, order, DEFAULT_RTOL)
+    columns = {(kind, m, z, order)
                for kind in ("G", "Gstar") for m in _degrees(v, kind)
                for order in ((2, 3) if band else (1, 2, 3))}
-    subtracted = {(kind, n, z, 1, DEFAULT_RTOL) for kind in ("G", "Gstar")}
+    subtracted = {(kind, n, z, 1) for kind in ("G", "Gstar")}
     assert set(q.memo) == (columns | subtracted if band else columns)
     # recomputed from the stored integrand samples and kernels; in the
     # subtraction band the value's kernel is t - z, stored as order 0
@@ -296,19 +299,6 @@ def test_transforms_equal_uncached_reference(z):
     assert cauchy_Gstar(v, w, n, z) == Gs
     assert (cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)) == d
     assert (cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)) == d2
-
-
-def test_other_rtol_gets_its_own_entry():
-    w = WeightSpec.bessel(2.0)
-    v = _fresh(w)
-    phi = phi_pair(v, 3).phi
-    assert cauchy_G(v, w, 3, OUTSIDE) == _reference_transform(w, phi, 3, OUTSIDE)[0]
-    tight = cauchy_G(v, w, 3, OUTSIDE, rtol=1e-14)
-    assert tight == _reference_transform(w, phi, 3, OUTSIDE, rtol=1e-14)[0]
-    # one G column per rtol
-    assert set(v.quadrature[w].memo) == {("G", m, OUTSIDE, 1, rtol)
-                                         for m in _degrees(v, "G")
-                                         for rtol in (DEFAULT_RTOL, 1e-14)}
 
 
 def test_perturbed_copy_does_not_reuse_original_values():
@@ -378,11 +368,11 @@ def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
     ((w, q),) = v.quadrature.items()
     columns = collections.defaultdict(dict)
     for key, result in q.memo.items():
-        kind, n, z, order, rtol = key
-        reference = _reference_transform(w, _coefficients(v, kind, n), n, z, rtol, order)
+        kind, n, z, order = key
+        reference = _reference_transform(w, _coefficients(v, kind, n), n, z, order)
         assert result == reference, key
-        columns[kind, z, order, rtol][n] = result[1]
-    for (kind, z, order, _), rows in columns.items():
+        columns[kind, z, order][n] = result[1]
+    for (kind, z, order), rows in columns.items():
         if not (order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]):
             assert set(rows) == set(_degrees(v, kind))
     if w.kind == "jacobi":
@@ -407,7 +397,7 @@ def test_row_that_does_not_converge_fails_alone(monkeypatch):
                 with pytest.raises(AccuracyError) as exc:
                     cauchy_Gstar(v, w, n, z)
                 assert (exc.value.residual, exc.value.nodes) == (residual, nodes)
-                assert residual > DEFAULT_RTOL
+                assert residual > cauchy.RTOL
             else:
                 assert cauchy_Gstar(v, w, n, z) == value
     # the error is not memoized
@@ -427,7 +417,7 @@ def test_column_at_the_finest_level_is_chunked(monkeypatch):
     for n in _degrees(v, "G"):
         reference = _reference_transform(w, _coefficients(v, "G", n), n, z, subtract=False)
         assert reference[1] == NMAX
-        assert q.memo["G", n, complex(z), 1, DEFAULT_RTOL] == reference
+        assert q.memo["G", n, complex(z), 1] == reference
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
     blocks = {key: len(a) for key, a in q.integrands.items() if key[0] == "G"}

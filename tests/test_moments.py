@@ -125,23 +125,39 @@ def test_moment_symmetry_bessel(ell, j):
 
 
 def test_accuracy_error_reported(monkeypatch):
-    # a weight this rough cannot converge to an absurd tolerance
+    # a weight this rough cannot converge to an absurd tolerance; the passes
+    # double up to NMAX_NODES and no further, and the error names the node
+    # count of the last pass, the one it measured
     monkeypatch.setattr(moments, "MOMENT_RTOL", 1e-16)
     monkeypatch.setattr(moments, "NMAX_NODES", 1 << 12)
-    w = WeightSpec.jacobi(-0.49)
-    with pytest.raises(AccuracyError):
-        moments_quadrature(w, 4)
+    passes = []
+    run_pass = moments._quadrature_pass
+
+    def recorded(w, jmax, N):
+        passes.append(N)
+        return run_pass(w, jmax, N)
+
+    monkeypatch.setattr(moments, "_quadrature_pass", recorded)
+    with pytest.raises(AccuracyError, match="at N=4096") as exc:
+        moments_quadrature(WeightSpec.jacobi(-0.49), 4)
+    assert passes == [256, 512, 1024, 2048, 4096]
+    assert exc.value.nodes == 4096
 
 
 def test_node_limit_below_the_starting_count_rejected(monkeypatch):
-    # the largest degree whose starting count, 4 jmax nodes, fits the limit
+    # one comparison takes two passes, so the largest degree is the one
+    # whose starting count, 4 jmax nodes, fits half the limit
     monkeypatch.setattr(moments, "NMAX_NODES", 1 << 12)
     w = WeightSpec.jacobi(1.0)
-    with pytest.raises(ParameterRangeError, match="up to 1024, got 1025.*8192.*4096"):
-        moments_quadrature(w, 1025)
-    assert moments_quadrature(w, 1024).jmax == 1024
-    # a limit at the start takes one doubling, as before
+    with pytest.raises(ParameterRangeError, match="up to 512, got 513.*at 4096 nodes, above 2048"):
+        moments_quadrature(w, 513)
+    assert moments_quadrature(w, 512).jmax == 512
+    # a start equal to the limit is refused; at half the limit it takes
+    # one doubling
     monkeypatch.setattr(moments, "NMAX_NODES", 256)
+    with pytest.raises(ParameterRangeError, match="start at 256 nodes, above 128"):
+        moments_quadrature(w, 4)
+    monkeypatch.setattr(moments, "NMAX_NODES", 512)
     assert moments_quadrature(w, 4).source == "quadrature(512)"
 
 

@@ -2,7 +2,6 @@ import cmath
 
 import pytest
 
-from opuc.cauchy import DEFAULT_RTOL
 from opuc.cli import standard_grid
 from opuc.errors import NearBoundaryError, PoleError
 from opuc.matrix2 import Matrix2C
@@ -144,7 +143,7 @@ def test_structure_matrix_memo_is_per_table():
     for _ in range(2):
         with pytest.raises(PoleError):
             structure_matrix_numeric(v, w, 3, 0.0)
-    assert list(v.quadrature[w].structure) == [(4, OUTSIDE, DEFAULT_RTOL)]
+    assert list(v.quadrature[w].structure) == [(4, OUTSIDE)]
 
 
 def test_log_diag_factor_antisymmetric(jacobi_complex):

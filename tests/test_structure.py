@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import opuc
 import opuc.cauchy
 import opuc.painleve
+import opuc.rh
 import opuc.structure
 from opuc.cauchy import (
     cauchy_G,
@@ -514,7 +516,7 @@ def test_public_names_resolve():
         assert not hasattr(opuc, name) and not hasattr(opuc.structure, name)
     # names that only their own tests reached
     gone = {opuc.painleve: ("dpii_iterate", "DpiiOrbit"),
-            opuc.cauchy: ("cauchy_eval", "CauchyEval", "classify_region"),
+            opuc.cauchy: ("cauchy_eval", "CauchyEval", "classify_region", "DEFAULT_RTOL"),
             opuc.structure: ("mtilde_bessel_pre_liouville",
                              "compare_bessel_mtilde_forms"),
             opuc.MomentTable: ("toeplitz", "min_toeplitz_eigenvalue"),
@@ -523,6 +525,11 @@ def test_public_names_resolve():
     for owner, names in gone.items():
         for name in names:
             assert not hasattr(owner, name) and name not in opuc.__all__
+    # the quadrature tolerance is one module constant, cauchy.RTOL
+    for module in (opuc.cauchy, opuc.rh, opuc.structure):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_"):
+                assert "rtol" not in inspect.signature(fn).parameters, name
     # the weight carries no entire factor and no scale
     assert [f.name for f in dataclasses.fields(WeightSpec)] == ["kind", "ell", "b",
                                                                 "moments"]
