@@ -28,8 +28,12 @@ at one point and order, in one array pass per level: each row leaves the
 pass at its own first convergence, so its value, nodes and residual are
 those of a transform converged alone.  Converged values are memoized, so
 the other degrees of the column, which the identity checks ask for next,
-cost a lookup.  The state lives in ``VerblunskyTable.quadrature``, with
-the structure matrices ``opuc.rh`` memoizes there.
+cost a lookup.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo before
+they validate their arguments: an entry exists only for a degree, point
+and order that passed the checks, so only a miss runs them.  The state
+lives in ``VerblunskyTable.quadrature``, with the structure matrices and
+their finite-difference derivatives that ``opuc.rh`` and
+``opuc.structure`` memoize there.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ def _rows_per_pass(N: int) -> int:
 
 class _Quadrature:
     """Quadrature data of one table and weight, plus memos of converged
-    transforms and of the structure matrices of ``opuc.rh``.
+    transforms, of the structure matrices of ``opuc.rh`` and of their
+    finite-difference derivatives in ``opuc.structure``.
 
     One store, ``integrands``, holds the integrand matrices and the kernels.
     It holds at most NMAX samples of both, one pass at the finest level,
@@ -79,6 +84,7 @@ class _Quadrature:
         self.samples = 0
         self.memo: dict[tuple, tuple[complex, int, float]] = {}
         self.structure: dict[tuple, Matrix2C] = {}
+        self.structure_deriv: dict[tuple, Matrix2C] = {}
 
     def circle(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes t_k = e^{i theta_k}, weight values nu(t_k) J_k and Jacobians
@@ -247,46 +253,52 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
 
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
                          z: complex, order: int):
-    """(value, nodes, residual) of one transform, computed once per table.
+    """(value, nodes, residual) of a transform not yet memoized, converged
+    and memoized.
 
     Values inside the subtraction band are regularized and converged alone.
-    Outside it a miss converges every degree of the column (kind, z, order)
-    not yet memoized, and memoizes each that converges.
+    Outside it every degree of the column (kind, z, order) not yet memoized
+    is converged, and each that converges is memoized.
     """
     z = complex(z)
     subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     q = _quadrature(v, w)
-    result = q.memo.get((kind, n, z, order))
-    if result is None:
-        phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
-        degrees = [n]
-        if not subtract:
-            first = _FIRST[kind]
-            degrees = [m for m in range(first, first + len(q.coefficients[kind]))
-                       if (kind, m, z, order) not in q.memo]
-        results = _transform(q, kind, degrees, z, order, subtract)
-        for m, r in results.items():
-            if not isinstance(r, AccuracyError):
-                q.memo[(kind, m, z, order)] = r
-        result = _value(results[n])
-    return result
+    phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
+    degrees = [n]
+    if not subtract:
+        first = _FIRST[kind]
+        degrees = [m for m in range(first, first + len(q.coefficients[kind]))
+                   if (kind, m, z, order) not in q.memo]
+    results = _transform(q, kind, degrees, z, order, subtract)
+    for m, r in results.items():
+        if not isinstance(r, AccuracyError):
+            q.memo[(kind, m, z, order)] = r
+    return _value(results[n])
 
 
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
              order: int = 0) -> complex:
     """G_n(z) off the circle, or its z-derivative of order 1 or 2."""
-    _check_offcircle(z, order)
-    return _converged_transform(v, w, "G", n, z, order + 1)[0]
+    q = _quadrature(v, w)
+    result = q.memo.get(("G", n, z, order + 1))
+    if result is None:
+        _check_offcircle(z, order)
+        result = _converged_transform(v, w, "G", n, z, order + 1)
+    return result[0]
 
 
 def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                  order: int = 0) -> complex:
     """G*_{n-1}(z), the reciprocal-polynomial transform with kernel nu/t^n,
     or its z-derivative of order 1 or 2."""
-    if n < 1:
-        raise ValueError("G*_{n-1} needs n >= 1")
-    _check_offcircle(z, order)
-    return _converged_transform(v, w, "Gstar", n, z, order + 1)[0]
+    q = _quadrature(v, w)
+    result = q.memo.get(("Gstar", n, z, order + 1))
+    if result is None:
+        if n < 1:
+            raise ValueError("G*_{n-1} needs n >= 1")
+        _check_offcircle(z, order)
+        result = _converged_transform(v, w, "Gstar", n, z, order + 1)
+    return result[0]
 
 
 def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int

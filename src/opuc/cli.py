@@ -150,21 +150,6 @@ class Suite:
         return all(c["pass"] for c in self.checks)
 
 
-# One check as json.dumps(report, sort_keys=True, indent=2) lays it out in
-# the report's "checks" list, its fields the keys Suite.add writes, sorted.
-# With indent set, json.dumps falls back to its pure-Python encoder, so the
-# checks, nearly all of a report, are rendered from this template instead.
-_CHECK_JSON = """\
-    {{
-      "n": {n},
-      "name": {name},
-      "pass": {pass},
-      "residual": {residual},
-      "tolerance": {tolerance},
-      "z": {z}
-    }}"""
-
-
 def _json_float(x: float) -> str:
     """x as json.dumps writes a float."""
     if math.isfinite(x):
@@ -173,20 +158,25 @@ def _json_float(x: float) -> str:
 
 
 def _check_json(c: dict) -> str:
+    """One check as json.dumps(report, sort_keys=True, indent=2) lays it out
+    in the report's "checks" list, its fields the keys Suite.add writes,
+    sorted.  With indent set, json.dumps falls back to its pure-Python
+    encoder, so the checks, nearly all of a report, are rendered here."""
     z = c["z"]
-    return _CHECK_JSON.format_map({
-        "n": int.__repr__(c["n"]),
-        "name": encode_basestring_ascii(c["name"]),
-        "pass": "true" if c["pass"] else "false",
-        "residual": _json_float(c["residual"]),
-        "tolerance": _json_float(c["tolerance"]),
-        "z": "null" if z is None else encode_basestring_ascii(z),
-    })
+    return f"""\
+    {{
+      "n": {int.__repr__(c["n"])},
+      "name": {encode_basestring_ascii(c["name"])},
+      "pass": {"true" if c["pass"] else "false"},
+      "residual": {_json_float(c["residual"])},
+      "tolerance": {_json_float(c["tolerance"])},
+      "z": {"null" if z is None else encode_basestring_ascii(z)}
+    }}"""
 
 
 def _report_json(report: dict) -> str:
     """json.dumps(report, sort_keys=True, indent=2), with the checks
-    rendered from _CHECK_JSON and only meta and summary through json."""
+    rendered by _check_json and only meta and summary through json."""
     tail = json.dumps({"meta": report["meta"], "summary": report["summary"]},
                       sort_keys=True, indent=2)
     checks = ",\n".join(map(_check_json, report["checks"]))
@@ -384,12 +374,16 @@ def cmd_verify(args, parser) -> int:
         "version": __version__,
     }
     suite = Suite(meta, w.kind)
-    if args.suite in ("rh", "all"):
-        _suite_rh(suite, v, w, nmax)
-    if args.suite in ("structure", "all"):
-        _suite_structure(suite, v, w, nmax)
-    if args.suite in ("painleve", "all"):
-        _suite_painleve(suite, v, w, nmax)
+    try:
+        if args.suite in ("rh", "all"):
+            _suite_rh(suite, v, w, nmax)
+        if args.suite in ("structure", "all"):
+            _suite_structure(suite, v, w, nmax)
+        if args.suite in ("painleve", "all"):
+            _suite_painleve(suite, v, w, nmax)
+    except OverflowError as exc:    # weight values near the float limit
+        raise OverflowError(f"verify {args.suite} at weight {w.label()}, n = {nmax}: "
+                            f"a value overflowed the float range: {exc}") from exc
     payload = _report_json(suite.report()) + "\n"
     if args.report:
         with open(args.report, "w") as fh:

@@ -128,21 +128,21 @@ def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: compl
     Computed once per table, weight, n and z: the zero-curvature,
     second-order and trace-back checks and the finite-difference M_n' ask
     for the same M_n(z) again, so a repeat is a lookup in the table's
-    quadrature state.  The pole checks run on every call.
+    quadrature state.  The memo is read first and the pole checks run only
+    on a miss: it holds no point that failed them.
     """
-    z = complex(z)
-    if abs(z) < 1e-12:
-        raise PoleError("structure matrix is singular at z = 0")
-    for s in w.singular_points():
-        if abs(z - s) < 1e-9:
-            raise PoleError(f"structure matrix is singular at z = {s}")
     memo = _quadrature(v, w).structure
-    key = (n, z)
-    M = memo.get(key)
+    M = memo.get((n, z))
     if M is None:
+        z = complex(z)
+        if abs(z) < 1e-12:
+            raise PoleError("structure matrix is singular at z = 0")
+        for s in w.singular_points():
+            if abs(z - s) < 1e-9:
+                raise PoleError(f"structure matrix is singular at z = {s}")
         Y = assemble_Y(v, w, n, z)
         dY = assemble_Y(v, w, n, z, order=1)
         Yinv = Y.inv()
         D = log_diag_factor(w, n, z)
-        M = memo[key] = (dY @ Yinv) + (Y @ D @ Yinv)
+        M = memo[(n, z)] = (dY @ Yinv) + (Y @ D @ Yinv)
     return M

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cauchy import cauchy_G, cauchy_Gstar
+from .cauchy import _quadrature, cauchy_G, cauchy_Gstar
 from .errors import UnsupportedWeightError
 from .matrix2 import Matrix2C
 from .rh import (
@@ -309,18 +309,26 @@ def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
 
 def structure_matrix_deriv_fd(v: VerblunskyTable, w: WeightSpec, n: int,
                               z: complex) -> Matrix2C:
-    """dM_n/dz by central differences with one Richardson step."""
-    z = complex(z)
-    h = FD_STEP * max(1.0, abs(z))
+    """dM_n/dz by central differences with one Richardson step.
 
-    def central(step: float) -> Matrix2C:
-        plus = structure_matrix_numeric(v, w, n, z + step)
-        minus = structure_matrix_numeric(v, w, n, z - step)
-        return (plus - minus).scale(1.0 / (2.0 * step))
+    Computed once per table, weight, n and z, like M_n(z) itself: the
+    second-order and trace-back checks ask for the same M_n' again.
+    """
+    memo = _quadrature(v, w).structure_deriv
+    dM = memo.get((n, z))
+    if dM is None:
+        z = complex(z)
+        h = FD_STEP * max(1.0, abs(z))
 
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
+        def central(step: float) -> Matrix2C:
+            plus = structure_matrix_numeric(v, w, n, z + step)
+            minus = structure_matrix_numeric(v, w, n, z - step)
+            return (plus - minus).scale(1.0 / (2.0 * step))
+
+        d1 = central(h)
+        d2 = central(h / 2.0)
+        dM = memo[(n, z)] = d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
+    return dM
 
 
 def generic_second_order_residual(v: VerblunskyTable, w: WeightSpec, n: int,

@@ -422,3 +422,41 @@ def test_column_at_the_finest_level_is_chunked(monkeypatch):
     assert q.samples <= NMAX
     blocks = {key: len(a) for key, a in q.integrands.items() if key[0] == "G"}
     assert blocks and all(rows <= max(1, NMAX // N) for (_, N, _), rows in blocks.items())
+
+
+@pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.0 + 0.5j)],
+                         ids=["bessel2", "jacobi_complex"])
+def test_warm_memo_masks_no_validation(w):
+    # the transforms read the memo before they check their arguments; an
+    # entry exists only for arguments that passed, so a warm table refuses
+    # what a cold one refuses
+    v = _fresh(w)
+    z, near = 2.5j, 1.01j
+    last = {cauchy_G: v.nmax, cauchy_Gstar: v.nmax + 1}
+    for transform in (cauchy_G, cauchy_Gstar):
+        for order in (0, 1, 2):
+            transform(v, w, 3, z, order=order)
+        transform(v, w, 3, near)      # a value next to the circle is admitted
+        transform(v, w, last[transform], z)
+    memo = dict(v.quadrature[w].memo)
+    for transform in (cauchy_G, cauchy_Gstar):
+        with pytest.raises(ValueError, match="order"):
+            transform(v, w, 3, z, order=3)
+        with pytest.raises(ValueError):
+            transform(v, w, last[transform] + 1, z)
+        for order in (1, 2):
+            with pytest.raises(NearBoundaryError):
+                transform(v, w, 3, near, order=order)
+        with pytest.raises(NearBoundaryError):
+            transform(v, w, 3, 1j)
+    with pytest.raises(ValueError, match="n >= 1"):
+        cauchy_Gstar(v, w, 0, z)
+    assert v.quadrature[w].memo == memo
+    # a hit, whatever number type z comes as, is the cold table's value
+    cold = _fresh(w)
+    for transform in (cauchy_G, cauchy_Gstar):
+        for order in (0, 1, 2):
+            assert transform(v, w, 3, z, order=order) == transform(cold, w, 3, z, order=order)
+        assert transform(v, w, 3, 0.0) == transform(cold, w, 3, 0j)
+        assert transform(v, w, 3, 0) == transform(v, w, 3, 0.0)
+    assert set(v.quadrature[w].memo) == set(memo) | set(cold.quadrature[w].memo)

@@ -146,6 +146,25 @@ def test_structure_matrix_memo_is_per_table():
     assert list(v.quadrature[w].structure) == [(4, OUTSIDE)]
 
 
+@pytest.mark.parametrize("w", [WeightSpec.lebesgue(), WeightSpec.bessel(2.0),
+                               WeightSpec.jacobi(1.3 + 0.4j)],
+                         ids=["lebesgue", "bessel2", "jacobi_complex"])
+def test_warm_structure_memo_masks_no_pole_check(w):
+    # structure_matrix_numeric reads its memo before the pole checks; the
+    # memo holds no pole, so a warm table still refuses one
+    v = _fresh(w)
+    M = structure_matrix_numeric(v, w, 4, OUTSIDE)
+    structure_matrix_numeric(v, w, 4, INSIDE)
+    structure_matrix_numeric(v, w, 5, OUTSIDE)
+    poles = (0.0, 0j, 0, 1e-13j) + ((1.0, 1 + 0j, 1 + 1e-10j) if w.kind == "jacobi" else ())
+    for z in poles:
+        with pytest.raises(PoleError):
+            structure_matrix_numeric(v, w, 4, z)
+    assert list(v.quadrature[w].structure) == [(4, OUTSIDE), (4, INSIDE), (5, OUTSIDE)]
+    assert structure_matrix_numeric(v, w, 4, OUTSIDE) is M
+    assert M == structure_matrix_numeric(_fresh(w), w, 4, OUTSIDE)
+
+
 def test_log_diag_factor_antisymmetric(jacobi_complex):
     w, _, _ = jacobi_complex
     D = log_diag_factor(w, 4, INSIDE)

@@ -162,6 +162,37 @@ def test_fd_derivative_consistent(bessel2):
     assert (lhs - closed).frobenius() < 1e-5
 
 
+@pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.3 + 0.4j)],
+                         ids=["bessel2", "jacobi_complex"])
+def test_fd_derivative_computed_once_per_point(w):
+    def fresh():
+        return verblunsky_from_moments(moments_for(w, 12), 10)
+
+    z = OUTSIDE
+    h = opuc.structure.FD_STEP * max(1.0, abs(z))
+    v, reference = fresh(), fresh()
+    for n in (4, 5):
+        dM = structure_matrix_deriv_fd(v, w, n, z)
+
+        def central(step):
+            return (structure_matrix_numeric(reference, w, n, z + step)
+                    - structure_matrix_numeric(reference, w, n, z - step)).scale(1.0 / (2.0 * step))
+
+        assert dM == central(h / 2.0).scale(4.0 / 3.0) - central(h).scale(1.0 / 3.0)
+        memo = dict(v.quadrature[w].structure)
+        assert structure_matrix_deriv_fd(v, w, n, z) is dM
+        assert v.quadrature[w].structure == memo      # no M_n evaluated again
+    assert list(v.quadrature[w].structure_deriv) == [(4, z), (5, z)]
+    # the two checks that share M_n' give, in either order, the values of a
+    # table that never ran the other one
+    both, reverse = fresh(), fresh()
+    second = generic_second_order_residual(both, w, 4, z), traceback_residual(both, w, 4, z)
+    back = traceback_residual(reverse, w, 4, z)
+    assert (generic_second_order_residual(reverse, w, 4, z), back) == second
+    assert second == (generic_second_order_residual(fresh(), w, 4, z),
+                      traceback_residual(fresh(), w, 4, z))
+
+
 def test_complex_alpha_rejected_for_bessel_forms(jacobi_complex):
     _, _, v = jacobi_complex
     with pytest.raises(ValueError):
