@@ -18,27 +18,28 @@ transform of g is -(1/2 pi i) * contour integral of g(t) t^m dt.  They are
 summed on the same nodes and integrand samples as the transforms, with no
 sampling of the transform itself.
 
-Every array a pass sums is computed once per table and weight: the nodes
-and weight values of each level; one integrand matrix per kind and level,
-whose rows are the samples p(t) nu(t) / t^n of every degree of the kind,
-built by one Horner pass; and the kernel t / (t - z)^order (or t - z for
-the subtraction) of each point, order and level.  Outside the subtraction
-band a transform is converged for a whole column, every degree of its kind
-at one point and order, in one array pass per level: each row leaves the
-pass at its own first convergence, so its value, nodes and residual are
-those of a transform converged alone.  Converged values are memoized, so
-the other degrees of the column, which the identity checks ask for next,
-cost a lookup.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo before
-they validate their arguments: an entry exists only for a degree, point
-and order that passed the checks, so only a miss runs them.  The state
-lives in ``VerblunskyTable.quadrature``, with the structure matrices and
-their finite-difference derivatives that ``opuc.rh`` and
-``opuc.structure`` memoize there.
+The integrand samples are computed once per table and weight: the nodes
+and weight values of each level, and one integrand matrix per kind and
+level, whose rows are the samples p(t) nu(t) / t^n of every degree of the
+kind, built by one Horner pass.  G_n and G*_{n-1} are read together, so
+the first request at a point and order converges both kinds in one array
+pass per level: every degree of both off the subtraction band, G_n and
+G*_{n-1} inside it.  The pass builds its kernel, t / (t - z)^order or t - z
+for the subtraction, once per level.  Each row leaves the pass at its own
+first convergence, so its value, nodes and residual are those of a
+transform converged alone.  Every result is memoized, an AccuracyError
+too, which is raised again on each request, so no transform is converged
+twice.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo before they
+validate their arguments: an entry exists only for a degree, point and
+order that passed the checks, so only a miss runs them.  The state lives
+in ``VerblunskyTable.quadrature``, with the structure matrices and their
+finite-difference derivatives that ``opuc.rh`` and ``opuc.structure``
+memoize there.
 """
 
 from __future__ import annotations
 
-import bisect
+from itertools import groupby
 
 import numpy as np
 
@@ -70,10 +71,12 @@ class _Quadrature:
     transforms, of the structure matrices of ``opuc.rh`` and of their
     finite-difference derivatives in ``opuc.structure``.
 
-    One store, ``integrands``, holds the integrand matrices and the kernels.
-    It holds at most NMAX samples of both, one pass at the finest level,
-    and drops the least recently used arrays to stay within it.  The matrix
-    of a kind at N nodes is stored in blocks of ``_rows_per_pass(N)`` rows.
+    ``integrands`` holds the integrand matrices, each of a kind at N nodes
+    in blocks of ``_rows_per_pass(N)`` rows, within NMAX samples, one pass
+    at the finest level; it drops the least recently used blocks to stay
+    within it.  ``memo`` holds, by (kind, n, z, order), each transform's
+    (value, nodes, residual), or the AccuracyError of one that never
+    converged.
     """
 
     def __init__(self, w: WeightSpec, v: VerblunskyTable):
@@ -82,7 +85,7 @@ class _Quadrature:
         self.nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.integrands: dict[tuple, np.ndarray] = {}
         self.samples = 0
-        self.memo: dict[tuple, tuple[complex, int, float]] = {}
+        self.memo: dict[tuple, tuple[complex, int, float] | AccuracyError] = {}
         self.structure: dict[tuple, Matrix2C] = {}
         self.structure_deriv: dict[tuple, Matrix2C] = {}
 
@@ -94,22 +97,12 @@ class _Quadrature:
             self.nodes[N] = np.exp(1j * theta), nu, jac
         return self.nodes[N]
 
-    def _stored(self, key: tuple, make) -> np.ndarray:
-        """The array under key, made by make() on a miss."""
-        a = self.integrands.pop(key, None)
-        if a is None:
-            a = make()
-            self.samples += a.size
-            while self.samples > NMAX and self.integrands:
-                self.samples -= self.integrands.pop(next(iter(self.integrands))).size
-        self.integrands[key] = a
-        return a
-
     def block(self, kind: str, b: int, N: int) -> np.ndarray:
         """Block b of the integrand matrix of kind at N nodes: with
         B = _rows_per_pass(N), row i holds the samples p(t) nu(t) J / t^n
         of degree n = b B + i + _FIRST[kind]."""
-        def make():
+        m = self.integrands.pop((kind, N, b), None)
+        if m is None:
             t, nu, _ = self.circle(N)
             rows = _rows_per_pass(N)
             lo = b * rows
@@ -129,20 +122,16 @@ class _Quadrature:
             for i in range(len(m)):
                 # a Python int power; an integer-array power rounds differently
                 m[i] /= t ** (lo + i + _FIRST[kind])
-            return m
-        return self._stored((kind, N, b), make)
+            self.samples += m.size
+            while self.samples > NMAX and self.integrands:
+                self.samples -= self.integrands.pop(next(iter(self.integrands))).size
+        self.integrands[kind, N, b] = m
+        return m
 
     def row(self, kind: str, n: int, N: int) -> np.ndarray:
         """The integrand samples of degree n of kind at N nodes."""
         i, rows = n - _FIRST[kind], _rows_per_pass(N)
         return self.block(kind, i // rows, N)[i % rows]
-
-    def kernel(self, z: complex, order: int, N: int) -> np.ndarray:
-        """t / (t - z)^order at the N nodes; order 0 gives t - z instead."""
-        def make():
-            t = self.circle(N)[0]
-            return t - z if order == 0 else t / (t - z) ** order
-        return self._stored(("kernel", z, order, N), make)
 
 
 def _check_offcircle(z: complex, order: int) -> None:
@@ -191,56 +180,62 @@ def _converged(eval_at, rows: list) -> dict:
 
 
 def _value(result):
-    """The converged (value, nodes, residual) of a row, or its error raised."""
+    """The converged (value, nodes, residual) of a row, or its error raised
+    with a fresh traceback."""
     if isinstance(result, AccuracyError):
-        raise result
+        raise result.with_traceback(None)
     return result
 
 
-def _transform(q: _Quadrature, kind: str, degrees: list[int], z: complex,
+def _transform(q: _Quadrature, rows: list[tuple[str, int]], z: complex,
                order: int, subtract: bool) -> dict:
     """(1/2 pi i) * contour integral of p(t) nu(t) / (t^n (t-z)^order) dt
-    for each degree n of kind in degrees, converged together by _converged.
+    for each row (kind, n) in rows, converged together by _converged.
 
     order 1 gives the value, 2 the derivative, 3 half the second derivative.
-    With subtract=True (order 1 and one degree only) the integrand is
-    regularized by removing g(z) J, restoring spectral accuracy next to the
-    circle.
+    With subtract=True (order 1 only) each integrand is regularized by
+    removing g(z) J, restoring spectral accuracy next to the circle.  The
+    kernel, t / (t - z)^order or t - z for the subtraction, is built once
+    per level and shared by every row.
     """
-    first = _FIRST[kind]
     if subtract:
-        (n,) = degrees
-        coeffs = q.coefficients[kind][n - first, :n - first + 1]
-        gz = _horner(coeffs.tolist(), z) * eval_nu(q.w, z) / z ** n
+        nu_z = eval_nu(q.w, z)
+        gz = {}
+        for kind, n in rows:
+            i = n - _FIRST[kind]
+            gz[kind, n] = _horner(q.coefficients[kind][i, :i + 1].tolist(), z) * nu_z / z ** n
 
-        def eval_at(N: int, rows: list[int]) -> list[complex]:
+        def eval_at(N: int, rows: list) -> list[complex]:
             t, _, jac = q.circle(N)
-            total = ((q.row(kind, n, N) - gz * jac) * t / q.kernel(z, 0, N)).sum() / N
-            if abs(z) < 1.0:
-                total += gz
-            return [complex(total)]
+            kernel = t - z
+            values = []
+            for kind, n in rows:
+                total = ((q.row(kind, n, N) - gz[kind, n] * jac) * t / kernel).sum() / N
+                if abs(z) < 1.0:
+                    total += gz[kind, n]
+                values.append(complex(total))
+            return values
 
-        return _converged(eval_at, degrees)
+        return _converged(eval_at, rows)
 
     scale = 2.0 if order == 3 else 1.0
 
-    def eval_at(N: int, rows: list[int]) -> list[complex]:
-        kernel = q.kernel(z, order, N)
+    def eval_at(N: int, rows: list) -> list[complex]:
+        t = q.circle(N)[0]
+        kernel = t / (t - z) ** order
         per_pass = _rows_per_pass(N)
         values = []
-        start = 0
-        while start < len(rows):
-            # the rows of block b, one pass
-            b = (rows[start] - first) // per_pass
-            end = bisect.bisect_left(rows, first + (b + 1) * per_pass, start)
+        # one pass per block of a kind's integrand matrix
+        for (kind, b), group in groupby(
+                rows, lambda row: (row[0], (row[1] - _FIRST[row[0]]) // per_pass)):
             m = q.block(kind, b, N)
-            if end - start < len(m):
-                m = m[[n - first - b * per_pass for n in rows[start:end]]]
+            i = [n - _FIRST[kind] - b * per_pass for _, n in group]
+            if len(i) < len(m):
+                m = m[i]
             values += (scale * (m * kernel).sum(axis=1) / N).tolist()
-            start = end
         return values
 
-    return _converged(eval_at, degrees)
+    return _converged(eval_at, rows)
 
 
 def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
@@ -253,27 +248,26 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
 
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
                          z: complex, order: int):
-    """(value, nodes, residual) of a transform not yet memoized, converged
-    and memoized.
+    """(value, nodes, residual) of a transform, converged and memoized on a
+    miss; the memoized AccuracyError of one that never converged is raised.
 
-    Values inside the subtraction band are regularized and converged alone.
-    Outside it every degree of the column (kind, z, order) not yet memoized
-    is converged, and each that converges is memoized.
+    A miss converges, in one pass, every row of both kinds at (z, order)
+    not yet memoized: every degree of G and G* off the subtraction band,
+    (G, n) and (G*, n) where they exist inside it.  Every result is
+    memoized, a failure too, so no transform is converged twice.
     """
     z = complex(z)
-    subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     q = _quadrature(v, w)
     phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
-    degrees = [n]
-    if not subtract:
-        first = _FIRST[kind]
-        degrees = [m for m in range(first, first + len(q.coefficients[kind]))
-                   if (kind, m, z, order) not in q.memo]
-    results = _transform(q, kind, degrees, z, order, subtract)
-    for m, r in results.items():
-        if not isinstance(r, AccuracyError):
-            q.memo[(kind, m, z, order)] = r
-    return _value(results[n])
+    key = (kind, n, z, order)
+    if key not in q.memo:
+        subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
+        rows = [(k, m) for k, first in _FIRST.items()
+                for m in range(first, first + len(q.coefficients[k]))
+                if (m == n or not subtract) and (k, m, z, order) not in q.memo]
+        for (k, m), result in _transform(q, rows, z, order, subtract).items():
+            q.memo[k, m, z, order] = result
+    return _value(q.memo[key])
 
 
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
@@ -281,7 +275,7 @@ def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
     """G_n(z) off the circle, or its z-derivative of order 1 or 2."""
     q = _quadrature(v, w)
     result = q.memo.get(("G", n, z, order + 1))
-    if result is None:
+    if type(result) is not tuple:    # a miss, or a transform that failed
         _check_offcircle(z, order)
         result = _converged_transform(v, w, "G", n, z, order + 1)
     return result[0]
@@ -293,7 +287,7 @@ def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
     or its z-derivative of order 1 or 2."""
     q = _quadrature(v, w)
     result = q.memo.get(("Gstar", n, z, order + 1))
-    if result is None:
+    if type(result) is not tuple:    # a miss, or a transform that failed
         if n < 1:
             raise ValueError("G*_{n-1} needs n >= 1")
         _check_offcircle(z, order)
@@ -309,27 +303,21 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int
     Returns (g_coeffs, gstar_coeffs) for k = 0..TAIL_KMAX: g_coeffs[k], the
     coefficient of z^{-(n+1+k)} in G_n, is -(1/N) sum_j Phi_n(t_j) nu(t_j)
     J_j t_j^{k+1}, and gstar_coeffs[k], that of z^{-(n+k)} in G*_{n-1}, is
-    -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) J_j t_j^k (empty for n = 0).  Each
-    is converged to RTOL by node doubling.
+    -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) J_j t_j^k (empty for n = 0).  All
+    are converged to RTOL together, by node doubling.
     """
     q = _quadrature(v, w)
+    phi_pair(v, n)   # ValueError for a degree outside the table
+    powers = {"G": range(n + 1, n + TAIL_KMAX + 2),
+              "Gstar": range(n, n + TAIL_KMAX + 1) if n >= 1 else range(0)}
 
-    def coefficients(kind: str, powers: range) -> np.ndarray:
-        """The coefficients of the powers t^m of kind, converged together."""
-        phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
+    def eval_at(N: int, rows: list) -> list[complex]:
+        t = q.circle(N)[0]
+        return [complex(-np.mean(q.row(kind, n, N) * t ** m)) for kind, m in rows]
 
-        def eval_at(N: int, rows: list[int]) -> list[complex]:
-            t, _, _ = q.circle(N)
-            g = q.row(kind, n, N)
-            return [complex(-np.mean(g * t ** m)) for m in rows]
-
-        results = _converged(eval_at, list(powers))
-        return np.array([_value(results[m])[0] for m in powers])
-
-    g_coeffs = coefficients("G", range(n + 1, n + TAIL_KMAX + 2))
-    if n < 1:
-        return g_coeffs, np.array([])
-    return g_coeffs, coefficients("Gstar", range(n, n + TAIL_KMAX + 1))
+    results = _converged(eval_at, [(kind, m) for kind in powers for m in powers[kind]])
+    return tuple(np.array([_value(results[kind, m])[0] for m in powers[kind]])
+                 for kind in powers)
 
 
 def g_recurrence_residuals(v: VerblunskyTable, w: WeightSpec, n: int, z: complex

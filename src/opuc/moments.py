@@ -82,9 +82,12 @@ class MomentTable:
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 try:
-                    entries[int(row["j"])] = complex(float(row["re"]), float(row["im"]))
+                    j, c = int(row["j"]), complex(float(row["re"]), float(row["im"]))
                 except (KeyError, TypeError) as exc:   # a missing column or field
                     raise ValueError(f"moment file row {row} lacks j, re or im") from exc
+                if j in entries:
+                    raise ValueError(f"moment file lists index {j} twice")
+                entries[j] = c
         if not entries:
             raise ValueError("empty moment file")
         jmin, jmax = min(entries), max(entries)

@@ -281,8 +281,8 @@ def test_transforms_equal_uncached_reference(z):
         assert (cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)) == d
         assert (cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)) == d2
     q = v.quadrature[w]
-    # every request off the subtraction band converged its whole column,
-    # every degree of its kind at (z, order); a subtracted value, its own row
+    # every request off the subtraction band converged every degree of both
+    # kinds at (z, order); a subtracted value, its own degree of both kinds
     band = SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     z = complex(z)
     columns = {(kind, m, z, order)
@@ -290,10 +290,8 @@ def test_transforms_equal_uncached_reference(z):
                for order in ((2, 3) if band else (1, 2, 3))}
     subtracted = {(kind, n, z, 1) for kind in ("G", "Gstar")}
     assert set(q.memo) == (columns | subtracted if band else columns)
-    # recomputed from the stored integrand samples and kernels; in the
-    # subtraction band the value's kernel is t - z, stored as order 0
-    orders = {key[2] for key in q.integrands if key[0] == "kernel"}
-    assert orders == ({0, 2, 3} if band else {1, 2, 3})
+    # recomputed from the stored integrand samples, the only arrays stored
+    assert q.integrands and {key[0] for key in q.integrands} <= {"G", "Gstar"}
     q.memo.clear()
     assert cauchy_G(v, w, n, z) == G
     assert cauchy_Gstar(v, w, n, z) == Gs
@@ -323,8 +321,9 @@ def test_evaluation_state_outside_equality_and_repr():
 def test_integrand_store_stays_within_one_finest_pass():
     # the order-2 kernel next to the circle needs 2^12 nodes, so the G and
     # G* integrand matrices of 11 rows at 256..4096 nodes fill 2 x 87296
-    # samples, more than the store holds: the G* column's pass evicts every
-    # G block, and the kernels, shared by both columns, stay
+    # samples, more than the store holds; one pass builds both kinds at
+    # each level, G first, and the store keeps the most recent blocks that
+    # fit: G* at 2048 nodes and both kinds at 4096
     w = WeightSpec.bessel(2.0)
     v = _fresh(w)
     z = 1.021 * cmath.exp(0.4j)
@@ -334,17 +333,12 @@ def test_integrand_store_stays_within_one_finest_pass():
     q = v.quadrature[w]
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
-    levels = [256, 512, 1024, 2048, 4096]
-    assert list(q.integrands) == [key for N in levels
-                                  for key in (("kernel", z, 2, N), ("Gstar", N, 0))]
+    assert list(q.integrands) == [("Gstar", 2048, 0), ("G", 4096, 0), ("Gstar", 4096, 0)]
     phi = phi_pair(v, 2).phi
     reference = _reference_transform(w, phi, 2, z, order=2, subtract=False)[0]
     assert cauchy_G(v, w, 2, z, order=1) == reference
     q.memo.clear()
     assert cauchy_G(v, w, 2, z, order=1) == reference
-    # the kernels share the store and its budget with the integrands
-    kernels = [key for key in q.integrands if key[0] == "kernel"]
-    assert kernels and all(key[1:3] == (z, 2) for key in kernels)
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
 
@@ -400,8 +394,12 @@ def test_row_that_does_not_converge_fails_alone(monkeypatch):
                 assert residual > cauchy.RTOL
             else:
                 assert cauchy_Gstar(v, w, n, z) == value
-    # the error is not memoized
-    assert {key[1] for key in v.quadrature[w].memo} == set(references) - set(failing)
+    # the error is memoized with the values, every degree of both kinds
+    memo = v.quadrature[w].memo
+    assert {key[1] for key in memo if key[0] == "Gstar"} == set(references)
+    assert {key[1] for key in memo if key[0] == "G"} == set(_degrees(v, "G"))
+    assert [key[1] for key, result in memo.items()
+            if isinstance(result, AccuracyError)] == failing
 
 
 def test_column_at_the_finest_level_is_chunked(monkeypatch):
@@ -414,14 +412,119 @@ def test_column_at_the_finest_level_is_chunked(monkeypatch):
     assert len(list(_degrees(v, "G"))) > NMAX // (NMAX // 2)
     cauchy_G(v, w, 2, z)
     q = v.quadrature[w]
-    for n in _degrees(v, "G"):
-        reference = _reference_transform(w, _coefficients(v, "G", n), n, z, subtract=False)
-        assert reference[1] == NMAX
-        assert q.memo["G", n, complex(z), 1] == reference
+    for kind in ("G", "Gstar"):
+        for n in _degrees(v, kind):
+            reference = _reference_transform(w, _coefficients(v, kind, n), n, z,
+                                             subtract=False)
+            assert reference[1] == NMAX
+            assert q.memo[kind, n, complex(z), 1] == reference
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
-    blocks = {key: len(a) for key, a in q.integrands.items() if key[0] == "G"}
+    blocks = {key: len(a) for key, a in q.integrands.items()}
     assert blocks and all(rows <= max(1, NMAX // N) for (_, N, _), rows in blocks.items())
+
+
+def _counting_transforms(monkeypatch):
+    """Count the calls of cauchy._transform, one per quadrature pass."""
+    calls = []
+    transform = cauchy._transform
+
+    def counted(q, rows, *args):
+        calls.append(list(rows))
+        return transform(q, rows, *args)
+
+    monkeypatch.setattr(cauchy, "_transform", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_one_pass_converges_both_kinds_off_the_band(monkeypatch, order):
+    # one request converges every degree of G and of G* at (z, order), in
+    # one pass, and stores integrand blocks only, within the sample budget
+    calls = _counting_transforms(monkeypatch)
+    w = WeightSpec.bessel(2.0)
+    v = _fresh(w)
+    cauchy_G(v, w, 3, OUTSIDE, order=order)
+    q = v.quadrature[w]
+    z = complex(OUTSIDE)
+    rows = {(kind, m) for kind in ("G", "Gstar") for m in _degrees(v, kind)}
+    assert len(calls) == 1 and set(calls[0]) == rows
+    assert set(q.memo) == {(kind, m, z, order + 1) for kind, m in rows}
+    for kind, m in rows:
+        reference = _reference_transform(w, _coefficients(v, kind, m), m, z, order + 1,
+                                         subtract=False)
+        assert q.memo[kind, m, z, order + 1] == reference
+    for kind, m in rows:
+        transform = cauchy_G if kind == "G" else cauchy_Gstar
+        assert transform(v, w, m, OUTSIDE, order=order) == q.memo[kind, m, z, order + 1][0]
+    assert len(calls) == 1
+    assert {key[0] for key in q.integrands} == {"G", "Gstar"}
+    assert q.samples == sum(a.size for a in q.integrands.values()) <= NMAX
+
+
+@pytest.mark.parametrize("kind, n, rows", [("G", 4, [("G", 4), ("Gstar", 4)]),
+                                           ("Gstar", 4, [("G", 4), ("Gstar", 4)]),
+                                           ("G", 0, [("G", 0)]),
+                                           ("Gstar", 11, [("Gstar", 11)])],
+                         ids=["G", "Gstar", "G0", "Gstar-top"])
+def test_one_pass_converges_both_kinds_in_the_band(monkeypatch, kind, n, rows):
+    # a subtracted value converges its own degree of both kinds, where the
+    # table holds it: G_0 has no G* row, G*_{nmax} no G row
+    calls = _counting_transforms(monkeypatch)
+    w = WeightSpec.bessel(2.0)
+    v = _fresh(w)
+    transform = cauchy_G if kind == "G" else cauchy_Gstar
+    transform(v, w, n, BAND)
+    q = v.quadrature[w]
+    assert calls == [rows]
+    assert set(q.memo) == {(k, m, complex(BAND), 1) for k, m in rows}
+    for k, m in rows:
+        reference = _reference_transform(w, _coefficients(v, k, m), m, BAND, subtract=True)
+        assert q.memo[k, m, complex(BAND), 1] == reference
+        (cauchy_G if k == "G" else cauchy_Gstar)(v, w, m, BAND)
+    assert len(calls) == 1
+
+
+def test_failure_is_memoized_and_raised_again(monkeypatch):
+    # the setup of test_row_that_does_not_converge_fails_alone: G*_{nmax}
+    # fails at NMAX = 512, in the pass a request for G_3 runs; every later
+    # request raises the same error, with a traceback of its own, and
+    # converges nothing again
+    monkeypatch.setattr(cauchy, "NMAX", 512)
+    calls = _counting_transforms(monkeypatch)
+    w = WeightSpec.jacobi(-0.45 + 0.3j)
+    v = _fresh(w, 14)
+    z = 0.4 * cmath.exp(1j * math.pi / 4)
+    n = v.nmax + 1
+    _, nodes, residual = _reference_transform(w, _coefficients(v, "Gstar", n), n, z, nmax=512)
+    cauchy_G(v, w, 3, z)
+    tracebacks = []
+    for _ in ("first", "second", "third"):
+        with pytest.raises(AccuracyError) as exc:
+            cauchy_Gstar(v, w, n, z)
+        assert (exc.value.residual, exc.value.nodes) == (residual, nodes)
+        tracebacks.append(len(exc.traceback))
+    assert len(calls) == 1
+    assert tracebacks[0] == tracebacks[1] == tracebacks[2]
+    assert cauchy_G(v, w, n - 1, z) == v.quadrature[w].memo["G", n - 1, complex(z), 1][0]
+    assert len(calls) == 1
+
+
+def test_laurent_tail_is_one_pass(monkeypatch, bessel2):
+    # the G and G* coefficients are converged together
+    w, _, v = bessel2
+    passes = []
+    converged = cauchy._converged
+
+    def counted(eval_at, rows):
+        passes.append(list(rows))
+        return converged(eval_at, rows)
+
+    monkeypatch.setattr(cauchy, "_converged", counted)
+    laurent_tail(v, w, 3)
+    assert passes == [[("G", 4), ("G", 5), ("G", 6), ("Gstar", 3), ("Gstar", 4), ("Gstar", 5)]]
+    g, gs = laurent_tail(v, w, 0)
+    assert len(g) == 3 and len(gs) == 0 and len(passes) == 2
 
 
 @pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.0 + 0.5j)],

@@ -294,6 +294,17 @@ def test_malformed_moment_file_is_usage_error(tmp_path, text, capsys):
     assert "lacks j, re or im" in capsys.readouterr().err
 
 
+def test_repeated_moment_index_is_usage_error(tmp_path, capsys):
+    # a second row for j = 0 replaced the first, and the command printed
+    # c_0 = 1.0 and exited 0
+    table = tmp_path / "dup.csv"
+    table.write_text(f"j,re,im\n0,{2 * math.pi!r},0\n0,1.0,0\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["moments", "--weight", "custom", "--moments", str(table), "--jmax", "0"])
+    assert exc.value.code == 2
+    assert "lists index 0 twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["moments", "--jmax", "2"],
                                   ["verblunsky", "--n", "4"],
                                   ["verify", "all", "--n", "2"]],
