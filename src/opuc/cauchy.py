@@ -7,10 +7,10 @@ levels agree to the one tolerance RTOL, relative to max(1, |value|): the
 periodic midpoint rule, graded towards theta = 0 for a weight singular at
 z = 1, with the Jacobian folded into the weight values.  Near the circle a
 singularity subtraction keeps the rule spectrally accurate.  ``cauchy_G``
-and ``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2 and
-integrate against the kernel of order k + 1; a value is admitted anywhere
-off the circle, but a derivative, which gets no subtraction, not within
-0.02.
+and ``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2; the memo
+key and every call below them carry the same k, and the kernel is
+k! t / (t - z)^(k+1).  A value is admitted anywhere off the circle, but a
+derivative, which gets no subtraction, not within 0.02.
 
 The Laurent coefficients at infinity are integrals too: for |z| > 1,
 1/(t - z) = -sum_m t^m / z^{m+1}, so the coefficient of z^{-(m+1)} in the
@@ -24,17 +24,14 @@ level, whose rows are the samples p(t) nu(t) / t^n of every degree of the
 kind, built by one Horner pass.  G_n and G*_{n-1} are read together, so
 the first request at a point and order converges both kinds in one array
 pass per level: every degree of both off the subtraction band, G_n and
-G*_{n-1} inside it.  The pass builds its kernel, t / (t - z)^order or t - z
-for the subtraction, once per level.  Each row leaves the pass at its own
-first convergence, so its value, nodes and residual are those of a
-transform converged alone.  Every result is memoized, an AccuracyError
-too, which is raised again on each request, so no transform is converged
-twice.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo before they
-validate their arguments: an entry exists only for a degree, point and
-order that passed the checks, so only a miss runs them.  The state lives
-in ``VerblunskyTable.quadrature``, with the structure matrices and their
-finite-difference derivatives that ``opuc.rh`` and ``opuc.structure``
-memoize there.
+G*_{n-1} inside it, with the kernel built once per level.  Each row leaves
+the pass at its own first convergence, so its value, nodes and residual
+are those of a transform converged alone.  Every result is memoized, an
+AccuracyError too, which is raised again on each request, so no transform
+is converged twice.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo first;
+only a miss checks the arguments, as an entry exists only for arguments
+that passed.  The state lives in ``VerblunskyTable.quadrature``, whose one
+memo also holds the M_n and M_n' of ``opuc.rh`` and ``opuc.structure``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from itertools import groupby
 import numpy as np
 
 from .errors import AccuracyError, NearBoundaryError
-from .matrix2 import Matrix2C
 from .szego import VerblunskyTable, _horner, phi_pair
 from .weights import WeightSpec, circle_rule, eval_nu
 
@@ -53,7 +49,6 @@ NMAX = 1 << 17
 RTOL = 1e-12                # doubling stops at this change, relative to max(1, |value|)
 NEAR_BOUNDARY = 0.02        # band around |z| = 1 where derivatives are refused
 SUBTRACT_BAND = (0.8, 1.25)  # |z| range where a value is computed by subtraction
-TAIL_KMAX = 2               # laurent_tail gives the coefficients k = 0..TAIL_KMAX
 
 # the lowest degree n of each kind: row i of its integrand matrix is degree
 # i + _FIRST[kind], from row i of the table's Phi ("G") or Phi* ("Gstar")
@@ -67,16 +62,16 @@ def _rows_per_pass(N: int) -> int:
 
 
 class _Quadrature:
-    """Quadrature data of one table and weight, plus memos of converged
-    transforms, of the structure matrices of ``opuc.rh`` and of their
-    finite-difference derivatives in ``opuc.structure``.
+    """Quadrature data of one table and weight, and the table's one memo.
 
     ``integrands`` holds the integrand matrices, each of a kind at N nodes
     in blocks of ``_rows_per_pass(N)`` rows, within NMAX samples, one pass
     at the finest level; it drops the least recently used blocks to stay
-    within it.  ``memo`` holds, by (kind, n, z, order), each transform's
-    (value, nodes, residual), or the AccuracyError of one that never
-    converged.
+    within it.  ``memo`` holds each transform's (value, nodes, residual), or
+    the AccuracyError of one that never converged, by (kind, n, z, order)
+    with the derivative order 0-2; the structure matrix M_n(z) of
+    ``opuc.rh`` by ("M", n, z), and its finite-difference derivative in
+    ``opuc.structure`` by ("dM", n, z).
     """
 
     def __init__(self, w: WeightSpec, v: VerblunskyTable):
@@ -85,9 +80,7 @@ class _Quadrature:
         self.nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.integrands: dict[tuple, np.ndarray] = {}
         self.samples = 0
-        self.memo: dict[tuple, tuple[complex, int, float] | AccuracyError] = {}
-        self.structure: dict[tuple, Matrix2C] = {}
-        self.structure_deriv: dict[tuple, Matrix2C] = {}
+        self.memo: dict[tuple, object] = {}
 
     def circle(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes t_k = e^{i theta_k}, weight values nu(t_k) J_k and Jacobians
@@ -189,14 +182,14 @@ def _value(result):
 
 def _transform(q: _Quadrature, rows: list[tuple[str, int]], z: complex,
                order: int, subtract: bool) -> dict:
-    """(1/2 pi i) * contour integral of p(t) nu(t) / (t^n (t-z)^order) dt
-    for each row (kind, n) in rows, converged together by _converged.
+    """The z-derivative of the given order 0-2 of (1/2 pi i) * contour
+    integral of p(t) nu(t) / (t^n (t-z)) dt for each row (kind, n) in rows,
+    converged together by _converged.
 
-    order 1 gives the value, 2 the derivative, 3 half the second derivative.
-    With subtract=True (order 1 only) each integrand is regularized by
+    With subtract=True (order 0 only) each integrand is regularized by
     removing g(z) J, restoring spectral accuracy next to the circle.  The
-    kernel, t / (t - z)^order or t - z for the subtraction, is built once
-    per level and shared by every row.
+    kernel, order! t / (t - z)^(order+1) or t - z for the subtraction, is
+    built once per level and shared by every row.
     """
     if subtract:
         nu_z = eval_nu(q.w, z)
@@ -218,11 +211,11 @@ def _transform(q: _Quadrature, rows: list[tuple[str, int]], z: complex,
 
         return _converged(eval_at, rows)
 
-    scale = 2.0 if order == 3 else 1.0
+    scale = 2.0 if order == 2 else 1.0
 
     def eval_at(N: int, rows: list) -> list[complex]:
         t = q.circle(N)[0]
-        kernel = t / (t - z) ** order
+        kernel = t / (t - z) ** (order + 1)
         per_pass = _rows_per_pass(N)
         values = []
         # one pass per block of a kind's integrand matrix
@@ -248,20 +241,23 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
 
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
                          z: complex, order: int):
-    """(value, nodes, residual) of a transform, converged and memoized on a
-    miss; the memoized AccuracyError of one that never converged is raised.
+    """(value, nodes, residual) of a transform on a memo miss, after the
+    argument checks; a memoized AccuracyError is raised.
 
     A miss converges, in one pass, every row of both kinds at (z, order)
     not yet memoized: every degree of G and G* off the subtraction band,
     (G, n) and (G*, n) where they exist inside it.  Every result is
     memoized, a failure too, so no transform is converged twice.
     """
+    if kind == "Gstar" and n < 1:
+        raise ValueError("G*_{n-1} needs n >= 1")
+    _check_offcircle(z, order)
     z = complex(z)
     q = _quadrature(v, w)
     phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
     key = (kind, n, z, order)
     if key not in q.memo:
-        subtract = order == 1 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
+        subtract = order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
         rows = [(k, m) for k, first in _FIRST.items()
                 for m in range(first, first + len(q.coefficients[k]))
                 if (m == n or not subtract) and (k, m, z, order) not in q.memo]
@@ -273,11 +269,9 @@ def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
              order: int = 0) -> complex:
     """G_n(z) off the circle, or its z-derivative of order 1 or 2."""
-    q = _quadrature(v, w)
-    result = q.memo.get(("G", n, z, order + 1))
+    result = _quadrature(v, w).memo.get(("G", n, z, order))
     if type(result) is not tuple:    # a miss, or a transform that failed
-        _check_offcircle(z, order)
-        result = _converged_transform(v, w, "G", n, z, order + 1)
+        result = _converged_transform(v, w, "G", n, z, order)
     return result[0]
 
 
@@ -285,13 +279,9 @@ def cauchy_Gstar(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                  order: int = 0) -> complex:
     """G*_{n-1}(z), the reciprocal-polynomial transform with kernel nu/t^n,
     or its z-derivative of order 1 or 2."""
-    q = _quadrature(v, w)
-    result = q.memo.get(("Gstar", n, z, order + 1))
+    result = _quadrature(v, w).memo.get(("Gstar", n, z, order))
     if type(result) is not tuple:    # a miss, or a transform that failed
-        if n < 1:
-            raise ValueError("G*_{n-1} needs n >= 1")
-        _check_offcircle(z, order)
-        result = _converged_transform(v, w, "Gstar", n, z, order + 1)
+        result = _converged_transform(v, w, "Gstar", n, z, order)
     return result[0]
 
 
@@ -300,16 +290,15 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int
     """Laurent coefficients of G_n and G*_{n-1} at infinity, by their
     defining integrals over the transforms' nodes t_j and integrand samples.
 
-    Returns (g_coeffs, gstar_coeffs) for k = 0..TAIL_KMAX: g_coeffs[k], the
-    coefficient of z^{-(n+1+k)} in G_n, is -(1/N) sum_j Phi_n(t_j) nu(t_j)
+    Returns (g_coeffs, gstar_coeffs), k = 0 (leading) and 1: g_coeffs[k],
+    the coefficient of z^{-(n+1+k)} in G_n, is -(1/N) sum_j Phi_n(t_j) nu(t_j)
     J_j t_j^{k+1}, and gstar_coeffs[k], that of z^{-(n+k)} in G*_{n-1}, is
     -(1/N) sum_j Phi*_{n-1}(t_j) nu(t_j) J_j t_j^k (empty for n = 0).  All
     are converged to RTOL together, by node doubling.
     """
     q = _quadrature(v, w)
     phi_pair(v, n)   # ValueError for a degree outside the table
-    powers = {"G": range(n + 1, n + TAIL_KMAX + 2),
-              "Gstar": range(n, n + TAIL_KMAX + 1) if n >= 1 else range(0)}
+    powers = {"G": range(n + 1, n + 3), "Gstar": range(n, n + 2) if n >= 1 else range(0)}
 
     def eval_at(N: int, rows: list) -> list[complex]:
         t = q.circle(N)[0]

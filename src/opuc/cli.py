@@ -42,7 +42,7 @@ from .structure import (
     structure_relation_residuals,
     traceback_residual,
 )
-from .szego import verblunsky_from_moments
+from .szego import MAX_DEGREE, verblunsky_from_moments
 from .weights import WeightSpec
 
 INNER_R = 0.4
@@ -222,6 +222,13 @@ def _weight(args, parser) -> WeightSpec:
     parser.error(f"unknown weight {kind!r}")
 
 
+def _check_degree(n: int, degree: int, parser) -> None:
+    """Refuse --n n, whose table has the given degree, above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        parser.error(f"--n {n} needs a table of degree {degree}, above the "
+                     f"bound of {MAX_DEGREE} (opuc.szego.MAX_DEGREE)")
+
+
 def _moments(w: WeightSpec, jmax: int, parser):
     """moments_for, with a custom table that falls short as a usage error."""
     if w.kind == "custom" and not w.moments.covers(jmax):
@@ -331,7 +338,8 @@ def cmd_moments(args, parser) -> int:
 
 def cmd_verblunsky(args, parser) -> int:
     w = _weight_from_args(args, parser)
-    v = verblunsky_from_moments(_moments(w, args.n + 2, parser), args.n)
+    _check_degree(args.n, args.n, parser)
+    v = verblunsky_from_moments(_moments(w, args.n, parser), args.n)
     rows = [["n", "re_alpha", "im_alpha", "kappa2", "b", "re_phi1", "im_phi1"]]
     for n in range(args.n):
         a = v.alphas[n]
@@ -346,8 +354,8 @@ def cmd_dpii(args, parser) -> int:
     if args.ell is None or not (math.isfinite(args.ell) and args.ell > 0):
         parser.error("dpii requires a finite --ell > 0")
     w = WeightSpec.bessel(args.ell)
-    c = moments_for(w, args.n + 3)
-    v = verblunsky_from_moments(c, args.n + 1)
+    _check_degree(args.n, args.n + 1, parser)
+    v = verblunsky_from_moments(moments_for(w, args.n + 1), args.n + 1)
     alphas = [a.real for a in v.alphas]
     rows = [["n", "alpha", "residual"]]
     for n in range(args.n + 1):
@@ -362,6 +370,7 @@ def cmd_verify(args, parser) -> int:
     if args.n < VERIFY_MIN_N:
         parser.error(f"verify needs --n >= {VERIFY_MIN_N}")
     nmax = args.n
+    _check_degree(nmax, nmax + 2, parser)
     v = verblunsky_from_moments(_moments(w, nmax + 4, parser), nmax + 2)
     if args.perturb:
         v = _apply_perturb(v, args.perturb, parser)

@@ -127,12 +127,13 @@ def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: compl
 
     Computed once per table, weight, n and z: the zero-curvature,
     second-order and trace-back checks and the finite-difference M_n' ask
-    for the same M_n(z) again, so a repeat is a lookup in the table's
-    quadrature state.  The memo is read first and the pole checks run only
-    on a miss: it holds no point that failed them.
+    for the same M_n(z) again, so a repeat is a lookup in the memo of the
+    table's quadrature state, under ("M", n, z).  The memo is read first
+    and the pole checks run only on a miss: it holds no point that failed
+    them.
     """
-    memo = _quadrature(v, w).structure
-    M = memo.get((n, z))
+    memo = _quadrature(v, w).memo
+    M = memo.get(("M", n, z))
     if M is None:
         z = complex(z)
         if abs(z) < 1e-12:
@@ -144,5 +145,5 @@ def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: compl
         dY = assemble_Y(v, w, n, z, order=1)
         Yinv = Y.inv()
         D = log_diag_factor(w, n, z)
-        M = memo[(n, z)] = (dY @ Yinv) + (Y @ D @ Yinv)
+        M = memo["M", n, z] = (dY @ Yinv) + (Y @ D @ Yinv)
     return M

@@ -311,11 +311,12 @@ def structure_matrix_deriv_fd(v: VerblunskyTable, w: WeightSpec, n: int,
                               z: complex) -> Matrix2C:
     """dM_n/dz by central differences with one Richardson step.
 
-    Computed once per table, weight, n and z, like M_n(z) itself: the
-    second-order and trace-back checks ask for the same M_n' again.
+    Computed once per table, weight, n and z, like M_n(z) itself, and kept
+    in the same memo under ("dM", n, z): the second-order and trace-back
+    checks ask for the same M_n' again.
     """
-    memo = _quadrature(v, w).structure_deriv
-    dM = memo.get((n, z))
+    memo = _quadrature(v, w).memo
+    dM = memo.get(("dM", n, z))
     if dM is None:
         z = complex(z)
         h = FD_STEP * max(1.0, abs(z))
@@ -327,7 +328,7 @@ def structure_matrix_deriv_fd(v: VerblunskyTable, w: WeightSpec, n: int,
 
         d1 = central(h)
         d2 = central(h / 2.0)
-        dM = memo[(n, z)] = d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
+        dM = memo["dM", n, z] = d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
     return dM
 
 

@@ -8,10 +8,12 @@ coefficients Phi_1^n, and the coefficients of every Phi_n and Phi_n^*.
 
 One recursion pass fills the rows of two preallocated read-only
 matrices, Phi_n in row n of one and Phi_n^* = conj(reversed Phi_n) in row
-n of the other; each ``PolyPair`` holds views of its two rows.  The moment
-sum that gives alpha_n is taken on arrays of real and imaginary parts,
-accumulated in index order, so it rounds exactly as the sequential sum of
-scalar complex products does.
+n of the other; each ``PolyPair`` holds views of its two rows, and Phi_1^n
+is the entry of z^{n-1} in row n of the first.  The matrices take
+32 (nmax + 1)^2 bytes, so a degree above MAX_DEGREE is refused before they
+are allocated.  The moment sum that gives alpha_n is taken on arrays of
+real and imaginary parts, accumulated in index order, so it rounds exactly
+as the sequential sum of scalar complex products does.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateMeasureError
+from .errors import DegenerateMeasureError, ParameterRangeError
 from .moments import MomentTable
 
 DEGENERACY_MARGIN = 1e-12
+MAX_DEGREE = 4096           # a table's two coefficient matrices take 0.5 GiB at this degree
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,19 +96,11 @@ def _szego_step(phi: np.ndarray, phistar: np.ndarray, kappa2: list, n: int,
     phistar[n + 1, :n + 2] = row[::-1].conj()
 
 
-def _phi1_sequence(alphas: tuple[complex, ...]) -> tuple[complex, ...]:
-    # Phi_1^n = sum_{j<n} conj(alpha_j) alpha_{j-1} with alpha_{-1} = -1
-    out = [0.0 + 0.0j]
-    acc = 0.0 + 0.0j
-    for j, a in enumerate(alphas):
-        prev = -1.0 if j == 0 else alphas[j - 1]
-        acc += a.conjugate() * prev
-        out.append(acc)
-    return tuple(out)
-
-
 def _coefficient_matrices(nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed (nmax + 1, nmax + 1) matrices for Phi_n and Phi_n^*, row 0 = 1."""
+    """Zeroed (nmax + 1, nmax + 1) matrices for Phi_n and Phi_n^*, row 0 = 1;
+    ParameterRangeError above MAX_DEGREE."""
+    if nmax > MAX_DEGREE:
+        raise ParameterRangeError(f"table degree {nmax} is above MAX_DEGREE = {MAX_DEGREE}")
     phi = np.zeros((nmax + 1, nmax + 1), dtype=complex)
     phistar = np.zeros_like(phi)
     phi[0, 0] = phistar[0, 0] = 1.0
@@ -158,7 +153,8 @@ class VerblunskyTable:
         polys = tuple(PolyPair(n, phi[n, :n + 1], phistar[n, :n + 1])
                       for n in range(len(alphas) + 1))
         b = tuple(2.0 * math.pi * k for k in kappa2)
-        return cls(alphas, tuple(kappa2), b, _phi1_sequence(alphas), polys, phi, phistar)
+        phi1 = (0j,) + tuple(phi.diagonal(-1).tolist())   # phi[n, n - 1], 0 for n = 0
+        return cls(alphas, tuple(kappa2), b, phi1, polys, phi, phistar)
 
     def perturbed(self, n: int, eps: complex) -> "VerblunskyTable":
         """Copy with alpha_n shifted by eps; downstream constants recomputed.

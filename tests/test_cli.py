@@ -159,12 +159,74 @@ def test_verify_degree_below_minimum_is_usage_error(n, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["moments", "--weight", "bessel", "--ell", "2", "--jmax", "200"],
-    ["verblunsky", "--weight", "bessel", "--ell", "2", "--n", "169"],
-    ["dpii", "--ell", "2", "--n", "168"],
+    ["verblunsky", "--weight", "bessel", "--ell", "2", "--n", "171"],
+    ["dpii", "--ell", "2", "--n", "170"],
 ], ids=["moments", "verblunsky", "dpii"])
 def test_bessel_order_beyond_series_limit_exits_3(argv, capsys):
     assert run(argv) == 3
     assert "|j| <= 170" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verblunsky", "--weight", "bessel", "--ell", "2", "--n", "170"],
+    ["dpii", "--ell", "2", "--n", "169"],
+], ids=["verblunsky", "dpii"])
+def test_bessel_tables_reach_the_series_limit(argv, tmp_path):
+    # the tables of degree 170 read the moments up to order 170 only
+    assert run([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+
+
+def test_custom_table_at_the_requested_degree(tmp_path, capsys):
+    # a table of |j| <= 12 was refused for --n 12 as not covering |j| <= 14
+    table, a, b = tmp_path / "m.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["moments", "--weight", "bessel", "--ell", "2", "--jmax", "12",
+                "--out", str(table)]) == 0
+    for n in ("12", "10"):
+        assert run(["verblunsky", "--weight", "custom", "--moments", str(table),
+                    "--n", n, "--out", str(a)]) == 0
+        assert run(["verblunsky", "--weight", "bessel", "--ell", "2",
+                    "--n", n, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        run(["verblunsky", "--weight", "custom", "--moments", str(table), "--n", "13"])
+    assert exc.value.code == 2
+    assert "must cover |j| <= 13" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["verblunsky", "--weight", "lebesgue", "--n", "100000"], 100000),
+    (["verblunsky", "--weight", "jacobi", "--lambda", "1", "--n", "299999"], 299999),
+    (["dpii", "--ell", "2", "--n", "4096"], 4097),
+    (["verify", "all", "--weight", "bessel", "--ell", "2", "--n", "4095"], 4097),
+], ids=["verblunsky", "jacobi-verblunsky", "dpii", "verify"])
+def test_table_degree_past_the_bound_is_usage_error(argv, degree, monkeypatch, capsys):
+    # the coefficient matrices of such a table would not fit in memory; the
+    # bound is checked before any moment is computed
+    def refused(w, jmax):
+        raise AssertionError("moments computed")
+
+    monkeypatch.setattr(cli, "moments_for", refused)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"table of degree {degree}, above the bound of 4096" in err
+    assert "MAX_DEGREE" in err and "Traceback" not in err
+
+
+def test_table_degree_bound_counts_the_table_each_command_builds(tmp_path, monkeypatch):
+    # verblunsky --n n builds degree n, dpii n + 1 and verify n + 2
+    monkeypatch.setattr(cli, "MAX_DEGREE", 10)
+    out = str(tmp_path / "t")
+    bessel = ["--weight", "bessel", "--ell", "2"]
+    assert run(["verblunsky", *bessel, "--n", "10", "--out", out]) == 0
+    assert run(["dpii", "--ell", "2", "--n", "9", "--out", out]) == 0
+    assert run(["verify", "painleve", *bessel, "--n", "8", "--report", out]) == 0
+    for argv in (["verblunsky", *bessel, "--n", "11"], ["dpii", "--ell", "2", "--n", "10"],
+                 ["verify", "painleve", *bessel, "--n", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
 
 def test_bessel_ell_beyond_analytic_range_exits_3(capsys):
@@ -210,8 +272,7 @@ def test_non_finite_weight_parameter_is_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["moments", "--weight", "jacobi", "--lambda", "1", "--jmax", "300000"],
-    ["verblunsky", "--weight", "jacobi", "--lambda", "1", "--n", "299999"],
-], ids=["moments", "verblunsky"])
+], ids=["moments"])
 def test_jacobi_degree_beyond_the_node_limit_exits_3(argv, capsys):
     # it raised a ValueError with a traceback (exit 1, the code of failed checks)
     assert run(argv) == 3

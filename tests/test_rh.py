@@ -112,6 +112,11 @@ def _fresh(w, nmax=10):
     return verblunsky_from_moments(moments_for(w, nmax + 2), nmax)
 
 
+def _structure_keys(v, w):
+    """The (n, z) of every M_n(z) in the table's memo, in insertion order."""
+    return [key[1:] for key in v.quadrature[w].memo if key[0] == "M"]
+
+
 @pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.3 + 0.4j)],
                          ids=["bessel2", "jacobi_complex"])
 def test_memoized_structure_matrix_equals_its_definition(w):
@@ -129,7 +134,7 @@ def test_memoized_structure_matrix_equals_its_definition(w):
             M = structure_matrix_numeric(v, w, n, z)
             assert M.entries() == expected.entries()
             assert structure_matrix_numeric(v, w, n, z) is M
-    assert len(v.quadrature[w].structure) == 2 * len(points)
+    assert len(_structure_keys(v, w)) == 2 * len(points)
 
 
 def test_structure_matrix_memo_is_per_table():
@@ -143,7 +148,7 @@ def test_structure_matrix_memo_is_per_table():
     for _ in range(2):
         with pytest.raises(PoleError):
             structure_matrix_numeric(v, w, 3, 0.0)
-    assert list(v.quadrature[w].structure) == [(4, OUTSIDE)]
+    assert _structure_keys(v, w) == [(4, OUTSIDE)]
 
 
 @pytest.mark.parametrize("w", [WeightSpec.lebesgue(), WeightSpec.bessel(2.0),
@@ -160,7 +165,7 @@ def test_warm_structure_memo_masks_no_pole_check(w):
     for z in poles:
         with pytest.raises(PoleError):
             structure_matrix_numeric(v, w, 4, z)
-    assert list(v.quadrature[w].structure) == [(4, OUTSIDE), (4, INSIDE), (5, OUTSIDE)]
+    assert _structure_keys(v, w) == [(4, OUTSIDE), (4, INSIDE), (5, OUTSIDE)]
     assert structure_matrix_numeric(v, w, 4, OUTSIDE) is M
     assert M == structure_matrix_numeric(_fresh(w), w, 4, OUTSIDE)
 

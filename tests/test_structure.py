@@ -179,10 +179,10 @@ def test_fd_derivative_computed_once_per_point(w):
                     - structure_matrix_numeric(reference, w, n, z - step)).scale(1.0 / (2.0 * step))
 
         assert dM == central(h / 2.0).scale(4.0 / 3.0) - central(h).scale(1.0 / 3.0)
-        memo = dict(v.quadrature[w].structure)
+        memo = dict(v.quadrature[w].memo)
         assert structure_matrix_deriv_fd(v, w, n, z) is dM
-        assert v.quadrature[w].structure == memo      # no M_n evaluated again
-    assert list(v.quadrature[w].structure_deriv) == [(4, z), (5, z)]
+        assert v.quadrature[w].memo == memo      # no M_n or transform evaluated again
+    assert [key for key in v.quadrature[w].memo if key[0] == "dM"] == [("dM", 4, z), ("dM", 5, z)]
     # the two checks that share M_n' give, in either order, the values of a
     # table that never ran the other one
     both, reverse = fresh(), fresh()

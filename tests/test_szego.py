@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import functools
 import math
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opuc import szego
 from opuc.cli import standard_grid
-from opuc.errors import DegenerateMeasureError
+from opuc.errors import DegenerateMeasureError, ParameterRangeError
 from opuc.moments import MomentTable, lebesgue_moments, moments_for
 from opuc.szego import (
+    MAX_DEGREE,
     VerblunskyTable,
     jacobi_alpha_ratio_residual,
     orthogonality_defect,
@@ -64,6 +67,57 @@ def test_subleading_coefficient_table(bessel2):
     for n in range(1, 8):
         p = phi_pair(v, n)
         assert abs(v.phi1[n] - p.phi[n - 1]) < 1e-12
+
+
+def _phi1_sum(alphas):
+    """Phi_1^n = sum_{j<n} conj(alpha_j) alpha_{j-1}, alpha_{-1} = -1, for
+    n = 0..len(alphas), summed in index order."""
+    phi1, acc = [0j], 0j
+    for j, a in enumerate(alphas):
+        acc += a.conjugate() * (-1.0 if j == 0 else alphas[j - 1])
+        phi1.append(acc)
+    return phi1
+
+
+PHI1_TABLES = {
+    "bessel(2.2)": lambda: verblunsky_from_moments(moments_for(WeightSpec.bessel(2.2), 40), 40),
+    "jacobi(1.3+0.4i)": lambda: verblunsky_from_moments(
+        moments_for(WeightSpec.jacobi(1.3 + 0.4j), 40), 40),
+    "from_alphas": lambda: VerblunskyTable.from_alphas(
+        [0.6 * cmath.exp(0.7j * k) / (1.0 + k / 10.0) for k in range(40)], 1.0),
+    "perturbed": lambda: verblunsky_from_moments(
+        moments_for(WeightSpec.jacobi(0.5 + 0.3j), 40), 40).perturbed(5, 1e-3 + 2e-3j),
+}
+
+
+@pytest.mark.parametrize("case", list(PHI1_TABLES))
+def test_phi1_is_read_off_the_coefficient_rows(case):
+    # Phi_1^n is the entry of z^{n-1} in row n of the coefficient matrix; it
+    # equals the sum over the alphas that the recursion adds up in that entry
+    v = PHI1_TABLES[case]()
+    assert v.nmax == 40 and len(v.phi1) == 41
+    assert v.phi1[0] == 0
+    sums = _phi1_sum(v.alphas)
+    for n in range(1, v.nmax + 1):
+        assert v.phi1[n] == phi_pair(v, n).phi[n - 1]
+        assert type(v.phi1[n]) is complex
+        assert abs(v.phi1[n] - sums[n]) < 1e-14
+
+
+def test_degree_above_the_bound_refused_before_allocation(monkeypatch):
+    # two (nmax + 1)^2 complex matrices: 0.5 GiB at MAX_DEGREE, 550 GB at
+    # the Jacobi moment quadrature's limit
+    c = lebesgue_moments(MAX_DEGREE + 1)
+    alphas = [0j] * (MAX_DEGREE + 1)
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("coefficient matrices allocated")
+
+    monkeypatch.setattr(szego.np, "zeros", allocate)
+    with pytest.raises(ParameterRangeError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        verblunsky_from_moments(c, MAX_DEGREE + 1)
+    with pytest.raises(ParameterRangeError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        VerblunskyTable.from_alphas(alphas, 1.0)
 
 
 def test_reciprocal_is_reversed_conjugate(jacobi_complex):
@@ -256,11 +310,7 @@ def _assert_table_equals(v, alphas, kappa2, pairs):
     assert repr(v.alphas) == repr(tuple(alphas))    # signs of zeros too
     assert v.kappa2 == tuple(kappa2)
     assert v.b == tuple(2.0 * math.pi * k for k in kappa2)
-    phi1, acc = [0j], 0j
-    for j, a in enumerate(alphas):
-        acc += a.conjugate() * (-1.0 if j == 0 else alphas[j - 1])
-        phi1.append(acc)
-    assert v.phi1 == tuple(phi1)
+    assert v.phi1 == tuple(_phi1_sum(alphas))
     assert len(pairs) == v.nmax + 1
     for n, (phi, phistar) in enumerate(pairs):
         p = phi_pair(v, n)
