@@ -23,15 +23,17 @@ and weight values of each level, and one integrand matrix per kind and
 level, whose rows are the samples p(t) nu(t) / t^n of every degree of the
 kind, built by one Horner pass.  G_n and G*_{n-1} are read together, so
 the first request at a point and order converges both kinds in one array
-pass per level: every degree of both off the subtraction band, G_n and
-G*_{n-1} inside it, with the kernel built once per level.  Each row leaves
+pass per level, with the kernel built once per level: off the subtraction
+band the keys n = 1..nmax - 1 of both, the ones ``verify`` reads; inside
+it, or for any other n, G_n and G*_{n-1} of that n.  Each row leaves
 the pass at its own first convergence, so its value, nodes and residual
 are those of a transform converged alone.  Every result is memoized, an
 AccuracyError too, which is raised again on each request, so no transform
 is converged twice.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo first;
 only a miss checks the arguments, as an entry exists only for arguments
 that passed.  The state lives in ``VerblunskyTable.quadrature``, whose one
-memo also holds the M_n and M_n' of ``opuc.rh`` and ``opuc.structure``.
+memo also holds the Y_n, M_n, M_n' and Mtilde_n of ``opuc.rh`` and
+``opuc.structure``.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ class _Quadrature:
     at the finest level; it drops the least recently used blocks to stay
     within it.  ``memo`` holds each transform's (value, nodes, residual), or
     the AccuracyError of one that never converged, by (kind, n, z, order)
-    with the derivative order 0-2; the structure matrix M_n(z) of
-    ``opuc.rh`` by ("M", n, z), and its finite-difference derivative in
-    ``opuc.structure`` by ("dM", n, z).
+    with the derivative order 0-2; the solution matrix Y_n(z) of
+    ``opuc.rh`` by ("Y", n, z, order) and its structure matrix M_n(z) by
+    ("M", n, z); the finite-difference M_n' of ``opuc.structure`` by
+    ("dM", n, z) and the closed-form Mtilde_n coefficients by ("Mtilde", n).
     """
 
     def __init__(self, w: WeightSpec, v: VerblunskyTable):
@@ -245,9 +248,10 @@ def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
     argument checks; a memoized AccuracyError is raised.
 
     A miss converges, in one pass, every row of both kinds at (z, order)
-    not yet memoized: every degree of G and G* off the subtraction band,
-    (G, n) and (G*, n) where they exist inside it.  Every result is
-    memoized, a failure too, so no transform is converged twice.
+    not yet memoized: off the subtraction band the degrees 1..nmax - 1 of
+    G and G*, which are the ones ``verify`` reads; inside it, and for a
+    degree outside that sweep, (G, n) and (G*, n) where they exist.  Every
+    result is memoized, a failure too, so no transform is converged twice.
     """
     if kind == "Gstar" and n < 1:
         raise ValueError("G*_{n-1} needs n >= 1")
@@ -258,9 +262,10 @@ def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
     key = (kind, n, z, order)
     if key not in q.memo:
         subtract = order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
-        rows = [(k, m) for k, first in _FIRST.items()
-                for m in range(first, first + len(q.coefficients[k]))
-                if (m == n or not subtract) and (k, m, z, order) not in q.memo]
+        degrees = (n,) if subtract or not 0 < n < v.nmax else range(1, v.nmax)
+        rows = [(k, m) for k, first in _FIRST.items() for m in degrees
+                if first <= m < first + len(q.coefficients[k])
+                and (k, m, z, order) not in q.memo]
         for (k, m), result in _transform(q, rows, z, order, subtract).items():
             q.memo[k, m, z, order] = result
     return _value(q.memo[key])

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -104,6 +105,7 @@ def circle_grid() -> list[complex]:
             for t in ((k + 0.5) * math.pi / 4 for k in range(8))]
 
 
+@lru_cache(maxsize=64)     # the suites name the same few grid points again and again
 def _fmt_z(z: complex | None) -> str | None:
     if z is None:
         return None
@@ -344,8 +346,8 @@ def cmd_verblunsky(args, parser) -> int:
     for n in range(args.n):
         a = v.alphas[n]
         p = v.phi1[n]
-        rows.append([n, repr(a.real), repr(a.imag), repr(float(v.kappa2[n])),
-                     repr(float(v.b[n])), repr(p.real), repr(p.imag)])
+        rows.append([n, repr(a.real), repr(a.imag), repr(v.kappa2[n]),
+                     repr(v.b[n]), repr(p.real), repr(p.imag)])
     _write_csv(rows, args.out)
     return 0
 
@@ -371,7 +373,7 @@ def cmd_verify(args, parser) -> int:
         parser.error(f"verify needs --n >= {VERIFY_MIN_N}")
     nmax = args.n
     _check_degree(nmax, nmax + 2, parser)
-    v = verblunsky_from_moments(_moments(w, nmax + 4, parser), nmax + 2)
+    v = verblunsky_from_moments(_moments(w, nmax + 2, parser), nmax + 2)
     if args.perturb:
         v = _apply_perturb(v, args.perturb, parser)
     meta = {

@@ -26,15 +26,24 @@ JUMP_DELTA = 5e-5   # radial offset of the jump check's first approach to the ci
 def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                order: int = 0) -> Matrix2C:
     """The unit-determinant solution matrix Y_n at z off the circle (order 0),
-    or its analytic z-derivative of order 1 or 2, with no finite differences."""
-    if n < 1:
-        raise ValueError("solution matrix defined for n >= 1")
-    z = complex(z)
-    bm1 = v.b[n - 1]
-    G = cauchy_G(v, w, n, z, order)
-    Gs = cauchy_Gstar(v, w, n, z, order)
-    return Matrix2C(phi_pair(v, n).eval_phi_deriv(z, order), G,
-                    -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
+    or its analytic z-derivative of order 1 or 2, with no finite differences.
+
+    Computed once per table, weight, n, z and order: the rh and structure
+    suites ask for the same Y_n(z) again, so a repeat is a lookup in the
+    table's memo under ("Y", n, z, order), read before the argument checks.
+    """
+    memo = _quadrature(v, w).memo
+    Y = memo.get(("Y", n, z, order))
+    if Y is None:
+        if n < 1:
+            raise ValueError("solution matrix defined for n >= 1")
+        bm1 = v.b[n - 1]
+        G = cauchy_G(v, w, n, z, order)
+        Gs = cauchy_Gstar(v, w, n, z, order)
+        Y = memo["Y", n, z, order] = Matrix2C(
+            phi_pair(v, n).eval_phi_deriv(z, order), G,
+            -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
+    return Y
 
 
 def transfer_matrix(v: VerblunskyTable, n: int, z: complex) -> Matrix2C:

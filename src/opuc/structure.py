@@ -30,6 +30,8 @@ those with second-kind functions pointwise off the circle.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .cauchy import _quadrature, cauchy_G, cauchy_Gstar
@@ -113,7 +115,7 @@ def _bessel_mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
     if v.nmax < n + 1:
         raise ValueError("recurrence table too short (needs alpha_n)")
     a = _real_alphas(v, n)
-    bm1, bn = float(v.b[n - 1]), float(v.b[n])
+    bm1, bn = v.b[n - 1], v.b[n]
     h = w.ell / 2.0
     d = (h / 2.0 * (bm1 / bn - a[n - 1] ** 2), n / 2.0, h / 2.0)
     return (d, (-h / bn * a[n - 1], h / bn * a[n]),
@@ -124,8 +126,8 @@ def _jacobi_mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
     bb = w.b.conjugate()
     a = v.alphas[n - 1]
     d = (-(bb + n) * (2.0 * abs(a) ** 2 - 1.0) / 2.0, -(w.b + n) / 2.0)
-    return (d, (-(bb + n) * a.conjugate() / float(v.b[n]),),
-            (-float(v.b[n - 1]) * (bb + n) * a,), tuple(-c for c in d))
+    return (d, (-(bb + n) * a.conjugate() / v.b[n],),
+            (-v.b[n - 1] * (bb + n) * a,), tuple(-c for c in d))
 
 
 def _bessel_relations(v: VerblunskyTable, w: WeightSpec, n: int
@@ -176,11 +178,20 @@ def _closed_form(w: WeightSpec, n: int):
 
 
 def _mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
-    return _closed_form(w, n)[0](v, w, n)
+    """The coefficients of Mtilde_n, computed once per table, weight and n
+    and kept in the table's memo under ("Mtilde", n); the memo is read
+    before the argument checks, as it holds no n that failed them."""
+    memo = _quadrature(v, w).memo
+    m = memo.get(("Mtilde", n))
+    if m is None:
+        m = memo["Mtilde", n] = _closed_form(w, n)[0](v, w, n)
+    return m
 
 
+@lru_cache(maxsize=64)
 def _pearson(w: WeightSpec) -> tuple[Poly, Poly, Poly]:
-    """A = z A_p, A_p and q of the Pearson pair z A_p nu' = q nu."""
+    """A = z A_p, A_p and q of the Pearson pair z A_p nu' = q nu, computed
+    once per weight."""
     Ap, q = (tuple(p.tolist()) for p in pearson_data(w))
     return (0j,) + Ap, Ap, q
 
@@ -191,7 +202,7 @@ def _rows(v: VerblunskyTable, w: WeightSpec, n: int, sign: float, order: int):
     tuple of terms (coefficients, component of u, derivative order)."""
     m11, m12, m21, m22 = _mtilde(v, w, n)
     A, Ap, q = _pearson(w)
-    bm1 = float(v.b[n - 1])
+    bm1 = v.b[n - 1]
     delta = _lin((sign / 2.0, q), (-sign * n / 2.0, Ap))
     P = ((_lin((1, m11), (1, delta)), _lin((-bm1, m12))),
          (_lin((-1.0 / bm1, m21)), _lin((1, m22), (1, delta))))

@@ -152,9 +152,12 @@ class VerblunskyTable:
         phi.flags.writeable = phistar.flags.writeable = False
         polys = tuple(PolyPair(n, phi[n, :n + 1], phistar[n, :n + 1])
                       for n in range(len(alphas) + 1))
+        # Python floats, of the same values: a numpy scalar would make every
+        # product with kappa_n^2 or b_n downstream a numpy scalar too
+        kappa2 = tuple(map(float, kappa2))
         b = tuple(2.0 * math.pi * k for k in kappa2)
         phi1 = (0j,) + tuple(phi.diagonal(-1).tolist())   # phi[n, n - 1], 0 for n = 0
-        return cls(alphas, tuple(kappa2), b, phi1, polys, phi, phistar)
+        return cls(alphas, kappa2, b, phi1, polys, phi, phistar)
 
     def perturbed(self, n: int, eps: complex) -> "VerblunskyTable":
         """Copy with alpha_n shifted by eps; downstream constants recomputed.
@@ -188,8 +191,8 @@ def verblunsky_from_moments(c: MomentTable, nmax: int) -> VerblunskyTable:
         mr, mi = nr[:n + 1], ni[:n + 1]
         s = np.complex128(complex(0.0 + np.cumsum(pr * mr - pi * mi)[-1],
                                   0.0 + np.cumsum(pr * mi + pi * mr)[-1]))
-        # a numpy complex, so kappa2[n >= 1] and b are numpy floats; the
-        # residuals computed from them depend on numpy's scalar rounding
+        # a numpy complex, so the recursion's kappa2[n >= 1] are numpy floats
+        # until _build turns them into Python floats of the same values
         alpha = (kappa2[-1] * s).conjugate()
         _szego_step(phi, phistar, kappa2, n, alpha)
         alphas.append(complex(alpha))

@@ -74,6 +74,18 @@ class WeightSpec:
                              "the largest float")
         if self.kind == CUSTOM:
             _check_positive_table(self.moments)
+        # the generated hash would build and hash a tuple of the fields on
+        # every call, and each table lookup of the second-kind state hashes
+        # its weight; the same value, computed once
+        object.__setattr__(self, "_hash", hash((self.kind, self.ell, self.b, self.moments)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt by the constructor, so that a copy made in another process,
+        # whose string hashes differ, hashes as the weights made there do
+        return type(self), (self.kind, self.ell, self.b, self.moments)
 
     # -- constructors ------------------------------------------------------
 

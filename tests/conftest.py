@@ -8,7 +8,7 @@ NMAX = 14
 
 
 def _build(w, nmax=NMAX):
-    c = moments_for(w, nmax + 4)
+    c = moments_for(w, nmax + 2)
     return w, c, verblunsky_from_moments(c, nmax + 2)
 
 

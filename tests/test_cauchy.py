@@ -133,7 +133,7 @@ def test_laurent_tail_matches_sampled_reference(bessel2, jacobi_complex):
 @pytest.mark.parametrize("n", [16, 20, 24, 28])
 def test_laurent_tail_high_degree(w, n):
     # the leading and subleading tail identities of the rh suite
-    v = verblunsky_from_moments(moments_for(w, n + 4), n + 2)
+    v = verblunsky_from_moments(moments_for(w, n + 2), n + 2)
     g, gs = laurent_tail(v, w, n)
     a_n, a_n1 = v.alphas[n].conjugate(), v.alphas[n + 1].conjugate()
     residuals = (
@@ -253,6 +253,12 @@ def _degrees(v, kind):
     return range(first, first + v.nmax + 1)
 
 
+def _swept(v):
+    """The keys n a pass off the subtraction band converges for both kinds,
+    the ones verify reads: G_n and G*_{n-1} for n = 1..nmax - 1."""
+    return range(1, v.nmax)
+
+
 def _fresh(w, nmax=10):
     return verblunsky_from_moments(moments_for(w, nmax + 2), nmax)
 
@@ -277,12 +283,12 @@ def test_transforms_equal_uncached_reference(z):
         assert (cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)) == d
         assert (cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)) == d2
     q = v.quadrature[w]
-    # every request off the subtraction band converged every degree of both
+    # every request off the subtraction band converged the swept keys of both
     # kinds at (z, order); a subtracted value, its own degree of both kinds
     band = SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
     z = complex(z)
     columns = {(kind, m, z, order)
-               for kind in ("G", "Gstar") for m in _degrees(v, kind)
+               for kind in ("G", "Gstar") for m in _swept(v)
                for order in ((1, 2) if band else (0, 1, 2))}
     subtracted = {(kind, n, z, 0) for kind in ("G", "Gstar")}
     assert set(q.memo) == (columns | subtracted if band else columns)
@@ -357,34 +363,36 @@ def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
     (v,) = tables
     ((w, q),) = v.quadrature.items()
     columns = collections.defaultdict(dict)
-    # the memo also holds the structure suite's M_n and M_n', keyed apart
-    assert {key[0] for key in q.memo} == {"G", "Gstar", "M", "dM"}
+    # the memo also holds Y_n, M_n, M_n' and the closed-form Mtilde_n, keyed apart
+    assert {key[0] for key in q.memo} == {"G", "Gstar", "Y", "M", "dM", "Mtilde"}
     for key, result in q.memo.items():
-        if key[0] in ("M", "dM"):
+        if key[0] not in ("G", "Gstar"):
             continue
         kind, n, z, order = key
         reference = _reference_transform(w, _coefficients(v, kind, n), n, z, order)
         assert result == reference, key
         columns[kind, z, order][n] = result[1]
+    # off the band a pass converges the keys verify reads, and no other
     for (kind, z, order), rows in columns.items():
         if not (order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]):
-            assert set(rows) == set(_degrees(v, kind))
+            assert set(rows) == set(_swept(v))
     if w.kind == "jacobi":
         # rows of one column converge at different levels
         assert {512, 1024} in [set(rows.values()) for rows in columns.values()]
 
 
 def test_row_that_does_not_converge_fails_alone(monkeypatch):
-    # with the finest level lowered to 512 nodes, the top row of this G*
-    # column, which needs 1024, cannot converge; its fourteen other rows can
+    # with the finest level lowered to 512 nodes, the three top rows of this
+    # G* column, which need 1024, cannot converge: G*_14 in the swept pass,
+    # whose fourteen other G* rows can, and G*_15 and G*_16 in passes of their own
     monkeypatch.setattr(cauchy, "NMAX", 512)
     w = WeightSpec.jacobi(-0.45 + 0.3j)
-    v = _fresh(w, 14)
+    v = _fresh(w, 16)
     z = 0.4 * cmath.exp(1j * math.pi / 4)
     references = {n: _reference_transform(w, _coefficients(v, "Gstar", n), n, z, nmax=512)
                   for n in _degrees(v, "Gstar")}
     failing = [n for n, (value, _, _) in references.items() if value is None]
-    assert failing == [v.nmax + 1]
+    assert failing == [v.nmax - 1, v.nmax, v.nmax + 1]
     for _ in ("cold", "warm"):
         for n, (value, nodes, residual) in references.items():
             if n in failing:
@@ -394,10 +402,11 @@ def test_row_that_does_not_converge_fails_alone(monkeypatch):
                 assert residual > cauchy.RTOL
             else:
                 assert cauchy_Gstar(v, w, n, z) == value
-    # the error is memoized with the values, every degree of both kinds
+    # the errors are memoized with the values: every G* key was asked for,
+    # G_1..G_{nmax - 1} with the swept pass and G_nmax with G*_nmax
     memo = v.quadrature[w].memo
     assert {key[1] for key in memo if key[0] == "Gstar"} == set(references)
-    assert {key[1] for key in memo if key[0] == "G"} == set(_degrees(v, "G"))
+    assert {key[1] for key in memo if key[0] == "G"} == set(range(1, v.nmax + 1))
     assert [key[1] for key, result in memo.items()
             if isinstance(result, AccuracyError)] == failing
 
@@ -409,11 +418,11 @@ def test_column_at_the_finest_level_is_chunked(monkeypatch):
     w = WeightSpec.bessel(2.0)
     v = _fresh(w, 4)
     z = 1.0005 * cmath.exp(0.9j)
-    assert len(list(_degrees(v, "G"))) > NMAX // (NMAX // 2)
+    assert len(_swept(v)) > NMAX // (NMAX // 2)
     cauchy_G(v, w, 2, z)
     q = v.quadrature[w]
     for kind in ("G", "Gstar"):
-        for n in _degrees(v, kind):
+        for n in _swept(v):
             reference = _reference_transform(w, _coefficients(v, kind, n), n, z,
                                              subtract=False)
             assert reference[1] == NMAX
@@ -439,7 +448,7 @@ def _counting_transforms(monkeypatch):
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_one_pass_converges_both_kinds_off_the_band(monkeypatch, order):
-    # one request converges every degree of G and of G* at (z, order), in
+    # one request converges the swept keys of G and of G* at (z, order), in
     # one pass, and stores integrand blocks only, within the sample budget
     calls = _counting_transforms(monkeypatch)
     w = WeightSpec.bessel(2.0)
@@ -447,7 +456,7 @@ def test_one_pass_converges_both_kinds_off_the_band(monkeypatch, order):
     cauchy_G(v, w, 3, OUTSIDE, order=order)
     q = v.quadrature[w]
     z = complex(OUTSIDE)
-    rows = {(kind, m) for kind in ("G", "Gstar") for m in _degrees(v, kind)}
+    rows = {(kind, m) for kind in ("G", "Gstar") for m in _swept(v)}
     assert len(calls) == 1 and set(calls[0]) == rows
     assert set(q.memo) == {(kind, m, z, order) for kind, m in rows}
     for kind, m in rows:
@@ -458,6 +467,18 @@ def test_one_pass_converges_both_kinds_off_the_band(monkeypatch, order):
         transform = cauchy_G if kind == "G" else cauchy_Gstar
         assert transform(v, w, m, OUTSIDE, order=order) == q.memo[kind, m, z, order][0]
     assert len(calls) == 1
+    # a key outside the sweep converges on its own, with its degree of the other kind
+    for m, own in ((0, [("G", 0)]), (v.nmax, [("G", v.nmax), ("Gstar", v.nmax)]),
+                   (v.nmax + 1, [("Gstar", v.nmax + 1)])):
+        transform = cauchy_G if own[0][0] == "G" else cauchy_Gstar
+        value = transform(v, w, m, OUTSIDE, order=order)
+        assert calls[-1] == own
+        for kind, k in own:
+            reference = _reference_transform(w, _coefficients(v, kind, k), k, z, order,
+                                             subtract=False)
+            assert q.memo[kind, k, z, order] == reference
+        assert value == q.memo[own[0][0], m, z, order][0]
+    assert len(calls) == 4
     assert {key[0] for key in q.integrands} == {"G", "Gstar"}
     assert q.samples == sum(a.size for a in q.integrands.values()) <= NMAX
 
@@ -486,16 +507,16 @@ def test_one_pass_converges_both_kinds_in_the_band(monkeypatch, kind, n, rows):
 
 
 def test_failure_is_memoized_and_raised_again(monkeypatch):
-    # the setup of test_row_that_does_not_converge_fails_alone: G*_{nmax}
+    # the setup of test_row_that_does_not_converge_fails_alone: G*_{nmax-2}
     # fails at NMAX = 512, in the pass a request for G_3 runs; every later
     # request raises the same error, with a traceback of its own, and
     # converges nothing again
     monkeypatch.setattr(cauchy, "NMAX", 512)
     calls = _counting_transforms(monkeypatch)
     w = WeightSpec.jacobi(-0.45 + 0.3j)
-    v = _fresh(w, 14)
+    v = _fresh(w, 16)
     z = 0.4 * cmath.exp(1j * math.pi / 4)
-    n = v.nmax + 1
+    n = v.nmax - 1
     _, nodes, residual = _reference_transform(w, _coefficients(v, "Gstar", n), n, z, nmax=512)
     cauchy_G(v, w, 3, z)
     tracebacks = []

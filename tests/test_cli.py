@@ -191,6 +191,16 @@ def test_custom_table_at_the_requested_degree(tmp_path, capsys):
         run(["verblunsky", "--weight", "custom", "--moments", str(table), "--n", "13"])
     assert exc.value.code == 2
     assert "must cover |j| <= 13" in capsys.readouterr().err
+    # verify --n 10 builds a table of degree 12, which reads |j| <= 12; it
+    # was refused as not covering |j| <= 14, and now reaches the suites,
+    # which refuse a moment-only weight
+    assert run(["verify", "all", "--weight", "custom", "--moments", str(table),
+                "--n", "10"]) == 3
+    assert "moment-only" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "all", "--weight", "custom", "--moments", str(table), "--n", "11"])
+    assert exc.value.code == 2
+    assert "must cover |j| <= 13" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, degree", [

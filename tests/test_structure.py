@@ -17,7 +17,7 @@ from opuc.cauchy import (
 from opuc.errors import UnsupportedWeightError
 from opuc.matrix2 import Matrix2C
 from opuc.moments import moments_for
-from opuc.rh import transfer_matrix, transfer_matrix_deriv
+from opuc.rh import assemble_Y, transfer_matrix, transfer_matrix_deriv
 from opuc.structure import (
     curvature_residual_closed,
     curvature_residual_generic,
@@ -191,6 +191,42 @@ def test_fd_derivative_computed_once_per_point(w):
     assert (generic_second_order_residual(reverse, w, 4, z), back) == second
     assert second == (generic_second_order_residual(fresh(), w, 4, z),
                       traceback_residual(fresh(), w, 4, z))
+
+
+@pytest.mark.parametrize("fixture", ["bessel2", "jacobi_complex"])
+def test_matrices_hold_python_scalars_only(fixture, request):
+    # the table's kappa^2 and b are Python floats, so no numpy scalar enters
+    # the 2x2 matrices, whose arithmetic is several times cheaper without one
+    w, _, v = request.getfixturevalue(fixture)
+    n = 5
+    matrices = [assemble_Y(v, w, n, z, order) for z in (INSIDE, OUTSIDE) for order in (0, 1, 2)]
+    matrices += [transfer_matrix(v, n, OUTSIDE), structure_matrix_numeric(v, w, n, OUTSIDE),
+                 mtilde(v, w, n, OUTSIDE)]
+    for m in matrices:
+        assert all(type(x) in (complex, float) for x in m.entries()), m
+
+
+@pytest.mark.parametrize("fixture", ["bessel2", "jacobi_complex"])
+def test_table_memos_equal_a_cold_table(fixture, request):
+    # Y_n and Mtilde_n are computed once per table, weight and point; a
+    # repeat is the same object, with the value a fresh table computes
+    w, c, table = request.getfixturevalue(fixture)
+    v = verblunsky_from_moments(c, table.nmax)
+    for n in (2, 5):
+        for order in (0, 1, 2):
+            Y = assemble_Y(v, w, n, OUTSIDE, order)
+            assert assemble_Y(v, w, n, OUTSIDE, order) is Y
+            assert Y == assemble_Y(verblunsky_from_moments(c, v.nmax), w, n, OUTSIDE, order)
+        mt = mtilde(v, w, n, OUTSIDE)
+        assert mtilde(v, w, n, OUTSIDE) == mt == mtilde(verblunsky_from_moments(c, v.nmax),
+                                                        w, n, OUTSIDE)
+    memo = v.quadrature[w].memo
+    assert {key for key in memo if key[0] == "Mtilde"} == {("Mtilde", 2), ("Mtilde", 5)}
+    # a warm table refuses what a cold one refuses: no entry below n = 1
+    with pytest.raises(ValueError):
+        assemble_Y(v, w, 0, OUTSIDE)
+    with pytest.raises(ValueError):
+        mtilde(v, w, 0, OUTSIDE)
 
 
 def test_complex_alpha_rejected_for_bessel_forms(jacobi_complex):

@@ -326,14 +326,16 @@ def test_high_degree_table_equals_scalar_loop(case):
 
 
 def test_each_constructor_keeps_its_scalar_types():
-    # both share one Szego step, but the moment path's kappa^2 and b stay
-    # numpy floats and from_alphas' Python floats: the residuals computed
-    # from them depend on the type (Python floats change the last bits of
-    # 26 of the 347 checks of the bessel(2) n=8 report)
-    _, v = _high_degree("bessel(2.2)")
-    vp = v.perturbed(5, 1e-3)
-    for table, kind in ((v, np.float64), (vp, float)):
-        assert all(type(k) is kind for k in table.kappa2[1:] + table.b[1:])
+    # every constructor gives kappa^2 and b as Python floats: the moment
+    # path's recursion runs in numpy scalars, and a numpy float left in the
+    # table would make every product with b_n downstream a numpy scalar
+    c, v = _high_degree("bessel(2.2)")
+    tables = {"verblunsky_from_moments": v,
+              "from_alphas": VerblunskyTable.from_alphas(v.alphas, v.kappa2[0]),
+              "perturbed": v.perturbed(5, 1e-3)}
+    for name, table in tables.items():
+        assert all(type(k) is float for k in table.kappa2 + table.b), name
+    assert tables["from_alphas"].kappa2 == v.kappa2 and tables["from_alphas"].b == v.b
 
 
 def test_high_degree_perturbed_table_equals_scalar_loop():

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import pickle
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -227,3 +231,18 @@ def test_custom_table_within_rounding_accepted():
     c0 = 2.0 * math.pi
     w = WeightSpec.custom(_table(0.5 + 0.5j, cm1=0.5 - 0.5j + 0.5 * HERMITIAN_RTOL * c0))
     assert w.moments.hermitian_defect() <= HERMITIAN_RTOL * c0
+
+
+def test_weight_hash_follows_equality_across_processes():
+    # the hash is computed once, when the weight is made; a pickled copy is
+    # rebuilt by the constructor, so in a process whose string hashes differ
+    # it still hashes as an equal weight made there, and finds its table state
+    w = WeightSpec.jacobi(1.3 + 0.4j)
+    assert hash(w) == hash(WeightSpec.jacobi(1.3 + 0.4j))
+    code = ("import pickle, sys; from opuc.weights import WeightSpec; "
+            "w = pickle.loads(sys.stdin.buffer.read()); fresh = WeightSpec.jacobi(1.3 + 0.4j); "
+            "print(w == fresh, hash(w) == hash(fresh))")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(w), env=env,
+                         capture_output=True, check=True, timeout=60)
+    assert out.stdout.split() == [b"True", b"True"]
