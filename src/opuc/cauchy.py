@@ -19,26 +19,28 @@ summed on the same nodes and integrand samples as the transforms, with no
 sampling of the transform itself.
 
 The integrand samples are computed once per table and weight: the nodes
-and weight values of each level, and one integrand matrix per kind and
-level, whose rows are the samples p(t) nu(t) / t^n of every degree of the
-kind, built by one Horner pass.  G_n and G*_{n-1} are read together, so
-the first request at a point and order converges both kinds in one array
-pass per level, with the kernel built once per level: off the subtraction
-band the keys n = 1..nmax - 1 of both, the ones ``verify`` reads; inside
-it, or for any other n, G_n and G*_{n-1} of that n.  Each row leaves
-the pass at its own first convergence, so its value, nodes and residual
-are those of a transform converged alone.  Every result is memoized, an
+and weight values of each level, and one integrand matrix per level for
+both kinds, interleaved by degree d: row 2d holds Phi_d(t) nu(t) / t^d,
+the samples of G_d, and row 2d + 1 holds Phi*_d(t) nu(t) / t^(d+1), those
+of G*_d, the key ("Gstar", d + 1).  One Horner pass builds both kinds.
+G_n and G*_{n-1} are read together, so the first request at a point and
+order converges both kinds in one array pass per level, with the kernel
+built once per level: off the subtraction band the keys n = 1..nmax - 1
+of both, the ones ``verify`` reads and the contiguous rows 1..2 nmax - 2;
+inside it, or for any other n, G_n and G*_{n-1} of that n.
+``converge_band`` converges those two at several points of the band in
+one pass, as the jump check asks for its four.  Each row leaves the pass
+at its own first convergence, so its value, nodes and residual are those
+of a transform converged alone.  Every result is memoized, an
 AccuracyError too, which is raised again on each request, so no transform
 is converged twice.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo first;
 only a miss checks the arguments, as an entry exists only for arguments
 that passed.  The state lives in ``VerblunskyTable.quadrature``, whose one
-memo also holds the Y_n, M_n, M_n' and Mtilde_n of ``opuc.rh`` and
-``opuc.structure``.
+memo also holds the Y_n, M_n and transfer defects of ``opuc.rh`` and the
+M_n', Mtilde_n and P of ``opuc.structure``.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
 
 import numpy as np
 
@@ -52,34 +54,47 @@ RTOL = 1e-12                # doubling stops at this change, relative to max(1, 
 NEAR_BOUNDARY = 0.02        # band around |z| = 1 where derivatives are refused
 SUBTRACT_BAND = (0.8, 1.25)  # |z| range where a value is computed by subtraction
 
-# the lowest degree n of each kind: row i of its integrand matrix is degree
-# i + _FIRST[kind], from row i of the table's Phi ("G") or Phi* ("Gstar")
-_FIRST = {"G": 0, "Gstar": 1}
+
+def _index(kind: str, n: int) -> int:
+    """The row of the key (kind, n) in the integrand matrix, which
+    interleaves the kinds by degree d: row 2d is G_d and row 2d + 1 is
+    G*_d, the key ("Gstar", d + 1)."""
+    return 2 * n - (kind == "Gstar")
 
 
 def _rows_per_pass(N: int) -> int:
     """The most rows a pass at N nodes takes at a time, so that no block of
-    an integrand matrix holds more than NMAX samples."""
+    the integrand matrix holds more than NMAX samples."""
     return max(1, NMAX // N)
+
+
+def _in_band(z: complex) -> bool:
+    """Whether a value at z is computed by subtraction."""
+    return SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
 
 
 class _Quadrature:
     """Quadrature data of one table and weight, and the table's one memo.
 
-    ``integrands`` holds the integrand matrices, each of a kind at N nodes
-    in blocks of ``_rows_per_pass(N)`` rows, within NMAX samples, one pass
+    ``integrands`` holds the integrand matrix at N nodes in blocks of
+    ``_rows_per_pass(N)`` rows by (N, block), within NMAX samples, one pass
     at the finest level; it drops the least recently used blocks to stay
-    within it.  ``memo`` holds each transform's (value, nodes, residual), or
-    the AccuracyError of one that never converged, by (kind, n, z, order)
-    with the derivative order 0-2; the solution matrix Y_n(z) of
-    ``opuc.rh`` by ("Y", n, z, order) and its structure matrix M_n(z) by
-    ("M", n, z); the finite-difference M_n' of ``opuc.structure`` by
-    ("dM", n, z) and the closed-form Mtilde_n coefficients by ("Mtilde", n).
+    within it.  ``swept`` lists the keys a column pass converges, rows
+    1..2 nmax - 2 of the matrix.  ``memo`` holds each transform's (value,
+    nodes, residual), or the AccuracyError of one that never converged, by
+    (kind, n, z, order) with the derivative order 0-2; the solution matrix
+    Y_n(z) of ``opuc.rh`` by ("Y", n, z, order), its structure matrix M_n(z)
+    by ("M", n, z) and the transfer defect by ("Tdefect", n, z); the
+    finite-difference M_n' of ``opuc.structure`` by ("dM", n, z), the
+    closed-form Mtilde_n coefficients by ("Mtilde", n) and the matrix P of
+    its first-order system by ("P", n, sign).
     """
 
     def __init__(self, w: WeightSpec, v: VerblunskyTable):
         self.w = w
         self.coefficients = {"G": v.phi, "Gstar": v.phistar}
+        self.nrows = 2 * len(v.phi)
+        self.swept = [(kind, n) for n in range(1, v.nmax) for kind in ("Gstar", "G")]
         self.nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.integrands: dict[tuple, np.ndarray] = {}
         self.samples = 0
@@ -93,41 +108,48 @@ class _Quadrature:
             self.nodes[N] = np.exp(1j * theta), nu, jac
         return self.nodes[N]
 
-    def block(self, kind: str, b: int, N: int) -> np.ndarray:
-        """Block b of the integrand matrix of kind at N nodes: with
-        B = _rows_per_pass(N), row i holds the samples p(t) nu(t) J / t^n
-        of degree n = b B + i + _FIRST[kind]."""
-        m = self.integrands.pop((kind, N, b), None)
+    def own(self, n: int) -> list[tuple[str, int]]:
+        """The keys (Gstar, n) and (G, n) the table holds, in row order."""
+        return [(kind, n) for kind in ("Gstar", "G") if 0 <= _index(kind, n) < self.nrows]
+
+    def block(self, b: int, N: int) -> np.ndarray:
+        """Block b of the integrand matrix at N nodes, its rows
+        b _rows_per_pass(N) onwards: the samples p(t) nu(t) J / t^n of
+        each key (kind, n)."""
+        m = self.integrands.pop((N, b), None)
         if m is None:
             t, nu, _ = self.circle(N)
-            rows = _rows_per_pass(N)
-            lo = b * rows
-            c = self.coefficients[kind][lo:lo + rows]
-            m = np.empty((len(c), N), dtype=complex)
-            # polyval on every row at once, step for step: row i, the
-            # polynomial of degree lo + i, starts at its leading coefficient
-            # and takes one Horner step per lower one
-            for k in range(lo + len(c) - 1, -1, -1):
-                i = max(k - lo, 0)
-                if k >= lo:
-                    m[i] = c[i, k] + t * 0
-                    i += 1
-                m[i:] *= t
-                m[i:] += c[i:, k:k + 1]
+            lo = b * _rows_per_pass(N)
+            hi = min(lo + _rows_per_pass(N), self.nrows)
+            phi, phistar = self.coefficients["G"], self.coefficients["Gstar"]
+            degrees = slice(lo // 2, (hi + 1) // 2)
+            c = np.stack((phi[degrees], phistar[degrees]), axis=1).reshape(-1, phi.shape[1])
+            c = c[lo % 2:lo % 2 + hi - lo]
+            m = np.empty((hi - lo, N), dtype=complex)
+            zero = t * 0
+            # polyval on every row at once, step for step: rows 2d and 2d + 1,
+            # of degree d, start at their leading coefficients at step k = d
+            # and take one Horner step per lower one
+            for k in range((hi - 1) // 2, -1, -1):
+                i, j = max(2 * k - lo, 0), max(2 * k + 2 - lo, 0)
+                m[i:j] = c[i:j, k:k + 1] + zero
+                m[j:] *= t
+                m[j:] += c[j:, k:k + 1]
             m *= nu
-            for i in range(len(m)):
-                # a Python int power; an integer-array power rounds differently
-                m[i] /= t ** (lo + i + _FIRST[kind])
+            # each t^n once, for rows 2n - 1 and 2n; a Python int power, as an
+            # integer-array power rounds differently
+            for n in range((lo + 1) // 2, hi // 2 + 1):
+                m[max(2 * n - 1 - lo, 0):2 * n + 1 - lo] /= t ** n
             self.samples += m.size
             while self.samples > NMAX and self.integrands:
                 self.samples -= self.integrands.pop(next(iter(self.integrands))).size
-        self.integrands[kind, N, b] = m
+        self.integrands[N, b] = m
         return m
 
     def row(self, kind: str, n: int, N: int) -> np.ndarray:
-        """The integrand samples of degree n of kind at N nodes."""
-        i, rows = n - _FIRST[kind], _rows_per_pass(N)
-        return self.block(kind, i // rows, N)[i % rows]
+        """The integrand samples of the key (kind, n) at N nodes."""
+        r, rows = _index(kind, n), _rows_per_pass(N)
+        return self.block(r // rows, N)[r % rows]
 
 
 def _check_offcircle(z: complex, order: int) -> None:
@@ -183,52 +205,56 @@ def _value(result):
     return result
 
 
-def _transform(q: _Quadrature, rows: list[tuple[str, int]], z: complex,
-               order: int, subtract: bool) -> dict:
+def _transform(q: _Quadrature, rows: list[tuple[str, int, complex]], order: int,
+               subtract: bool) -> dict:
     """The z-derivative of the given order 0-2 of (1/2 pi i) * contour
-    integral of p(t) nu(t) / (t^n (t-z)) dt for each row (kind, n) in rows,
-    converged together by _converged.
+    integral of p(t) nu(t) / (t^n (t-z)) dt for each row (kind, n, z) in
+    rows, converged together by _converged.
 
-    With subtract=True (order 0 only) each integrand is regularized by
-    removing g(z) J, restoring spectral accuracy next to the circle.  The
-    kernel, order! t / (t - z)^(order+1) or t - z for the subtraction, is
-    built once per level and shared by every row.
+    Without subtraction the rows share one z and come in row order; a level
+    multiplies the kernel order! t / (t - z)^(order+1), built once, by the
+    slice of each block from the first pending row to the last.  With
+    subtract=True (order 0 only) each integrand is regularized by removing
+    g(z) J, restoring spectral accuracy next to the circle; the rows, at
+    any points, are stacked, and (g - g(z) J) t / (t - z) is one
+    elementwise pass over the stack.
     """
     if subtract:
-        nu_z = eval_nu(q.w, z)
+        nu_z = {z: eval_nu(q.w, z) for _, _, z in rows}
         gz = {}
-        for kind, n in rows:
-            i = n - _FIRST[kind]
-            gz[kind, n] = _horner(q.coefficients[kind][i, :i + 1].tolist(), z) * nu_z / z ** n
+        for row in rows:
+            kind, n, z = row
+            d = n - (kind == "Gstar")
+            gz[row] = _horner(q.coefficients[kind][d, :d + 1].tolist(), z) * nu_z[z] / z ** n
 
         def eval_at(N: int, rows: list) -> list[complex]:
             t, _, jac = q.circle(N)
-            kernel = t - z
-            values = []
-            for kind, n in rows:
-                total = ((q.row(kind, n, N) - gz[kind, n] * jac) * t / kernel).sum() / N
-                if abs(z) < 1.0:
-                    total += gz[kind, n]
-                values.append(complex(total))
-            return values
+            g = np.array([gz[row] for row in rows])[:, None]
+            z = np.array([row[2] for row in rows])[:, None]
+            integrand = {key: q.row(*key, N) for key in dict.fromkeys(row[:2] for row in rows)}
+            stack = np.stack([integrand[row[:2]] for row in rows])
+            # each row rounds as it would alone: the operands keep their
+            # order, as a complex product rounds differently when swapped
+            sums = (((stack - g * jac) * t / (t - z)).sum(axis=1) / N).tolist()
+            # inside the circle the removed g(z) J integrates to g(z)
+            return [s + gz[row] if abs(row[2]) < 1.0 else s for s, row in zip(sums, rows)]
 
         return _converged(eval_at, rows)
 
+    z = rows[0][2]
     scale = 2.0 if order == 2 else 1.0
 
     def eval_at(N: int, rows: list) -> list[complex]:
         t = q.circle(N)[0]
-        kernel = t / (t - z) ** (order + 1)
+        kernel = t / (t - z) ** (order + 1) if order else t / (t - z)
         per_pass = _rows_per_pass(N)
+        lo, hi = _index(*rows[0][:2]), _index(*rows[-1][:2]) + 1
         values = []
-        # one pass per block of a kind's integrand matrix
-        for (kind, b), group in groupby(
-                rows, lambda row: (row[0], (row[1] - _FIRST[row[0]]) // per_pass)):
-            m = q.block(kind, b, N)
-            i = [n - _FIRST[kind] - b * per_pass for _, n in group]
-            if len(i) < len(m):
-                m = m[i]
+        for b in range(lo // per_pass, (hi - 1) // per_pass + 1):
+            m = q.block(b, N)[max(lo - b * per_pass, 0):hi - b * per_pass]
             values += (scale * (m * kernel).sum(axis=1) / N).tolist()
+        if len(values) > len(rows):     # some rows converged at a coarser level
+            values = [values[_index(kind, n) - lo] for kind, n, _ in rows]
         return values
 
     return _converged(eval_at, rows)
@@ -242,33 +268,52 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
     return q
 
 
+def _converge(q: _Quadrature, keys: list, zs, order: int, subtract: bool) -> None:
+    """Converge, in one pass, each key (kind, n) of keys at each point of zs
+    that the memo does not hold at the order, and memoize every result, a
+    failure too, so that no transform is converged twice."""
+    rows = [(kind, n, z) for z in zs for kind, n in keys if (kind, n, z, order) not in q.memo]
+    if rows:
+        for (kind, n, z), result in _transform(q, rows, order, subtract).items():
+            q.memo[kind, n, z, order] = result
+
+
 def _converged_transform(v: VerblunskyTable, w: WeightSpec, kind: str, n: int,
                          z: complex, order: int):
     """(value, nodes, residual) of a transform on a memo miss, after the
     argument checks; a memoized AccuracyError is raised.
 
     A miss converges, in one pass, every row of both kinds at (z, order)
-    not yet memoized: off the subtraction band the degrees 1..nmax - 1 of
-    G and G*, which are the ones ``verify`` reads; inside it, and for a
-    degree outside that sweep, (G, n) and (G*, n) where they exist.  Every
-    result is memoized, a failure too, so no transform is converged twice.
+    not yet memoized: off the subtraction band the swept degrees
+    1..nmax - 1 of G and G*, which are the ones ``verify`` reads; inside
+    it, and for a degree outside that sweep, (G, n) and (G*, n) where they
+    exist.
     """
     if kind == "Gstar" and n < 1:
         raise ValueError("G*_{n-1} needs n >= 1")
     _check_offcircle(z, order)
     z = complex(z)
     q = _quadrature(v, w)
-    phi_pair(v, n - _FIRST[kind])   # ValueError for a degree outside the table
+    phi_pair(v, n - (kind == "Gstar"))   # ValueError for a degree outside the table
     key = (kind, n, z, order)
     if key not in q.memo:
-        subtract = order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
-        degrees = (n,) if subtract or not 0 < n < v.nmax else range(1, v.nmax)
-        rows = [(k, m) for k, first in _FIRST.items() for m in degrees
-                if first <= m < first + len(q.coefficients[k])
-                and (k, m, z, order) not in q.memo]
-        for (k, m), result in _transform(q, rows, z, order, subtract).items():
-            q.memo[k, m, z, order] = result
+        subtract = order == 0 and _in_band(z)
+        keys = q.swept if 0 < n < v.nmax and not subtract else q.own(n)
+        _converge(q, keys, (z,), order, subtract)
     return _value(q.memo[key])
+
+
+def converge_band(v: VerblunskyTable, w: WeightSpec, n: int, zs: list[complex]) -> None:
+    """Converge the values G_n and G*_{n-1} at every point of zs, each in
+    the subtraction band, in one pass, and memoize each, a failure too, as
+    if it had converged alone; ``cauchy_G`` and ``cauchy_Gstar`` then read
+    them.  The jump check asks for its four points this way."""
+    for z in zs:
+        _check_offcircle(z, 0)
+        if not _in_band(z):
+            raise ValueError(f"|z| = {abs(z):.6f} is outside the subtraction band")
+    q = _quadrature(v, w)
+    _converge(q, q.own(n), [complex(z) for z in zs], 0, True)
 
 
 def cauchy_G(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,

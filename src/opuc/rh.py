@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 
-from .cauchy import _quadrature, cauchy_G, cauchy_Gstar
+from .cauchy import _quadrature, cauchy_G, cauchy_Gstar, converge_band
 from .errors import PoleError
 from .matrix2 import Matrix2C
 from .szego import VerblunskyTable, phi_pair
@@ -62,10 +62,16 @@ def transfer_matrix_deriv() -> Matrix2C:
 
 
 def _transfer_defect(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> Matrix2C:
-    """Y_{n+1} diag(1, z) - T_n Y_n."""
-    z = complex(z)
-    lhs = assemble_Y(v, w, n + 1, z) @ Matrix2C.diag(1.0, z)
-    return lhs - transfer_matrix(v, n, z) @ assemble_Y(v, w, n, z)
+    """Y_{n+1} diag(1, z) - T_n Y_n, computed once per table, weight, n and
+    z and kept in the table's memo under ("Tdefect", n, z): both transfer
+    residuals read it."""
+    memo = _quadrature(v, w).memo
+    D = memo.get(("Tdefect", n, z))
+    if D is None:
+        z = complex(z)
+        lhs = assemble_Y(v, w, n + 1, z) @ Matrix2C.diag(1.0, z)
+        D = memo["Tdefect", n, z] = lhs - transfer_matrix(v, n, z) @ assemble_Y(v, w, n, z)
+    return D
 
 
 def transfer_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> float:
@@ -105,14 +111,11 @@ def jump_residual(v: VerblunskyTable, w: WeightSpec, n: int, t: complex) -> floa
         if abs(t - s) < 1e-6:
             raise PoleError(f"jump point coincides with weight singularity {s}")
     J = jump_matrix(w, n, t)
-
-    def defect(d: float) -> Matrix2C:
-        inner = assemble_Y(v, w, n, (1.0 - d) * t)
-        outer = assemble_Y(v, w, n, (1.0 + d) * t)
-        return inner - (outer @ J)
-
-    e1 = defect(JUMP_DELTA)
-    e2 = defect(JUMP_DELTA / 2.0)
+    points = [((1.0 - d) * t, (1.0 + d) * t) for d in (JUMP_DELTA, JUMP_DELTA / 2.0)]
+    # the second-kind functions at all four points converge in one pass
+    converge_band(v, w, n, [z for pair in points for z in pair])
+    e1, e2 = (assemble_Y(v, w, n, inner) - (assemble_Y(v, w, n, outer) @ J)
+              for inner, outer in points)
     extrapolated = e2.scale(2.0) - e1
     return extrapolated.frobenius()
 

@@ -196,16 +196,28 @@ def _pearson(w: WeightSpec) -> tuple[Poly, Poly, Poly]:
     return (0j,) + Ap, Ap, q
 
 
+def _system(v: VerblunskyTable, w: WeightSpec, n: int, sign: float):
+    """P = C^{-1} Mtilde_n C + sign delta_n I, rows of polynomials, computed
+    once per table, weight, n and sign and kept in the table's memo under
+    ("P", n, sign): the first- and second-order rows both read it."""
+    memo = _quadrature(v, w).memo
+    P = memo.get(("P", n, sign))
+    if P is None:
+        m11, m12, m21, m22 = _mtilde(v, w, n)
+        _, Ap, q = _pearson(w)
+        bm1 = v.b[n - 1]
+        delta = _lin((sign / 2.0, q), (-sign * n / 2.0, Ap))
+        P = memo["P", n, sign] = ((_lin((1, m11), (1, delta)), _lin((-bm1, m12))),
+                                  (_lin((-1.0 / bm1, m21)), _lin((1, m22), (1, delta))))
+    return P
+
+
 def _rows(v: VerblunskyTable, w: WeightSpec, n: int, sign: float, order: int):
     """The two scalar rows of A u' = P u (order 1) or of the second-order
-    equations (order 2), P = C^{-1} Mtilde_n C + sign delta_n I.  A row is a
-    tuple of terms (coefficients, component of u, derivative order)."""
-    m11, m12, m21, m22 = _mtilde(v, w, n)
-    A, Ap, q = _pearson(w)
-    bm1 = v.b[n - 1]
-    delta = _lin((sign / 2.0, q), (-sign * n / 2.0, Ap))
-    P = ((_lin((1, m11), (1, delta)), _lin((-bm1, m12))),
-         (_lin((-1.0 / bm1, m21)), _lin((1, m22), (1, delta))))
+    equations (order 2), P = ``_system(v, w, n, sign)``.  A row is a tuple
+    of terms (coefficients, component of u, derivative order)."""
+    P = _system(v, w, n, sign)
+    A = _pearson(w)[0]
     if order == 1:
         return tuple(((A, i, 1), (_lin((-1, P[i][i])), i, 0), (_lin((-1, P[i][j])), j, 0))
                      for i, j in ((0, 1), (1, 0)))

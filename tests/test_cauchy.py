@@ -1,5 +1,6 @@
 import cmath
 import collections
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from opuc.cauchy import (
 )
 from opuc.errors import AccuracyError, NearBoundaryError
 from opuc.moments import moments_for
+from opuc.rh import jump_residual
 from opuc.szego import phi_pair, verblunsky_from_moments
 from opuc.weights import WeightSpec, circle_rule, eval_nu
 
@@ -203,6 +205,14 @@ def test_derivative_order_outside_range_rejected(bessel2, order):
             transform(v, w, 2, OUTSIDE, order=order)
 
 
+def _reference_samples(w, coeffs, n, N):
+    """The nodes t, Jacobians J and integrand samples p(t) nu(t) J / t^n of
+    one polynomial on the N-point circle rule, by polyval."""
+    theta, nu, jac = circle_rule(w, N)
+    t = np.exp(1j * theta)
+    return t, jac, _P.polyval(t, coeffs) * nu / t ** n
+
+
 def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX):
     """Reference: the uncached transform of one polynomial on the circle rule,
     or its z-derivative of the given order, with node doubling.  Returns
@@ -216,9 +226,7 @@ def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX):
         gz = complex(_P.polyval(z, coeffs)) * eval_nu(w, z) / z ** n
 
     def eval_at(N):
-        theta, nu, jac = circle_rule(w, N)
-        t = np.exp(1j * theta)
-        g = _P.polyval(t, coeffs) * nu / t ** n
+        t, jac, g = _reference_samples(w, coeffs, n, N)
         if subtract:
             total = np.sum((g - gz * jac) * t / (t - z)) / N
             if abs(z) < 1.0:
@@ -292,13 +300,74 @@ def test_transforms_equal_uncached_reference(z):
                for order in ((1, 2) if band else (0, 1, 2))}
     subtracted = {(kind, n, z, 0) for kind in ("G", "Gstar")}
     assert set(q.memo) == (columns | subtracted if band else columns)
-    # recomputed from the stored integrand samples, the only arrays stored
-    assert q.integrands and {key[0] for key in q.integrands} <= {"G", "Gstar"}
+    # recomputed from the stored integrand samples, the only arrays stored:
+    # one block per level, the 22 interleaved rows of both kinds
+    assert q.integrands and all(m.shape == (2 * (v.nmax + 1), N)
+                                for (N, _), m in q.integrands.items())
     q.memo.clear()
     assert cauchy_G(v, w, n, z) == G
     assert cauchy_Gstar(v, w, n, z) == Gs
     assert (cauchy_G(v, w, n, z, order=1), cauchy_Gstar(v, w, n, z, order=1)) == d
     assert (cauchy_G(v, w, n, z, order=2), cauchy_Gstar(v, w, n, z, order=2)) == d2
+
+
+def _jump_points(t):
+    """The four points of the jump check at circle point t."""
+    return [z for d in (5e-5, 2.5e-5) for z in ((1.0 - d) * t, (1.0 + d) * t)]
+
+
+def test_interleaved_rows_equal_polyval_rows_across_blocks(monkeypatch):
+    # with three rows a block, blocks start at even and at odd rows, and the
+    # rows G*_{n-1} and G_n, which share the power t^n, fall in two blocks
+    # for n = 3 (rows 5 and 6) and in one for n = 4 (rows 7 and 8)
+    monkeypatch.setattr(cauchy, "_rows_per_pass", lambda N: 3)
+    w = WeightSpec.jacobi(1.0 + 0.5j)
+    v = _fresh(w, 8)
+    q = cauchy._quadrature(v, w)
+    for N in (256, 512):
+        for kind in ("G", "Gstar"):
+            for n in _degrees(v, kind):
+                reference = _reference_samples(w, _coefficients(v, kind, n), n, N)[2]
+                assert q.row(kind, n, N).tobytes() == reference.tobytes(), (kind, n, N)
+        assert [len(q.integrands[N, b]) for b in range(6)] == [3] * 6
+
+
+@pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.0 + 0.5j)],
+                         ids=["bessel2", "jacobi_complex"])
+def test_batched_band_memo_equals_reference(monkeypatch, w):
+    # one pass converges G_n and G*_{n-1} at band points inside and outside
+    # the circle, the jump check's four among them, and each memoized result
+    # is that of the transform converged alone
+    monkeypatch.setattr(cauchy, "_rows_per_pass", lambda N: 3)
+    calls = _counting_transforms(monkeypatch)
+    v = _fresh(w, 8)
+    zs = _jump_points(cmath.exp(0.9j)) + [BAND, 0.9 * cmath.exp(2.0j)]
+    for n in (3, 4):
+        cauchy.converge_band(v, w, n, zs)
+        assert len(calls[-1]) == 2 * len(zs)
+        for z in zs:
+            for kind in ("G", "Gstar"):
+                reference = _reference_transform(w, _coefficients(v, kind, n), n, z,
+                                                 subtract=True)
+                assert v.quadrature[w].memo[kind, n, complex(z), 0] == reference
+        cauchy.converge_band(v, w, n, zs)
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="band"):
+        cauchy.converge_band(v, w, 3, [OUTSIDE])
+    with pytest.raises(NearBoundaryError):
+        cauchy.converge_band(v, w, 3, [cmath.exp(0.3j)])
+
+
+def test_jump_check_is_one_pass(monkeypatch):
+    # the jump check converges its four points in one pass, and reads them
+    calls = _counting_transforms(monkeypatch)
+    w = WeightSpec.jacobi(1.0 + 0.5j)
+    v = _fresh(w)
+    t, n = cmath.exp(1j * 2.3), 6
+    r = jump_residual(v, w, n, t)
+    assert len(calls) == 1
+    assert calls[0] == [(kind, n, z) for z in _jump_points(t) for kind in ("Gstar", "G")]
+    assert jump_residual(v, w, n, t) == r and len(calls) == 1
 
 
 def test_perturbed_copy_does_not_reuse_original_values():
@@ -321,11 +390,10 @@ def test_evaluation_state_outside_equality_and_repr():
 
 
 def test_integrand_store_stays_within_one_finest_pass():
-    # the order-2 kernel next to the circle needs 2^12 nodes, so the G and
-    # G* integrand matrices of 11 rows at 256..4096 nodes fill 2 x 87296
-    # samples, more than the store holds; one pass builds both kinds at
-    # each level, G first, and the store keeps the most recent blocks that
-    # fit: G* at 2048 nodes and both kinds at 4096
+    # the order-2 kernel next to the circle needs 2^12 nodes, so the
+    # integrand matrix of both kinds, 22 rows at 256..4096 nodes, fills
+    # 174592 samples, more than the store holds; the store keeps the most
+    # recent blocks that fit: the one at 4096 nodes
     w = WeightSpec.bessel(2.0)
     v = _fresh(w)
     z = 1.021 * cmath.exp(0.4j)
@@ -335,7 +403,7 @@ def test_integrand_store_stays_within_one_finest_pass():
     q = v.quadrature[w]
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
-    assert list(q.integrands) == [("Gstar", 2048, 0), ("G", 4096, 0), ("Gstar", 4096, 0)]
+    assert list(q.integrands) == [(4096, 0)]
     phi = phi_pair(v, 2).phi
     reference = _reference_transform(w, phi, 2, z, order=1, subtract=False)[0]
     assert cauchy_G(v, w, 2, z, order=1) == reference
@@ -363,8 +431,10 @@ def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
     (v,) = tables
     ((w, q),) = v.quadrature.items()
     columns = collections.defaultdict(dict)
-    # the memo also holds Y_n, M_n, M_n' and the closed-form Mtilde_n, keyed apart
-    assert {key[0] for key in q.memo} == {"G", "Gstar", "Y", "M", "dM", "Mtilde"}
+    # the memo also holds Y_n, M_n, M_n', the transfer defect, the
+    # closed-form Mtilde_n and its first-order system P, keyed apart
+    assert {key[0] for key in q.memo} == {"G", "Gstar", "Y", "M", "dM", "Tdefect",
+                                          "Mtilde", "P"}
     for key, result in q.memo.items():
         if key[0] not in ("G", "Gstar"):
             continue
@@ -379,6 +449,25 @@ def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
     if w.kind == "jacobi":
         # rows of one column converge at different levels
         assert {512, 1024} in [set(rows.values()) for rows in columns.values()]
+
+
+@pytest.mark.parametrize("flags", [["--weight", "bessel", "--ell", "2", "--n", "8"],
+                                   ["--weight", "jacobi", "--lambda", "1", "--eta", "0.5",
+                                    "--n", "8"],
+                                   ["--weight", "jacobi", "--lambda", "-0.45",
+                                    "--eta", "0.3", "--n", "12"]],
+                         ids=["bessel2-n8", "jacobi-n8", "jacobi-low-lambda-n12"])
+def test_check_lines_do_not_depend_on_shared_passes(flags, tmp_path):
+    # run alone, the suites share quadrature passes between other sets of
+    # transforms than verify all does; every check line is the same either way
+    def checks(suite):
+        report = tmp_path / f"{suite}.json"
+        cli.main(["verify", suite, *flags, "--report", str(report)])
+        return json.loads(report.read_text())["checks"]
+
+    alone = checks("rh") + checks("structure") + checks("painleve")
+    alone.sort(key=lambda c: (c["name"], c["n"], c["z"] or ""))
+    assert alone == checks("all")
 
 
 def test_row_that_does_not_converge_fails_alone(monkeypatch):
@@ -430,7 +519,7 @@ def test_column_at_the_finest_level_is_chunked(monkeypatch):
     assert q.samples == sum(g.size for g in q.integrands.values())
     assert q.samples <= NMAX
     blocks = {key: len(a) for key, a in q.integrands.items()}
-    assert blocks and all(rows <= max(1, NMAX // N) for (_, N, _), rows in blocks.items())
+    assert blocks and all(rows <= max(1, NMAX // N) for (N, _), rows in blocks.items())
 
 
 def _counting_transforms(monkeypatch):
@@ -456,35 +545,36 @@ def test_one_pass_converges_both_kinds_off_the_band(monkeypatch, order):
     cauchy_G(v, w, 3, OUTSIDE, order=order)
     q = v.quadrature[w]
     z = complex(OUTSIDE)
-    rows = {(kind, m) for kind in ("G", "Gstar") for m in _swept(v)}
+    rows = {(kind, m, z) for kind in ("G", "Gstar") for m in _swept(v)}
     assert len(calls) == 1 and set(calls[0]) == rows
-    assert set(q.memo) == {(kind, m, z, order) for kind, m in rows}
-    for kind, m in rows:
+    assert set(q.memo) == {(kind, m, z, order) for kind, m, _ in rows}
+    for kind, m, _ in rows:
         reference = _reference_transform(w, _coefficients(v, kind, m), m, z, order,
                                          subtract=False)
         assert q.memo[kind, m, z, order] == reference
-    for kind, m in rows:
+    for kind, m, _ in rows:
         transform = cauchy_G if kind == "G" else cauchy_Gstar
         assert transform(v, w, m, OUTSIDE, order=order) == q.memo[kind, m, z, order][0]
     assert len(calls) == 1
-    # a key outside the sweep converges on its own, with its degree of the other kind
-    for m, own in ((0, [("G", 0)]), (v.nmax, [("G", v.nmax), ("Gstar", v.nmax)]),
-                   (v.nmax + 1, [("Gstar", v.nmax + 1)])):
-        transform = cauchy_G if own[0][0] == "G" else cauchy_Gstar
+    # a key outside the sweep converges on its own, with its degree of the
+    # other kind, in row order
+    for m, own in ((0, [("G", 0, z)]), (v.nmax, [("Gstar", v.nmax, z), ("G", v.nmax, z)]),
+                   (v.nmax + 1, [("Gstar", v.nmax + 1, z)])):
+        transform = cauchy_G if own[-1][0] == "G" else cauchy_Gstar
         value = transform(v, w, m, OUTSIDE, order=order)
         assert calls[-1] == own
-        for kind, k in own:
+        for kind, k, _ in own:
             reference = _reference_transform(w, _coefficients(v, kind, k), k, z, order,
                                              subtract=False)
             assert q.memo[kind, k, z, order] == reference
-        assert value == q.memo[own[0][0], m, z, order][0]
+        assert value == q.memo[own[-1][0], m, z, order][0]
     assert len(calls) == 4
-    assert {key[0] for key in q.integrands} == {"G", "Gstar"}
+    assert all(a.shape[0] == 2 * (v.nmax + 1) for a in q.integrands.values())
     assert q.samples == sum(a.size for a in q.integrands.values()) <= NMAX
 
 
-@pytest.mark.parametrize("kind, n, rows", [("G", 4, [("G", 4), ("Gstar", 4)]),
-                                           ("Gstar", 4, [("G", 4), ("Gstar", 4)]),
+@pytest.mark.parametrize("kind, n, rows", [("G", 4, [("Gstar", 4), ("G", 4)]),
+                                           ("Gstar", 4, [("Gstar", 4), ("G", 4)]),
                                            ("G", 0, [("G", 0)]),
                                            ("Gstar", 11, [("Gstar", 11)])],
                          ids=["G", "Gstar", "G0", "Gstar-top"])
@@ -497,7 +587,7 @@ def test_one_pass_converges_both_kinds_in_the_band(monkeypatch, kind, n, rows):
     transform = cauchy_G if kind == "G" else cauchy_Gstar
     transform(v, w, n, BAND)
     q = v.quadrature[w]
-    assert calls == [rows]
+    assert calls == [[(k, m, complex(BAND)) for k, m in rows]]
     assert set(q.memo) == {(k, m, complex(BAND), 0) for k, m in rows}
     for k, m in rows:
         reference = _reference_transform(w, _coefficients(v, k, m), m, BAND, subtract=True)

@@ -64,6 +64,8 @@ def test_transfer_residuals_share_one_defect(bessel2):
         entries = (abs(D.a11), abs(D.a21), abs(D.a12), abs(D.a22))
         assert transfer_recurrence_residuals(v, w, n, z) == entries
         assert transfer_residual(v, w, n, z) == D.frobenius()
+        # computed once per (n, z), in the table's memo
+        assert v.quadrature[w].memo["Tdefect", n, z] == D
 
 
 def test_jump_condition(bessel2, jacobi_complex):

@@ -222,6 +222,11 @@ def test_table_memos_equal_a_cold_table(fixture, request):
                                                         w, n, OUTSIDE)
     memo = v.quadrature[w].memo
     assert {key for key in memo if key[0] == "Mtilde"} == {("Mtilde", 2), ("Mtilde", 5)}
+    # the first- and second-order rows share P, one per (n, sign)
+    cold = verblunsky_from_moments(c, v.nmax)
+    for residuals in (first_order_residuals, second_order_residuals):
+        assert residuals(v, w, 5, OUTSIDE) == residuals(cold, w, 5, OUTSIDE)
+    assert {key for key in memo if key[0] == "P"} == {("P", 5, -1.0), ("P", 5, 1.0)}
     # a warm table refuses what a cold one refuses: no entry below n = 1
     with pytest.raises(ValueError):
         assemble_Y(v, w, 0, OUTSIDE)
