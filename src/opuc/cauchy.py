@@ -36,11 +36,13 @@ AccuracyError too, which is raised again on each request, so no transform
 is converged twice.  ``cauchy_G`` and ``cauchy_Gstar`` read the memo first;
 only a miss checks the arguments, as an entry exists only for arguments
 that passed.  The state lives in ``VerblunskyTable.quadrature``, whose one
-memo also holds the Y_n, M_n and transfer defects of ``opuc.rh`` and the
-M_n', Mtilde_n and P of ``opuc.structure``.
+memo the ``per_table`` decorator opens to the quantities built on the
+transforms, each under its own tag.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,12 +84,8 @@ class _Quadrature:
     within it.  ``swept`` lists the keys a column pass converges, rows
     1..2 nmax - 2 of the matrix.  ``memo`` holds each transform's (value,
     nodes, residual), or the AccuracyError of one that never converged, by
-    (kind, n, z, order) with the derivative order 0-2; the solution matrix
-    Y_n(z) of ``opuc.rh`` by ("Y", n, z, order), its structure matrix M_n(z)
-    by ("M", n, z) and the transfer defect by ("Tdefect", n, z); the
-    finite-difference M_n' of ``opuc.structure`` by ("dM", n, z), the
-    closed-form Mtilde_n coefficients by ("Mtilde", n) and the matrix P of
-    its first-order system by ("P", n, sign).
+    (kind, n, z, order) with the derivative order 0-2, and the values of
+    the ``per_table`` functions by (tag, *arguments).
     """
 
     def __init__(self, w: WeightSpec, v: VerblunskyTable):
@@ -266,6 +264,42 @@ def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
     if q is None:
         q = v.quadrature[w] = _Quadrature(w, v)
     return q
+
+
+def per_table(tag: str):
+    """Decorator: f(v, w, *args) computed once per table v, weight w and
+    arguments, and kept in the table's memo under (tag, *args), where args
+    holds every argument after w, one passed by name or left at its default
+    too.  The memo is read before f runs, so before its argument checks; a
+    call that raises stores nothing, so the memo holds only arguments that
+    passed them."""
+    def decorate(f):
+        names = f.__code__.co_varnames[2:f.__code__.co_argcount]
+        tail = f.__defaults__ or ()
+        required = len(names) - len(tail)
+        defaults = dict(zip(names[required:], tail))
+
+        @functools.wraps(f)
+        def memoized(v, w, *args, **kwargs):
+            if kwargs:
+                for name in names[len(args):]:
+                    if name not in kwargs and name not in defaults:
+                        break       # a missing argument
+                    args += (kwargs.pop(name, defaults.get(name)),)
+                if kwargs:          # an unknown name, or one after a missing argument
+                    return f(v, w, *args, **kwargs)     # raises its TypeError
+            elif required <= len(args) < len(names):
+                args += tail[len(args) - required:]
+            key = (tag,) + args
+            memo = _quadrature(v, w).memo
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = f(v, w, *args)
+            return value
+
+        return memoized
+
+    return decorate
 
 
 def _converge(q: _Quadrature, keys: list, zs, order: int, subtract: bool) -> None:

@@ -246,7 +246,8 @@ def _apply_perturb(v, spec: str, parser):
             raise ValueError(spec)
         return v.perturbed(idx, eps)
     except (ValueError, IndexError):
-        parser.error("--perturb expects n:eps with n >= 0 and eps finite, e.g. 5:1e-3")
+        parser.error(f"--perturb expects n:eps with n in 0..{v.nmax - 1} and eps finite, "
+                     "e.g. 5:1e-3")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,7 @@ def _suite_rh(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
                   abs(cauchy_Gstar(v, w, n, 0.0) - v.alphas[n - 1] / v.b[n - 1]))
     for t in circle_grid():
         suite.add("jump_condition", nmax, jump_residual(v, w, nmax, t), t)
-    for n in (2, nmax):
+    for n in dict.fromkeys((2, nmax)):
         g, gs = laurent_tail(v, w, n)
         lead = -v.alpha(n).conjugate() / v.b[n]
         sub = (v.alpha(n).conjugate() / v.b[n] * v.phi1[n + 1]

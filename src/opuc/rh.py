@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 
-from .cauchy import _quadrature, cauchy_G, cauchy_Gstar, converge_band
+from .cauchy import cauchy_G, cauchy_Gstar, converge_band, per_table
 from .errors import PoleError
 from .matrix2 import Matrix2C
 from .szego import VerblunskyTable, phi_pair
@@ -23,27 +23,19 @@ from .weights import WeightSpec, eval_weight, log_derivative
 JUMP_DELTA = 5e-5   # radial offset of the jump check's first approach to the circle
 
 
+@per_table("Y")
 def assemble_Y(v: VerblunskyTable, w: WeightSpec, n: int, z: complex,
                order: int = 0) -> Matrix2C:
     """The unit-determinant solution matrix Y_n at z off the circle (order 0),
-    or its analytic z-derivative of order 1 or 2, with no finite differences.
-
-    Computed once per table, weight, n, z and order: the rh and structure
-    suites ask for the same Y_n(z) again, so a repeat is a lookup in the
-    table's memo under ("Y", n, z, order), read before the argument checks.
-    """
-    memo = _quadrature(v, w).memo
-    Y = memo.get(("Y", n, z, order))
-    if Y is None:
-        if n < 1:
-            raise ValueError("solution matrix defined for n >= 1")
-        bm1 = v.b[n - 1]
-        G = cauchy_G(v, w, n, z, order)
-        Gs = cauchy_Gstar(v, w, n, z, order)
-        Y = memo["Y", n, z, order] = Matrix2C(
-            phi_pair(v, n).eval_phi_deriv(z, order), G,
-            -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
-    return Y
+    or its analytic z-derivative of order 1 or 2, with no finite differences;
+    the rh and structure suites ask for the same Y_n(z) again."""
+    if n < 1:
+        raise ValueError("solution matrix defined for n >= 1")
+    bm1 = v.b[n - 1]
+    G = cauchy_G(v, w, n, z, order)
+    Gs = cauchy_Gstar(v, w, n, z, order)
+    return Matrix2C(phi_pair(v, n).eval_phi_deriv(z, order), G,
+                    -bm1 * phi_pair(v, n - 1).eval_phistar_deriv(z, order), -bm1 * Gs)
 
 
 def transfer_matrix(v: VerblunskyTable, n: int, z: complex) -> Matrix2C:
@@ -61,17 +53,12 @@ def transfer_matrix_deriv() -> Matrix2C:
     return Matrix2C(1.0, 0.0, 0.0, 0.0)
 
 
+@per_table("Tdefect")
 def _transfer_defect(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> Matrix2C:
-    """Y_{n+1} diag(1, z) - T_n Y_n, computed once per table, weight, n and
-    z and kept in the table's memo under ("Tdefect", n, z): both transfer
-    residuals read it."""
-    memo = _quadrature(v, w).memo
-    D = memo.get(("Tdefect", n, z))
-    if D is None:
-        z = complex(z)
-        lhs = assemble_Y(v, w, n + 1, z) @ Matrix2C.diag(1.0, z)
-        D = memo["Tdefect", n, z] = lhs - transfer_matrix(v, n, z) @ assemble_Y(v, w, n, z)
-    return D
+    """Y_{n+1} diag(1, z) - T_n Y_n, which both transfer residuals read."""
+    z = complex(z)
+    lhs = assemble_Y(v, w, n + 1, z) @ Matrix2C.diag(1.0, z)
+    return lhs - transfer_matrix(v, n, z) @ assemble_Y(v, w, n, z)
 
 
 def transfer_residual(v: VerblunskyTable, w: WeightSpec, n: int, z: complex) -> float:
@@ -133,29 +120,20 @@ def log_diag_factor(w: WeightSpec, n: int, z: complex, order: int = 0) -> Matrix
     return Matrix2C.diag(d, -d)
 
 
+@per_table("M")
 def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: complex
                              ) -> Matrix2C:
-    """Structure matrix M_n(z) = Y' Y^{-1} + Y D Y^{-1}, trace-free.
-
-    Computed once per table, weight, n and z: the zero-curvature,
-    second-order and trace-back checks and the finite-difference M_n' ask
-    for the same M_n(z) again, so a repeat is a lookup in the memo of the
-    table's quadrature state, under ("M", n, z).  The memo is read first
-    and the pole checks run only on a miss: it holds no point that failed
-    them.
-    """
-    memo = _quadrature(v, w).memo
-    M = memo.get(("M", n, z))
-    if M is None:
-        z = complex(z)
-        if abs(z) < 1e-12:
-            raise PoleError("structure matrix is singular at z = 0")
-        for s in w.singular_points():
-            if abs(z - s) < 1e-9:
-                raise PoleError(f"structure matrix is singular at z = {s}")
-        Y = assemble_Y(v, w, n, z)
-        dY = assemble_Y(v, w, n, z, order=1)
-        Yinv = Y.inv()
-        D = log_diag_factor(w, n, z)
-        M = memo["M", n, z] = (dY @ Yinv) + (Y @ D @ Yinv)
-    return M
+    """Structure matrix M_n(z) = Y' Y^{-1} + Y D Y^{-1}, trace-free; the
+    zero-curvature, second-order and trace-back checks and the
+    finite-difference M_n' ask for the same M_n(z) again."""
+    z = complex(z)
+    if abs(z) < 1e-12:
+        raise PoleError("structure matrix is singular at z = 0")
+    for s in w.singular_points():
+        if abs(z - s) < 1e-9:
+            raise PoleError(f"structure matrix is singular at z = {s}")
+    Y = assemble_Y(v, w, n, z)
+    dY = assemble_Y(v, w, n, z, order=1)
+    Yinv = Y.inv()
+    D = log_diag_factor(w, n, z)
+    return (dY @ Yinv) + (Y @ D @ Yinv)

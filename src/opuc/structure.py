@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cauchy import _quadrature, cauchy_G, cauchy_Gstar
+from .cauchy import cauchy_G, cauchy_Gstar, per_table
 from .errors import UnsupportedWeightError
 from .matrix2 import Matrix2C
 from .rh import (
@@ -177,15 +177,10 @@ def _closed_form(w: WeightSpec, n: int):
     return mtilde_coeffs, relations
 
 
+@per_table("Mtilde")
 def _mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
-    """The coefficients of Mtilde_n, computed once per table, weight and n
-    and kept in the table's memo under ("Mtilde", n); the memo is read
-    before the argument checks, as it holds no n that failed them."""
-    memo = _quadrature(v, w).memo
-    m = memo.get(("Mtilde", n))
-    if m is None:
-        m = memo["Mtilde", n] = _closed_form(w, n)[0](v, w, n)
-    return m
+    """The coefficients of Mtilde_n."""
+    return _closed_form(w, n)[0](v, w, n)
 
 
 @lru_cache(maxsize=64)
@@ -196,20 +191,16 @@ def _pearson(w: WeightSpec) -> tuple[Poly, Poly, Poly]:
     return (0j,) + Ap, Ap, q
 
 
+@per_table("P")
 def _system(v: VerblunskyTable, w: WeightSpec, n: int, sign: float):
-    """P = C^{-1} Mtilde_n C + sign delta_n I, rows of polynomials, computed
-    once per table, weight, n and sign and kept in the table's memo under
-    ("P", n, sign): the first- and second-order rows both read it."""
-    memo = _quadrature(v, w).memo
-    P = memo.get(("P", n, sign))
-    if P is None:
-        m11, m12, m21, m22 = _mtilde(v, w, n)
-        _, Ap, q = _pearson(w)
-        bm1 = v.b[n - 1]
-        delta = _lin((sign / 2.0, q), (-sign * n / 2.0, Ap))
-        P = memo["P", n, sign] = ((_lin((1, m11), (1, delta)), _lin((-bm1, m12))),
-                                  (_lin((-1.0 / bm1, m21)), _lin((1, m22), (1, delta))))
-    return P
+    """P = C^{-1} Mtilde_n C + sign delta_n I, rows of polynomials, which
+    the first- and second-order rows both read."""
+    m11, m12, m21, m22 = _mtilde(v, w, n)
+    _, Ap, q = _pearson(w)
+    bm1 = v.b[n - 1]
+    delta = _lin((sign / 2.0, q), (-sign * n / 2.0, Ap))
+    return ((_lin((1, m11), (1, delta)), _lin((-bm1, m12))),
+            (_lin((-1.0 / bm1, m21)), _lin((1, m22), (1, delta))))
 
 
 def _rows(v: VerblunskyTable, w: WeightSpec, n: int, sign: float, order: int):
@@ -330,29 +321,22 @@ def second_curvature_residual(v: VerblunskyTable, w: WeightSpec, n: int,
 # generic second-order operator and its first-order trace-back
 
 
+@per_table("dM")
 def structure_matrix_deriv_fd(v: VerblunskyTable, w: WeightSpec, n: int,
                               z: complex) -> Matrix2C:
-    """dM_n/dz by central differences with one Richardson step.
+    """dM_n/dz by central differences with one Richardson step; the
+    second-order and trace-back checks ask for the same M_n' again."""
+    z = complex(z)
+    h = FD_STEP * max(1.0, abs(z))
 
-    Computed once per table, weight, n and z, like M_n(z) itself, and kept
-    in the same memo under ("dM", n, z): the second-order and trace-back
-    checks ask for the same M_n' again.
-    """
-    memo = _quadrature(v, w).memo
-    dM = memo.get(("dM", n, z))
-    if dM is None:
-        z = complex(z)
-        h = FD_STEP * max(1.0, abs(z))
+    def central(step: float) -> Matrix2C:
+        plus = structure_matrix_numeric(v, w, n, z + step)
+        minus = structure_matrix_numeric(v, w, n, z - step)
+        return (plus - minus).scale(1.0 / (2.0 * step))
 
-        def central(step: float) -> Matrix2C:
-            plus = structure_matrix_numeric(v, w, n, z + step)
-            minus = structure_matrix_numeric(v, w, n, z - step)
-            return (plus - minus).scale(1.0 / (2.0 * step))
-
-        d1 = central(h)
-        d2 = central(h / 2.0)
-        dM = memo["dM", n, z] = d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
-    return dM
+    d1 = central(h)
+    d2 = central(h / 2.0)
+    return d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
 
 
 def generic_second_order_residual(v: VerblunskyTable, w: WeightSpec, n: int,

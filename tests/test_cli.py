@@ -127,6 +127,18 @@ def test_verify_reports_sorted(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("n", ["2", "8"])
+def test_verify_reports_each_check_once(n, tmp_path):
+    # the tail checks run at n = 2 and n = nmax, once when they coincide
+    rpt = tmp_path / "r.json"
+    run(["verify", "all", "--weight", "bessel", "--ell", "2", "--n", n,
+         "--report", str(rpt)])
+    keys = [(c["name"], c["n"], c["z"]) for c in json.loads(rpt.read_text())["checks"]]
+    assert len(keys) == len(set(keys))
+    assert {name for name, m, _ in keys if m == 2 and name.startswith("tail_")} == {
+        "tail_g_leading", "tail_g_subleading", "tail_gstar_leading", "tail_gstar_subleading"}
+
+
 def test_standard_grid_avoids_singularities():
     grid = standard_grid(WeightSpec.jacobi(1.0))
     assert len(grid) == 16
@@ -145,7 +157,9 @@ def test_perturbation_outside_the_table_or_not_finite_is_usage_error(spec, tmp_p
         run(["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "4",
              f"--perturb={spec}", "--report", str(rpt)])
     assert exc.value.code == 2
-    assert "--perturb expects" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--perturb expects" in err
+    assert "n in 0..5" in err
     assert not rpt.exists()
 
 

@@ -14,7 +14,7 @@ from opuc.cauchy import (
     cauchy_G,
     cauchy_Gstar,
 )
-from opuc.errors import UnsupportedWeightError
+from opuc.errors import PoleError, UnsupportedWeightError
 from opuc.matrix2 import Matrix2C
 from opuc.moments import moments_for
 from opuc.rh import assemble_Y, transfer_matrix, transfer_matrix_deriv
@@ -208,30 +208,51 @@ def test_matrices_hold_python_scalars_only(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["bessel2", "jacobi_complex"])
 def test_table_memos_equal_a_cold_table(fixture, request):
-    # Y_n and Mtilde_n are computed once per table, weight and point; a
-    # repeat is the same object, with the value a fresh table computes
+    # each per-table function computes its value once per table, weight and
+    # arguments: a repeat is the same object, with the value a fresh table
+    # computes, and a warm table refuses what a cold one refuses
     w, c, table = request.getfixturevalue(fixture)
-    v = verblunsky_from_moments(c, table.nmax)
+
+    def cold():
+        return verblunsky_from_moments(c, table.nmax)
+
+    v = cold()
+    calls = [(assemble_Y, n, OUTSIDE, order) for n in (2, 5) for order in (0, 1, 2)]
+    calls += [(f, n, OUTSIDE) for n in (2, 5) for f in (
+        opuc.rh._transfer_defect, structure_matrix_numeric, structure_matrix_deriv_fd)]
+    calls += [(opuc.structure._mtilde, n) for n in (2, 5)]
+    calls += [(opuc.structure._system, 5, sign) for sign in (-1.0, 1.0)]
+    for f, *args in calls:
+        value = f(v, w, *args)
+        assert f(v, w, *args) is value
+        assert value == f(cold(), w, *args), (f.__name__, args)
     for n in (2, 5):
-        for order in (0, 1, 2):
-            Y = assemble_Y(v, w, n, OUTSIDE, order)
-            assert assemble_Y(v, w, n, OUTSIDE, order) is Y
-            assert Y == assemble_Y(verblunsky_from_moments(c, v.nmax), w, n, OUTSIDE, order)
-        mt = mtilde(v, w, n, OUTSIDE)
-        assert mtilde(v, w, n, OUTSIDE) == mt == mtilde(verblunsky_from_moments(c, v.nmax),
-                                                        w, n, OUTSIDE)
+        assert mtilde(v, w, n, OUTSIDE) == mtilde(cold(), w, n, OUTSIDE)
     memo = v.quadrature[w].memo
     assert {key for key in memo if key[0] == "Mtilde"} == {("Mtilde", 2), ("Mtilde", 5)}
     # the first- and second-order rows share P, one per (n, sign)
-    cold = verblunsky_from_moments(c, v.nmax)
     for residuals in (first_order_residuals, second_order_residuals):
-        assert residuals(v, w, 5, OUTSIDE) == residuals(cold, w, 5, OUTSIDE)
+        assert residuals(v, w, 5, OUTSIDE) == residuals(cold(), w, 5, OUTSIDE)
     assert {key for key in memo if key[0] == "P"} == {("P", 5, -1.0), ("P", 5, 1.0)}
-    # a warm table refuses what a cold one refuses: no entry below n = 1
-    with pytest.raises(ValueError):
-        assemble_Y(v, w, 0, OUTSIDE)
-    with pytest.raises(ValueError):
-        mtilde(v, w, 0, OUTSIDE)
+    # one entry per order, however it is passed
+    Y = assemble_Y(v, w, 3, OUTSIDE)
+    assert assemble_Y(v, w, 3, OUTSIDE, 0) is Y and assemble_Y(v, w, 3, OUTSIDE, order=0) is Y
+    assert assemble_Y(v, w, 3, OUTSIDE, order=1) is assemble_Y(v, w, 3, OUTSIDE, 1)
+    assert {key for key in memo if key[:3] == ("Y", 3, OUTSIDE)} == {("Y", 3, OUTSIDE, 0),
+                                                                     ("Y", 3, OUTSIDE, 1)}
+    # a refused call leaves no entry: no degree below the family's, no pole
+    refused = [("Y", assemble_Y, 0, OUTSIDE), ("Tdefect", opuc.rh._transfer_defect, 0, OUTSIDE),
+               ("M", structure_matrix_numeric, 5, 0j),
+               ("dM", structure_matrix_deriv_fd, 0, OUTSIDE),
+               ("Mtilde", opuc.structure._mtilde, 0), ("P", opuc.structure._system, 0, 1.0)]
+    for tag, f, *args in refused:
+        for t in (cold(), v):
+            with pytest.raises((ValueError, PoleError)):
+                f(t, w, *args)
+        assert (tag, *args) not in memo
+    for args, kwargs in (((5,), {}), ((5, OUTSIDE), {"degree": 0})):
+        with pytest.raises(TypeError):
+            assemble_Y(v, w, *args, **kwargs)
 
 
 def test_complex_alpha_rejected_for_bessel_forms(jacobi_complex):
