@@ -43,6 +43,7 @@ transforms, each under its own tag.
 from __future__ import annotations
 
 import functools
+import inspect
 
 import numpy as np
 
@@ -274,22 +275,19 @@ def per_table(tag: str):
     call that raises stores nothing, so the memo holds only arguments that
     passed them."""
     def decorate(f):
-        names = f.__code__.co_varnames[2:f.__code__.co_argcount]
-        tail = f.__defaults__ or ()
-        required = len(names) - len(tail)
-        defaults = dict(zip(names[required:], tail))
+        signature = inspect.signature(f)
+        defaults = f.__defaults__ or ()
+        positional = len(signature.parameters) - 2
+        required = positional - len(defaults)
 
         @functools.wraps(f)
         def memoized(v, w, *args, **kwargs):
             if kwargs:
-                for name in names[len(args):]:
-                    if name not in kwargs and name not in defaults:
-                        break       # a missing argument
-                    args += (kwargs.pop(name, defaults.get(name)),)
-                if kwargs:          # an unknown name, or one after a missing argument
-                    return f(v, w, *args, **kwargs)     # raises its TypeError
-            elif required <= len(args) < len(names):
-                args += tail[len(args) - required:]
+                bound = signature.bind(v, w, *args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args[2:]
+            elif required <= len(args) < positional:
+                args += defaults[len(args) - required:]
             key = (tag,) + args
             memo = _quadrature(v, w).memo
             value = memo.get(key)

@@ -133,7 +133,7 @@ def structure_matrix_numeric(v: VerblunskyTable, w: WeightSpec, n: int, z: compl
         if abs(z - s) < 1e-9:
             raise PoleError(f"structure matrix is singular at z = {s}")
     Y = assemble_Y(v, w, n, z)
-    dY = assemble_Y(v, w, n, z, order=1)
+    dY = assemble_Y(v, w, n, z, 1)
     Yinv = Y.inv()
     D = log_diag_factor(w, n, z)
     return (dY @ Yinv) + (Y @ D @ Yinv)

@@ -344,8 +344,8 @@ def generic_second_order_residual(v: VerblunskyTable, w: WeightSpec, n: int,
     """|| Y'' + 2 Y' D + Y (D' + D^2) - (M' + M^2) Y || with numeric M, FD M'."""
     z = complex(z)
     Y = assemble_Y(v, w, n, z)
-    dY = assemble_Y(v, w, n, z, order=1)
-    d2Y = assemble_Y(v, w, n, z, order=2)
+    dY = assemble_Y(v, w, n, z, 1)
+    d2Y = assemble_Y(v, w, n, z, 2)
     D = log_diag_factor(w, n, z)
     dD = log_diag_factor(w, n, z, order=1)
     M = structure_matrix_numeric(v, w, n, z)

@@ -119,24 +119,17 @@ def test_verify_perturbation_seen_by_closed_forms_at_ell_zero(tmp_path):
 
 
 def test_verify_reports_sorted(tmp_path):
+    # sorted, each check once: the tail checks run at n = 2 and n = nmax,
+    # once when they coincide
     rpt = tmp_path / "r.json"
-    run(["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "4",
-         "--report", str(rpt)])
-    checks = json.loads(rpt.read_text())["checks"]
-    keys = [(c["name"], c["n"], c["z"] or "") for c in checks]
-    assert keys == sorted(keys)
-
-
-@pytest.mark.parametrize("n", ["2", "8"])
-def test_verify_reports_each_check_once(n, tmp_path):
-    # the tail checks run at n = 2 and n = nmax, once when they coincide
-    rpt = tmp_path / "r.json"
-    run(["verify", "all", "--weight", "bessel", "--ell", "2", "--n", n,
-         "--report", str(rpt)])
-    keys = [(c["name"], c["n"], c["z"]) for c in json.loads(rpt.read_text())["checks"]]
-    assert len(keys) == len(set(keys))
-    assert {name for name, m, _ in keys if m == 2 and name.startswith("tail_")} == {
-        "tail_g_leading", "tail_g_subleading", "tail_gstar_leading", "tail_gstar_subleading"}
+    for n in ("2", "4"):
+        run(["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", n,
+             "--report", str(rpt)])
+        checks = json.loads(rpt.read_text())["checks"]
+        keys = [(c["name"], c["n"], c["z"] or "") for c in checks]
+        assert keys == sorted(set(keys)), n
+        assert {name for name, m, _ in keys if m == 2 and name.startswith("tail_")} == {
+            "tail_g_leading", "tail_g_subleading", "tail_gstar_leading", "tail_gstar_subleading"}
 
 
 def test_standard_grid_avoids_singularities():

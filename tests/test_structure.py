@@ -241,15 +241,19 @@ def test_table_memos_equal_a_cold_table(fixture, request):
     assert {key for key in memo if key[:3] == ("Y", 3, OUTSIDE)} == {("Y", 3, OUTSIDE, 0),
                                                                      ("Y", 3, OUTSIDE, 1)}
     # a refused call leaves no entry: no degree below the family's, no pole
-    refused = [("Y", assemble_Y, 0, OUTSIDE), ("Tdefect", opuc.rh._transfer_defect, 0, OUTSIDE),
-               ("M", structure_matrix_numeric, 5, 0j),
-               ("dM", structure_matrix_deriv_fd, 0, OUTSIDE),
-               ("Mtilde", opuc.structure._mtilde, 0), ("P", opuc.structure._system, 0, 1.0)]
-    for tag, f, *args in refused:
+    refused = [("Y", ValueError, assemble_Y, 0, OUTSIDE),
+               ("Tdefect", ValueError, opuc.rh._transfer_defect, 0, OUTSIDE),
+               ("M", PoleError, structure_matrix_numeric, 5, 0j),
+               ("dM", ValueError, structure_matrix_deriv_fd, 0, OUTSIDE),
+               ("Mtilde", ValueError, opuc.structure._mtilde, 0),
+               ("P", ValueError, opuc.structure._system, 0, 1.0)]
+    for tag, exc, f, *args in refused:
         for t in (cold(), v):
-            with pytest.raises((ValueError, PoleError)):
+            with pytest.raises(exc):
                 f(t, w, *args)
         assert (tag, *args) not in memo
+    with pytest.raises(ValueError):
+        mtilde(v, w, 0, OUTSIDE)
     for args, kwargs in (((5,), {}), ((5, OUTSIDE), {"degree": 0})):
         with pytest.raises(TypeError):
             assemble_Y(v, w, *args, **kwargs)
