@@ -3,7 +3,8 @@
 The moments seed the recursion for the recurrence coefficients.  Two routes
 are provided: the circle rule of ``weights.circle_rule`` with node doubling,
 graded towards theta = 0 for the Jacobi weight, and an analytic series route
-for the exponential-of-cosine family.
+for the exponential-of-cosine family, whose ell = 0 member is the Lebesgue
+weight.
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def moments_quadrature(w: WeightSpec, jmax: int) -> MomentTable:
 
 
 def bessel_i_series(j: int, x: float) -> float:
-    """Modified Bessel function I_j(x) by its power series (j >= 0)."""
+    """Modified Bessel function I_j(x) by its power series; I_j(0) = [j == 0]
+    at every order, the constant (Lebesgue) weight's moments."""
+    if x == 0.0:
+        return float(j == 0)
     if j < 0:
         j = -j
     if j > BESSEL_MAX_ORDER:
@@ -179,19 +183,12 @@ def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
     return MomentTable(-jmax, jmax, tuple(half[:0:-1] + half), "analytic")
 
 
-def lebesgue_moments(jmax: int) -> MomentTable:
-    values = [2.0 * math.pi if j == 0 else 0.0 for j in range(-jmax, jmax + 1)]
-    return MomentTable(-jmax, jmax, tuple(values), "analytic")
-
-
 def moments_for(w: WeightSpec, jmax: int) -> MomentTable:
     """Best available moment route for the given weight."""
     if w.kind == "custom":
         if not w.moments.covers(jmax):
             raise ValueError(f"custom moment table does not cover |j| <= {jmax}")
         return w.moments
-    if w.kind == "lebesgue":
-        return lebesgue_moments(jmax)
-    if w.kind == "bessel":
+    if w.kind in ("lebesgue", "bessel"):     # the Lebesgue weight is bessel(0)
         return bessel_moments_analytic(w.ell, jmax)
     return moments_quadrature(w, jmax)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opuc.cauchy import cauchy_G, cauchy_Gstar, g_recurrence_residuals, laurent_tail
-from opuc.cli import main as cli_main, standard_grid
+from opuc.cli import main as cli_main
 from opuc.painleve import dpii_residual
 from opuc.rh import (
     assemble_Y,
@@ -31,6 +31,7 @@ from opuc.structure import (
     traceback_residual,
 )
 from opuc.szego import jacobi_alpha_ratio_residual, phi1_closed_jacobi, phi_pair
+from opuc.verify import standard_grid
 
 JACOBI_CASES = (("jacobi1", 1.0 + 0.0j), ("jacobi_complex", 1.0 + 0.5j))
 

@@ -5,8 +5,11 @@ import warnings
 
 import pytest
 
-from opuc import cli
-from opuc.cli import TOLERANCES, Suite, main, standard_grid
+from opuc import cli, verify
+from opuc.cli import main
+from opuc.moments import moments_for
+from opuc.szego import verblunsky_from_moments
+from opuc.verify import SUITES, TOLERANCES, Suite, standard_grid
 from opuc.weights import WeightSpec
 
 I1_2 = 1.5906368546
@@ -483,6 +486,21 @@ def test_every_tolerance_belongs_to_a_reported_check(tmp_path):
     assert run(["verify", "all", "--weight", "bessel", "--ell", "2", "--n", "3",
                 "--report", str(rpt)]) == 0
     assert {c["name"] for c in json.loads(rpt.read_text())["checks"]} == set(TOLERANCES)
+    # each check is declared in exactly one entry of one suite's table
+    names = [name for table in SUITES.values() for check in table for name in check.names]
+    assert sorted(names) == sorted(set(names)) == sorted(TOLERANCES)
+
+
+@pytest.mark.parametrize("name", ["rh", "structure", "painleve"])
+def test_library_suite_equals_the_cli_report(name, capsys):
+    # opuc.verify runs a suite without argparse; its report is the CLI's
+    w, nmax = WeightSpec.bessel(2.0), 3
+    suite = Suite(verify.meta(w, nmax, name), w.kind)
+    verify.run(suite, name, verblunsky_from_moments(moments_for(w, nmax + 2), nmax + 2),
+               w, nmax)
+    assert suite.checks
+    assert run(["verify", name, "--weight", "bessel", "--ell", "2", "--n", str(nmax)]) == 0
+    assert capsys.readouterr().out == cli._report_json(suite.report()) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,6 @@ from opuc.moments import (
     MomentTable,
     bessel_i_series,
     bessel_moments_analytic,
-    lebesgue_moments,
     moments_for,
     moments_quadrature,
 )
@@ -32,7 +31,7 @@ def test_bessel_series_reference_values():
 
 
 def test_lebesgue_moments():
-    c = lebesgue_moments(4)
+    c = moments_for(WeightSpec.lebesgue(), 4)
     assert c.c0 == pytest.approx(2.0 * math.pi)
     assert all(c.get(j) == 0.0 for j in range(-4, 5) if j != 0)
 
@@ -174,3 +173,11 @@ def test_bessel_series_order_limit():
         bessel_i_series(BESSEL_MAX_ORDER + 1, 2.0)
     with pytest.raises(OpucError):
         bessel_moments_analytic(60.0, 4)
+
+
+def test_bessel_ell_zero_past_the_order_limit_is_the_lebesgue_table():
+    # I_j(0) = [j == 0] at every order, so ell = 0 has no order limit
+    jmax = BESSEL_MAX_ORDER + 30
+    c = moments_for(WeightSpec.bessel(0.0), jmax)
+    assert c == moments_for(WeightSpec.lebesgue(), jmax)
+    assert c.values == tuple(2.0 * math.pi if j == 0 else 0.0 for j in range(-jmax, jmax + 1))

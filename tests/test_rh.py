@@ -2,7 +2,6 @@ import cmath
 
 import pytest
 
-from opuc.cli import standard_grid
 from opuc.errors import NearBoundaryError, PoleError
 from opuc.matrix2 import Matrix2C
 from opuc.moments import moments_for
@@ -18,6 +17,7 @@ from opuc.rh import (
 )
 from opuc.structure import FD_STEP
 from opuc.szego import verblunsky_from_moments
+from opuc.verify import standard_grid
 from opuc.weights import WeightSpec
 
 INSIDE = 0.4 * cmath.exp(1j * 0.7)

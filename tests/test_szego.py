@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opuc import szego
-from opuc.cli import standard_grid
 from opuc.errors import DegenerateMeasureError, ParameterRangeError
-from opuc.moments import MomentTable, lebesgue_moments, moments_for
+from opuc.moments import MomentTable, moments_for
 from opuc.szego import (
     MAX_DEGREE,
     VerblunskyTable,
@@ -19,6 +18,7 @@ from opuc.szego import (
     phi_pair,
     verblunsky_from_moments,
 )
+from opuc.verify import standard_grid
 from opuc.weights import WeightSpec
 
 # alpha_0 = c_1 / c_0 = I_1(2)/I_0(2) for the exponential-of-cosine weight
@@ -26,7 +26,7 @@ ALPHA0_BESSEL2 = 0.6977746579640080
 
 
 def test_lebesgue_alphas_vanish():
-    v = verblunsky_from_moments(lebesgue_moments(14), 12)
+    v = verblunsky_from_moments(moments_for(WeightSpec.lebesgue(), 14), 12)
     assert max(abs(a) for a in v.alphas) < 1e-14
     p = phi_pair(v, 5)
     assert np.allclose(p.phi, [0, 0, 0, 0, 0, 1])
@@ -107,7 +107,7 @@ def test_phi1_is_read_off_the_coefficient_rows(case):
 def test_degree_above_the_bound_refused_before_allocation(monkeypatch):
     # two (nmax + 1)^2 complex matrices: 0.5 GiB at MAX_DEGREE, 550 GB at
     # the Jacobi moment quadrature's limit
-    c = lebesgue_moments(MAX_DEGREE + 1)
+    c = moments_for(WeightSpec.lebesgue(), MAX_DEGREE + 1)
     alphas = [0j] * (MAX_DEGREE + 1)
 
     def allocate(*args, **kwargs):
@@ -271,7 +271,7 @@ HIGH_DEGREE_CASES = {
     "jacobi(-0.3+0.5i)": lambda: moments_for(WeightSpec.jacobi(-0.3 + 0.5j), HIGH_DEGREE),
     "jacobi(0.5+0.3i)": lambda: moments_for(WeightSpec.jacobi(0.5 + 0.3j), HIGH_DEGREE),
     "jacobi(1.9-0.6i)": lambda: moments_for(WeightSpec.jacobi(1.9 - 0.6j), HIGH_DEGREE),
-    "lebesgue": lambda: lebesgue_moments(HIGH_DEGREE),
+    "lebesgue": lambda: moments_for(WeightSpec.lebesgue(), HIGH_DEGREE),
     "poisson(0.5, 1)": lambda: _poisson_moments(0.5, 1.0, HIGH_DEGREE),
     # signed zeros: the scalar sum's start from 0 turns -0.0 into 0.0
     "negative zeros": lambda: MomentTable(-HIGH_DEGREE, HIGH_DEGREE, tuple(
