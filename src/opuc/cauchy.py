@@ -2,10 +2,11 @@
 
 G_n is the Cauchy transform of Phi_n nu / t^n over the unit circle, and
 G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use
-the circle rule of ``weights.circle_rule`` with node doubling until two
-levels agree to the one tolerance RTOL, relative to max(1, |value|): the
-periodic midpoint rule, graded towards theta = 0 for a weight singular at
-z = 1, with the Jacobian folded into the weight values.  Near the circle a
+the circle rule of ``weights.circle_rule`` with node doubling until a
+value agrees to the one tolerance RTOL, relative to max(1, |value|), with
+its even-node half at the first level and with the level before after it:
+the periodic midpoint rule, graded towards theta = 0 for a weight singular
+at z = 1, with the Jacobian folded into the weight values.  Near the circle a
 singularity subtraction keeps the rule spectrally accurate.  ``cauchy_G``
 and ``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2; the memo
 key and every call below them carry the same k, and the kernel is
@@ -51,7 +52,7 @@ from .errors import AccuracyError, NearBoundaryError
 from .szego import VerblunskyTable, _horner, phi_pair
 from .weights import WeightSpec, circle_rule, eval_nu
 
-N0 = 256
+N0 = 512                    # the first level, checked against its even-node half
 NMAX = 1 << 17
 RTOL = 1e-12                # doubling stops at this change, relative to max(1, |value|)
 NEAR_BOUNDARY = 0.02        # band around |z| = 1 where derivatives are refused
@@ -167,27 +168,31 @@ def _check_offcircle(z: complex, order: int) -> None:
 
 
 def _converged(eval_at, rows: list) -> dict:
-    """Double nodes from N0 until two successive values of each row agree to
-    RTOL.  eval_at(N, rows) gives the values of the listed rows at N nodes;
-    a row leaves the pass at its first convergence.  Returns, by row,
-    (value, nodes, residual), or the AccuracyError of a row that never
-    converged."""
+    """Double nodes from N0 until each row's value agrees to RTOL with its
+    estimate: at N0 nodes the sum over the even nodes alone, the N0 / 2-point
+    rule shifted by a quarter step, which converges at the same rate, and at
+    each later level the value of the level before.  eval_at(N, rows, steps)
+    gives, for each step k of steps, the listed rows' sums over every k-th
+    of N nodes, divided by N / k; a row leaves the pass at its first
+    convergence.  Returns, by row, (value, nodes, residual), or the
+    AccuracyError of a row that never converged."""
     N = N0
-    prev = eval_at(N, rows)
+    values, prev = eval_at(N, rows, (1, 2))
     out = {}
-    while N < NMAX and rows:
-        N *= 2
-        pending, values, residuals = [], [], []
-        for row, cur, before in zip(rows, eval_at(N, rows), prev):
+    while True:
+        pending = []
+        for row, cur, before in zip(rows, values, prev):
             resid = abs(cur - before)
             if resid <= RTOL * max(1.0, abs(cur)):
                 out[row] = cur, N, resid
             else:
-                pending.append(row)
-                values.append(cur)
-                residuals.append(resid)
-        rows, prev = pending, values
-    for row, resid in zip(rows, residuals):
+                pending.append((row, cur, resid))
+        if not pending or N >= NMAX:
+            break
+        N *= 2
+        rows, prev = [p[0] for p in pending], [p[1] for p in pending]
+        (values,) = eval_at(N, rows, (1,))
+    for row, _, resid in pending:
         out[row] = AccuracyError(
             f"contour quadrature did not converge below rtol={RTOL:g}",
             residual=resid,
@@ -226,7 +231,7 @@ def _transform(q: _Quadrature, rows: list[tuple[str, int, complex]], order: int,
             d = n - (kind == "Gstar")
             gz[row] = _horner(q.coefficients[kind][d, :d + 1].tolist(), z) * nu_z[z] / z ** n
 
-        def eval_at(N: int, rows: list) -> list[complex]:
+        def eval_at(N: int, rows: list, steps: tuple) -> list[list[complex]]:
             t, _, jac = q.circle(N)
             g = np.array([gz[row] for row in rows])[:, None]
             z = np.array([row[2] for row in rows])[:, None]
@@ -234,27 +239,32 @@ def _transform(q: _Quadrature, rows: list[tuple[str, int, complex]], order: int,
             stack = np.stack([integrand[row[:2]] for row in rows])
             # each row rounds as it would alone: the operands keep their
             # order, as a complex product rounds differently when swapped
-            sums = (((stack - g * jac) * t / (t - z)).sum(axis=1) / N).tolist()
+            prod = (stack - g * jac) * t / (t - z)
             # inside the circle the removed g(z) J integrates to g(z)
-            return [s + gz[row] if abs(row[2]) < 1.0 else s for s, row in zip(sums, rows)]
+            return [[s + gz[row] if abs(row[2]) < 1.0 else s
+                     for s, row in zip((prod[:, ::k].sum(axis=1) / (N // k)).tolist(), rows)]
+                    for k in steps]
 
         return _converged(eval_at, rows)
 
     z = rows[0][2]
     scale = 2.0 if order == 2 else 1.0
 
-    def eval_at(N: int, rows: list) -> list[complex]:
+    def eval_at(N: int, rows: list, steps: tuple) -> list[list[complex]]:
         t = q.circle(N)[0]
         kernel = t / (t - z) ** (order + 1) if order else t / (t - z)
         per_pass = _rows_per_pass(N)
         lo, hi = _index(*rows[0][:2]), _index(*rows[-1][:2]) + 1
-        values = []
+        sums = [[] for _ in steps]
         for b in range(lo // per_pass, (hi - 1) // per_pass + 1):
             m = q.block(b, N)[max(lo - b * per_pass, 0):hi - b * per_pass]
-            values += (scale * (m * kernel).sum(axis=1) / N).tolist()
-        if len(values) > len(rows):     # some rows converged at a coarser level
-            values = [values[_index(kind, n) - lo] for kind, n, _ in rows]
-        return values
+            prod = m * kernel
+            for k, values in zip(steps, sums):
+                values += (scale * prod[:, ::k].sum(axis=1) / (N // k)).tolist()
+        if len(sums[0]) > len(rows):     # some rows converged at a coarser level
+            keep = [_index(kind, n) - lo for kind, n, _ in rows]
+            sums = [[values[i] for i in keep] for values in sums]
+        return sums
 
     return _converged(eval_at, rows)
 
@@ -382,9 +392,10 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int
     phi_pair(v, n)   # ValueError for a degree outside the table
     powers = {"G": range(n + 1, n + 3), "Gstar": range(n, n + 2) if n >= 1 else range(0)}
 
-    def eval_at(N: int, rows: list) -> list[complex]:
+    def eval_at(N: int, rows: list, steps: tuple) -> list[list[complex]]:
         t = q.circle(N)[0]
-        return [complex(-np.mean(q.row(kind, n, N) * t ** m)) for kind, m in rows]
+        prods = [q.row(kind, n, N) * t ** m for kind, m in rows]
+        return [[complex(-np.mean(p[::k])) for p in prods] for k in steps]
 
     results = _converged(eval_at, [(kind, m) for kind in powers for m in powers[kind]])
     return tuple(np.array([_value(results[kind, m])[0] for m in powers[kind]])

@@ -213,11 +213,14 @@ def _reference_samples(w, coeffs, n, N):
     return t, jac, _P.polyval(t, coeffs) * nu / t ** n
 
 
-def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX):
+def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX, halved=True):
     """Reference: the uncached transform of one polynomial on the circle rule,
-    or its z-derivative of the given order, with node doubling.  Returns
-    (value, nodes, residual); value is None for a transform that does not
-    converge by nmax nodes."""
+    or its z-derivative of the given order, with node doubling from N0
+    nodes, the first level checked against the sum over its even nodes and
+    each later one against the level before.  halved=False is the two-level
+    rule instead, whose first level, N0 / 2 nodes, is only compared with.
+    Returns (value, nodes, residual); value is None for a transform that
+    does not converge by nmax nodes."""
     z = complex(z)
     if subtract is None:
         subtract = order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
@@ -226,29 +229,38 @@ def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX):
         gz = complex(_P.polyval(z, coeffs)) * eval_nu(w, z) / z ** n
 
     def eval_at(N):
+        """The N-point value and its even-node half, the sum over the even
+        nodes divided by N / 2."""
         t, jac, g = _reference_samples(w, coeffs, n, N)
         if subtract:
-            total = np.sum((g - gz * jac) * t / (t - z)) / N
-            if abs(z) < 1.0:
-                total += gz
-            return complex(total)
+            prod = (g - gz * jac) * t / (t - z)
+            sums = np.sum(prod) / N, np.sum(prod[::2]) / (N // 2)
+            return tuple(complex(s + gz) if abs(z) < 1.0 else complex(s) for s in sums)
         scale = 2.0 if order == 2 else 1.0
         # the kernel is named, not a temporary: numpy computes a product with
         # a temporary operand of 256 KiB or more in place, which can round
         # differently, as the program's product with a stored kernel does not
         kernel = t / (t - z) ** (order + 1)
-        return complex(scale * np.sum(g * kernel) / N)
+        prod = g * kernel
+        return (complex(scale * np.sum(prod) / N),
+                complex(scale * np.sum(prod[::2]) / (N // 2)))
 
-    N = N0
-    prev = eval_at(N)
-    while N < nmax:
+    if halved:
+        N = N0
+        cur, prev = eval_at(N)
+    else:
+        N = N0 // 2
+        prev = eval_at(N)[0]
         N *= 2
-        cur = eval_at(N)
+        cur = eval_at(N)[0]
+    while True:
         resid = abs(cur - prev)
         if resid <= cauchy.RTOL * max(1.0, abs(cur)):
             return cur, N, resid
-        prev = cur
-    return None, N, resid
+        if N >= nmax:
+            return None, N, resid
+        N *= 2
+        prev, cur = cur, eval_at(N)[0]
 
 
 def _coefficients(v, kind, n):
@@ -390,9 +402,9 @@ def test_evaluation_state_outside_equality_and_repr():
 
 
 def test_integrand_store_stays_within_one_finest_pass():
-    # the order-2 kernel next to the circle needs 2^12 nodes, so the
-    # integrand matrix of both kinds, 22 rows at 256..4096 nodes, fills
-    # 174592 samples, more than the store holds; the store keeps the most
+    # the order-1 kernel next to the circle needs 2^12 nodes, so the
+    # integrand matrix of both kinds, 22 rows at 512..4096 nodes, fills
+    # 168960 samples, more than the store holds; the store keeps the most
     # recent blocks that fit: the one at 4096 nodes
     w = WeightSpec.bessel(2.0)
     v = _fresh(w)
@@ -419,7 +431,8 @@ def test_integrand_store_stays_within_one_finest_pass():
                          ids=["bessel2-n8", "jacobi-low-lambda-n12"])
 def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
     # every transform a verify run memoizes has the value, nodes and residual
-    # of the same transform converged alone
+    # of the same transform converged alone, and the value and nodes of the
+    # two-level rule, whose first level, N0 / 2 nodes, was only compared with
     tables = []
 
     def build(*args):
@@ -441,7 +454,17 @@ def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
         kind, n, z, order = key
         reference = _reference_transform(w, _coefficients(v, kind, n), n, z, order)
         assert result == reference, key
+        two_level = _reference_transform(w, _coefficients(v, kind, n), n, z, order,
+                                         halved=False)
+        assert result[:2] == two_level[:2], key
+        # a level after the first is compared with the level before by both
+        if result[1] >= 2 * N0:
+            assert result[2] == two_level[2], key
         columns[kind, z, order][n] = result[1]
+    # no pass evaluated fewer than N0 = 512 nodes: every level's nodes are
+    # kept, and no integrand block below them was built
+    assert N0 == 512 and min(q.nodes) == N0
+    assert all(N >= N0 for N, _ in q.integrands)
     # off the band a pass converges the keys verify reads, and no other
     for (kind, z, order), rows in columns.items():
         if not (order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]):
@@ -498,6 +521,31 @@ def test_row_that_does_not_converge_fails_alone(monkeypatch):
     assert {key[1] for key in memo if key[0] == "G"} == set(range(1, v.nmax + 1))
     assert [key[1] for key, result in memo.items()
             if isinstance(result, AccuracyError)] == failing
+
+
+def test_first_level_that_is_also_the_last(monkeypatch):
+    # with the finest level lowered to the first, each row is checked once,
+    # against its even-node half; a row that misses there fails with that
+    # level's residual and node count (the loop once raised UnboundLocalError)
+    monkeypatch.setattr(cauchy, "NMAX", N0)
+    w = WeightSpec.bessel(15.0)
+    v = _fresh(w)
+    z = complex(2.5)
+    cauchy_G(v, w, 3, z)
+    memo = v.quadrature[w].memo
+    failed = []
+    for kind in ("G", "Gstar"):
+        for n in _swept(v):
+            value, nodes, residual = _reference_transform(w, _coefficients(v, kind, n), n, z,
+                                                          nmax=N0)
+            result = memo[kind, n, z, 0]
+            if value is None:
+                failed.append((kind, n))
+                assert (result.residual, result.nodes) == (residual, N0)
+                assert residual > cauchy.RTOL
+            else:
+                assert result == (value, nodes, residual) and nodes == N0
+    assert ("G", 3) not in failed and ("G", v.nmax - 1) in failed
 
 
 def test_column_at_the_finest_level_is_chunked(monkeypatch):

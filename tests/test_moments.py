@@ -132,29 +132,30 @@ def test_accuracy_error_reported(monkeypatch):
     passes = []
     run_pass = moments._quadrature_pass
 
-    def recorded(w, jmax, N):
+    def recorded(w, jmax, N, *steps):
         passes.append(N)
-        return run_pass(w, jmax, N)
+        return run_pass(w, jmax, N, *steps)
 
     monkeypatch.setattr(moments, "_quadrature_pass", recorded)
     with pytest.raises(AccuracyError, match="at N=4096") as exc:
         moments_quadrature(WeightSpec.jacobi(-0.49), 4)
-    assert passes == [256, 512, 1024, 2048, 4096]
+    assert passes == [512, 1024, 2048, 4096]
     assert exc.value.nodes == 4096
 
 
 def test_node_limit_below_the_starting_count_rejected(monkeypatch):
-    # one comparison takes two passes, so the largest degree is the one
-    # whose starting count, 4 jmax nodes, fits half the limit
+    # the largest degree is the one whose first pass, 8 jmax nodes, fits
+    # the limit
     monkeypatch.setattr(moments, "NMAX_NODES", 1 << 12)
     w = WeightSpec.jacobi(1.0)
-    with pytest.raises(ParameterRangeError, match="up to 512, got 513.*at 4096 nodes, above 2048"):
+    with pytest.raises(ParameterRangeError,
+                       match="up to 512, got 513.*first pass would take 8192 nodes, above the "
+                             "limit of 4096"):
         moments_quadrature(w, 513)
     assert moments_quadrature(w, 512).jmax == 512
-    # a start equal to the limit is refused; at half the limit it takes
-    # one doubling
+    # a first pass above the limit is refused; at the limit it is the only one
     monkeypatch.setattr(moments, "NMAX_NODES", 256)
-    with pytest.raises(ParameterRangeError, match="start at 256 nodes, above 128"):
+    with pytest.raises(ParameterRangeError, match="take 512 nodes, above the limit of 256"):
         moments_quadrature(w, 4)
     monkeypatch.setattr(moments, "NMAX_NODES", 512)
     assert moments_quadrature(w, 4).source == "quadrature(512)"

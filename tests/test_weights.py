@@ -124,6 +124,18 @@ def test_graded_rule_next_to_lambda_minus_half(lam):
     assert abs(c.get(1) + mass * lam / (1.0 + lam)) < 1e-12 * mass
 
 
+@pytest.mark.parametrize("lam", [-0.45, 0.5, 1.9])
+def test_even_node_half_of_the_graded_rule_integrates_the_mass(lam):
+    # the first level of a node-doubling loop is checked against its even
+    # nodes: the graded map of the midpoints shifted by a quarter step, a rule
+    # of the same order (Kress, Numer. Math. 58, 1990), so it too gives c_0
+    mass = 2.0 * math.pi * math.gamma(1.0 + 2.0 * lam) / math.gamma(1.0 + lam) ** 2
+    for N in (512, 1024, 2048, 4096):
+        nu = circle_rule(WeightSpec.jacobi(lam), N)[1]
+        half = 2.0 * math.pi * nu[::2].sum() / (N // 2)
+        assert abs(half - mass) < 1e-14 * mass, N
+
+
 def test_log_derivative2_fd():
     for w in (WeightSpec.bessel(2.0), WeightSpec.jacobi(1.0)):
         z = 2.5 * cmath.exp(0.6j)
