@@ -2,14 +2,14 @@
 
 G_n is the Cauchy transform of Phi_n nu / t^n over the unit circle, and
 G*_{n-1} the analogue for the reciprocal polynomial.  All integrals use
-the circle rule of ``weights.circle_rule`` with node doubling until a
-value agrees to the one tolerance RTOL, relative to max(1, |value|), with
-its even-node half at the first level and with the level before after it:
-the periodic midpoint rule, graded towards theta = 0 for a weight singular
-at z = 1, with the Jacobian folded into the weight values.  Near the circle a
-singularity subtraction keeps the rule spectrally accurate.  ``cauchy_G``
-and ``cauchy_Gstar`` take the z-derivative order k = 0, 1 or 2; the memo
-key and every call below them carry the same k, and the kernel is
+the circle rule of ``weights.circle_rule`` with node doubling until two
+levels agree to the one tolerance RTOL, relative to max(1, |value|): the
+periodic midpoint rule, graded towards theta = 0 for a weight singular at
+z = 1, with the Jacobian folded into the weight values (for the first
+level's check, see _converged).  Near the circle a singularity subtraction
+keeps the rule spectrally accurate.  ``cauchy_G`` and ``cauchy_Gstar``
+take the z-derivative order k = 0, 1 or 2; the memo key and every call
+below them carry the same k, and the kernel is
 k! t / (t - z)^(k+1).  A value is admitted anywhere off the circle, but a
 derivative, which gets no subtraction, not within 0.02.
 
@@ -52,7 +52,7 @@ from .errors import AccuracyError, NearBoundaryError
 from .szego import VerblunskyTable, _horner, phi_pair
 from .weights import WeightSpec, circle_rule, eval_nu
 
-N0 = 512                    # the first level, checked against its even-node half
+N0 = 512                    # the first level whose value may be returned
 NMAX = 1 << 17
 RTOL = 1e-12                # doubling stops at this change, relative to max(1, |value|)
 NEAR_BOUNDARY = 0.02        # band around |z| = 1 where derivatives are refused
@@ -167,17 +167,24 @@ def _check_offcircle(z: complex, order: int) -> None:
         )
 
 
-def _converged(eval_at, rows: list) -> dict:
-    """Double nodes from N0 until each row's value agrees to RTOL with its
-    estimate: at N0 nodes the sum over the even nodes alone, the N0 / 2-point
-    rule shifted by a quarter step, which converges at the same rate, and at
-    each later level the value of the level before.  eval_at(N, rows, steps)
-    gives, for each step k of steps, the listed rows' sums over every k-th
-    of N nodes, divided by N / k; a row leaves the pass at its first
-    convergence.  Returns, by row, (value, nodes, residual), or the
-    AccuracyError of a row that never converged."""
+def _converged(eval_at, rows: list, w: WeightSpec) -> dict:
+    """Double nodes until each row's value agrees to RTOL with its estimate.
+    The first value that may be returned, at N0 nodes, is checked against the
+    value at N0 / 2, a level evaluated only for this, or, for a weight without
+    mirror symmetry, against the sum over its even nodes, the N0 / 2-point
+    rule shifted by a quarter step (node N - 1 - k mirrors node k, so the even
+    nodes of a mirror-symmetric integrand sum to the value itself).  Each
+    later level is checked against the one before.  eval_at(N, rows, steps)
+    gives, for each step k, the listed rows' sums over every k-th of N nodes,
+    divided by N / k; a row leaves the pass at its first convergence.
+    Returns, by row, (value, nodes, residual), or the AccuracyError of a row
+    that never converged."""
     N = N0
-    values, prev = eval_at(N, rows, (1, 2))
+    if w.mirror_symmetric():
+        (prev,) = eval_at(N // 2, rows, (1,))
+        (values,) = eval_at(N, rows, (1,))
+    else:
+        values, prev = eval_at(N, rows, (1, 2))
     out = {}
     while True:
         pending = []
@@ -245,7 +252,7 @@ def _transform(q: _Quadrature, rows: list[tuple[str, int, complex]], order: int,
                      for s, row in zip((prod[:, ::k].sum(axis=1) / (N // k)).tolist(), rows)]
                     for k in steps]
 
-        return _converged(eval_at, rows)
+        return _converged(eval_at, rows, q.w)
 
     z = rows[0][2]
     scale = 2.0 if order == 2 else 1.0
@@ -266,7 +273,7 @@ def _transform(q: _Quadrature, rows: list[tuple[str, int, complex]], order: int,
             sums = [[values[i] for i in keep] for values in sums]
         return sums
 
-    return _converged(eval_at, rows)
+    return _converged(eval_at, rows, q.w)
 
 
 def _quadrature(v: VerblunskyTable, w: WeightSpec) -> _Quadrature:
@@ -397,7 +404,7 @@ def laurent_tail(v: VerblunskyTable, w: WeightSpec, n: int
         prods = [q.row(kind, n, N) * t ** m for kind, m in rows]
         return [[complex(-np.mean(p[::k])) for p in prods] for k in steps]
 
-    results = _converged(eval_at, [(kind, m) for kind in powers for m in powers[kind]])
+    results = _converged(eval_at, [(kind, m) for kind in powers for m in powers[kind]], w)
     return tuple(np.array([_value(results[kind, m])[0] for m in powers[kind]])
                  for kind in powers)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AccuracyError, ParameterRangeError
 from .weights import WeightSpec, circle_rule
 
-DEFAULT_N = 512             # nodes of the first pass, checked against its even-node half
+DEFAULT_N = 256
 NMAX_NODES = 1 << 20
 MOMENT_RTOL = 1e-12         # node doubling stops at this change, relative to c_0
 BESSEL_RTOL = 1e-16         # the Bessel series stops at this term, relative to its sum
@@ -98,11 +98,8 @@ class MomentTable:
         return cls(jmin, jmax, tuple(entries[j] for j in range(jmin, jmax + 1)), "user")
 
 
-def _quadrature_pass(w: WeightSpec, jmax: int, N: int, steps: tuple = (1,)
-                     ) -> list[np.ndarray]:
-    """One pass of the N-point circle rule; for each step of steps, the table
-    c_j for j = -jmax..jmax from every step-th node: step 1 is the N-point
-    rule, step 2 its even nodes, the N / 2-point rule shifted by a quarter step.
+def _quadrature_pass(w: WeightSpec, jmax: int, N: int) -> np.ndarray:
+    """One pass of the N-point circle rule; returns c_j for j = -jmax..jmax.
 
     c_j = (2pi/N) sum_k e^{-ij theta_k} nu_k J_k for j = 0..jmax, with the
     powers of e^{-i theta_k} accumulated one j at a time; the weight is real,
@@ -111,45 +108,43 @@ def _quadrature_pass(w: WeightSpec, jmax: int, N: int, steps: tuple = (1,)
     theta, nu, _ = circle_rule(w, N)
     rotation = np.exp(-1j * theta)
     power = np.ones(N, dtype=complex)
-    c = np.empty((len(steps), jmax + 1), dtype=complex)
+    c = np.empty(jmax + 1, dtype=complex)
     for j in range(jmax + 1):
-        for i, step in enumerate(steps):
-            c[i, j] = np.dot(power[::step], nu[::step])
+        c[j] = np.dot(power, nu)
         power *= rotation
-    for i, step in enumerate(steps):
-        c[i] *= 2.0 * math.pi / (N // step)
-    return [np.concatenate((row[:0:-1].conj(), row)) for row in c]
+    c *= 2.0 * math.pi / N
+    return np.concatenate((c[:0:-1].conj(), c))
 
 
 def moments_quadrature(w: WeightSpec, jmax: int) -> MomentTable:
     """Moments by the circle rule with node doubling.
 
-    The first pass runs at DEFAULT_N nodes, or 8 jmax if more, and is
-    checked against the table of its even nodes; N then doubles until two
-    successive tables agree to MOMENT_RTOL relative to c_0, the last pass at
-    NMAX_NODES nodes.  ParameterRangeError if the first pass would exceed
-    NMAX_NODES, that is for jmax > NMAX_NODES / 8.
+    Starts at DEFAULT_N nodes, or 4 jmax if more, and doubles N until two
+    successive tables agree to MOMENT_RTOL relative to c_0; the last pass
+    runs at NMAX_NODES nodes.  One comparison takes two passes, so
+    ParameterRangeError if the start exceeds NMAX_NODES / 2, that is for
+    jmax > NMAX_NODES / 8.
     """
-    N = max(DEFAULT_N, 8 * jmax)
+    N = max(DEFAULT_N, 4 * jmax)
     N = 1 << (N - 1).bit_length()  # round up to a power of two
-    if N > NMAX_NODES:
+    if 2 * N > NMAX_NODES:
         raise ParameterRangeError(
             f"moment quadrature supports degrees up to {NMAX_NODES // 8}, got {jmax}: "
-            f"its first pass would take {N} nodes, above the limit of {NMAX_NODES}"
+            f"it would start at {N} nodes, above {NMAX_NODES // 2}, half the node limit"
         )
-    cur, prev = _quadrature_pass(w, jmax, N, (1, 2))
-    while True:
+    prev = _quadrature_pass(w, jmax, N)
+    while N < NMAX_NODES:
+        N *= 2
+        cur = _quadrature_pass(w, jmax, N)
         resid = float(np.max(np.abs(cur - prev))) / abs(cur[jmax].real)
         if resid <= MOMENT_RTOL:
             return MomentTable(-jmax, jmax, tuple(cur), f"quadrature({N})")
-        if N >= NMAX_NODES:
-            raise AccuracyError(
-                f"moment quadrature did not converge below rtol={MOMENT_RTOL:g} at N={N}",
-                residual=resid,
-                nodes=N,
-            )
-        N *= 2
-        prev, (cur,) = cur, _quadrature_pass(w, jmax, N)
+        prev = cur
+    raise AccuracyError(
+        f"moment quadrature did not converge below rtol={MOMENT_RTOL:g} at N={N}",
+        residual=resid,
+        nodes=N,
+    )
 
 
 def bessel_i_series(j: int, x: float) -> float:

@@ -115,6 +115,11 @@ class WeightSpec:
     def eta(self) -> float:
         return self.b.imag
 
+    def mirror_symmetric(self) -> bool:
+        """Whether nu(e^{-i theta}) = nu(e^{i theta}) may hold: not for a
+        Jacobi weight with eta != 0, by its factor e^{-eta (theta - pi)}."""
+        return self.kind != JACOBI or self.eta == 0.0
+
     def singular_points(self) -> tuple[complex, ...]:
         if self.kind == BESSEL:
             return (0.0 + 0.0j,)

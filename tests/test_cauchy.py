@@ -213,14 +213,15 @@ def _reference_samples(w, coeffs, n, N):
     return t, jac, _P.polyval(t, coeffs) * nu / t ** n
 
 
-def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX, halved=True):
+def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX, halved=None):
     """Reference: the uncached transform of one polynomial on the circle rule,
-    or its z-derivative of the given order, with node doubling from N0
-    nodes, the first level checked against the sum over its even nodes and
-    each later one against the level before.  halved=False is the two-level
-    rule instead, whose first level, N0 / 2 nodes, is only compared with.
-    Returns (value, nodes, residual); value is None for a transform that
-    does not converge by nmax nodes."""
+    or its z-derivative of the given order, with node doubling: each level
+    from N0 nodes on is checked against the level before, and the first one
+    with halved=True against the sum over its even nodes instead;
+    halved=False is the two-level rule, whose first level, N0 / 2 nodes, is
+    only compared with.  By default halved holds for a weight without mirror
+    symmetry.  Returns (value, nodes, residual); value is None for a
+    transform that does not converge by nmax nodes."""
     z = complex(z)
     if subtract is None:
         subtract = order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]
@@ -245,6 +246,8 @@ def _reference_transform(w, coeffs, n, z, order=0, subtract=None, nmax=NMAX, hal
         return (complex(scale * np.sum(prod) / N),
                 complex(scale * np.sum(prod[::2]) / (N // 2)))
 
+    if halved is None:
+        halved = not w.mirror_symmetric()
     if halved:
         N = N0
         cur, prev = eval_at(N)
@@ -403,8 +406,8 @@ def test_evaluation_state_outside_equality_and_repr():
 
 def test_integrand_store_stays_within_one_finest_pass():
     # the order-1 kernel next to the circle needs 2^12 nodes, so the
-    # integrand matrix of both kinds, 22 rows at 512..4096 nodes, fills
-    # 168960 samples, more than the store holds; the store keeps the most
+    # integrand matrix of both kinds, 22 rows at 256..4096 nodes, fills
+    # 174592 samples, more than the store holds; the store keeps the most
     # recent blocks that fit: the one at 4096 nodes
     w = WeightSpec.bessel(2.0)
     v = _fresh(w)
@@ -426,13 +429,16 @@ def test_integrand_store_stays_within_one_finest_pass():
 
 
 @pytest.mark.parametrize("flags", [["--weight", "bessel", "--ell", "2", "--n", "8"],
+                                   ["--weight", "jacobi", "--lambda", "1.3", "--n", "8"],
                                    ["--weight", "jacobi", "--lambda", "-0.45",
                                     "--eta", "0.3", "--n", "12"]],
-                         ids=["bessel2-n8", "jacobi-low-lambda-n12"])
+                         ids=["bessel2-n8", "jacobi-eta0-n8", "jacobi-low-lambda-n12"])
 def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
-    # every transform a verify run memoizes has the value, nodes and residual
-    # of the same transform converged alone, and the value and nodes of the
-    # two-level rule, whose first level, N0 / 2 nodes, was only compared with
+    # every transform a verify run memoizes, at every point of its grid, has
+    # the value, nodes and residual of the same transform converged alone,
+    # and the value and nodes of the two-level rule, whose first level,
+    # N0 / 2 nodes, is only compared with; a mirror-symmetric weight keeps
+    # that rule
     tables = []
 
     def build(*args):
@@ -461,15 +467,17 @@ def test_verify_memo_equals_per_row_reference(flags, tmp_path, monkeypatch):
         if result[1] >= 2 * N0:
             assert result[2] == two_level[2], key
         columns[kind, z, order][n] = result[1]
-    # no pass evaluated fewer than N0 = 512 nodes: every level's nodes are
-    # kept, and no integrand block below them was built
-    assert N0 == 512 and min(q.nodes) == N0
-    assert all(N >= N0 for N, _ in q.integrands)
+    # without mirror symmetry no pass evaluated fewer than N0 = 512 nodes:
+    # every level's nodes are kept, and no integrand block below them was
+    # built; with it each pass started at N0 / 2
+    first = N0 // 2 if w.mirror_symmetric() else N0
+    assert N0 == 512 and min(q.nodes) == first
+    assert all(N >= first for N, _ in q.integrands)
     # off the band a pass converges the keys verify reads, and no other
     for (kind, z, order), rows in columns.items():
         if not (order == 0 and SUBTRACT_BAND[0] < abs(z) < SUBTRACT_BAND[1]):
             assert set(rows) == set(_swept(v))
-    if w.kind == "jacobi":
+    if w.kind == "jacobi" and w.lam < 0:
         # rows of one column converge at different levels
         assert {512, 1024} in [set(rows.values()) for rows in columns.values()]
 
@@ -523,14 +531,18 @@ def test_row_that_does_not_converge_fails_alone(monkeypatch):
             if isinstance(result, AccuracyError)] == failing
 
 
-def test_first_level_that_is_also_the_last(monkeypatch):
+@pytest.mark.parametrize("w, nmax, z", [(WeightSpec.bessel(15.0), 10, 2.5),
+                                        (WeightSpec.jacobi(-0.45 + 0.3j), 16,
+                                         0.4 * cmath.exp(1j * math.pi / 4))],
+                         ids=["bessel15", "jacobi-low-lambda"])
+def test_first_level_that_is_also_the_last(monkeypatch, w, nmax, z):
     # with the finest level lowered to the first, each row is checked once,
-    # against its even-node half; a row that misses there fails with that
-    # level's residual and node count (the loop once raised UnboundLocalError)
+    # against the level of N0 / 2 nodes or, without mirror symmetry, its
+    # even-node half; a row that misses there fails with that level's
+    # residual and node count (the loop once raised UnboundLocalError)
     monkeypatch.setattr(cauchy, "NMAX", N0)
-    w = WeightSpec.bessel(15.0)
-    v = _fresh(w)
-    z = complex(2.5)
+    v = _fresh(w, nmax)
+    z = complex(z)
     cauchy_G(v, w, 3, z)
     memo = v.quadrature[w].memo
     failed = []
@@ -545,7 +557,7 @@ def test_first_level_that_is_also_the_last(monkeypatch):
                 assert residual > cauchy.RTOL
             else:
                 assert result == (value, nodes, residual) and nodes == N0
-    assert ("G", 3) not in failed and ("G", v.nmax - 1) in failed
+    assert failed and ("G", 3) not in failed
 
 
 def test_column_at_the_finest_level_is_chunked(monkeypatch):
@@ -675,9 +687,9 @@ def test_laurent_tail_is_one_pass(monkeypatch, bessel2):
     passes = []
     converged = cauchy._converged
 
-    def counted(eval_at, rows):
+    def counted(eval_at, rows, *args):
         passes.append(list(rows))
-        return converged(eval_at, rows)
+        return converged(eval_at, rows, *args)
 
     monkeypatch.setattr(cauchy, "_converged", counted)
     laurent_tail(v, w, 3)

@@ -123,6 +123,36 @@ def test_moment_symmetry_bessel(ell, j):
     assert c.get(j).imag == 0.0
 
 
+def _jacobi_mass(lam: float) -> float:
+    return 2.0 * math.pi * math.gamma(1.0 + 2.0 * lam) / math.gamma(1.0 + lam) ** 2
+
+
+@pytest.mark.parametrize("lam, jmax, nodes", [(-0.499, 0, 512), (-0.499, 1, 1024),
+                                              (-0.49, 0, 512), (-0.49, 1, 512)])
+def test_low_lambda_table_is_a_pass_compared_with_half_its_nodes(lam, jmax, nodes):
+    # the weight is mirror-symmetric, so c_0 sums to the same over the even
+    # and the odd nodes of a pass; each pass is compared with a pass of half
+    # the nodes, and the table returned is the pass at the pinned count
+    w = WeightSpec.jacobi(lam)
+    c = moments_quadrature(w, jmax)
+    assert c.source == f"quadrature({nodes})"
+    assert c.values == tuple(moments._quadrature_pass(w, jmax, nodes))
+    assert abs(c.c0 - _jacobi_mass(lam)) < 1e-12 * _jacobi_mass(lam)
+
+
+def test_unconverged_first_pass_of_a_symmetric_weight_is_not_returned(monkeypatch):
+    # from 16 nodes, the pass at 32, the first that may be returned, is off
+    # by 4e-7 in c_0 and is compared with the pass at 16; doubling goes on
+    # until c_0 is right
+    monkeypatch.setattr(moments, "DEFAULT_N", 16)
+    w = WeightSpec.jacobi(-0.45)
+    mass = _jacobi_mass(-0.45)
+    assert abs(moments._quadrature_pass(w, 0, 32)[0] - mass) > 1e-7 * mass
+    c = moments_quadrature(w, 0)
+    assert c.source == "quadrature(256)"
+    assert abs(c.c0 - mass) < 1e-14 * mass
+
+
 def test_accuracy_error_reported(monkeypatch):
     # a weight this rough cannot converge to an absurd tolerance; the passes
     # double up to NMAX_NODES and no further, and the error names the node
@@ -132,30 +162,29 @@ def test_accuracy_error_reported(monkeypatch):
     passes = []
     run_pass = moments._quadrature_pass
 
-    def recorded(w, jmax, N, *steps):
+    def recorded(w, jmax, N):
         passes.append(N)
-        return run_pass(w, jmax, N, *steps)
+        return run_pass(w, jmax, N)
 
     monkeypatch.setattr(moments, "_quadrature_pass", recorded)
     with pytest.raises(AccuracyError, match="at N=4096") as exc:
         moments_quadrature(WeightSpec.jacobi(-0.49), 4)
-    assert passes == [512, 1024, 2048, 4096]
+    assert passes == [256, 512, 1024, 2048, 4096]
     assert exc.value.nodes == 4096
 
 
 def test_node_limit_below_the_starting_count_rejected(monkeypatch):
-    # the largest degree is the one whose first pass, 8 jmax nodes, fits
-    # the limit
+    # one comparison takes two passes, so the largest degree is the one
+    # whose starting count, 4 jmax nodes, fits half the limit
     monkeypatch.setattr(moments, "NMAX_NODES", 1 << 12)
     w = WeightSpec.jacobi(1.0)
-    with pytest.raises(ParameterRangeError,
-                       match="up to 512, got 513.*first pass would take 8192 nodes, above the "
-                             "limit of 4096"):
+    with pytest.raises(ParameterRangeError, match="up to 512, got 513.*at 4096 nodes, above 2048"):
         moments_quadrature(w, 513)
     assert moments_quadrature(w, 512).jmax == 512
-    # a first pass above the limit is refused; at the limit it is the only one
+    # a start equal to the limit is refused; at half the limit it takes
+    # one doubling
     monkeypatch.setattr(moments, "NMAX_NODES", 256)
-    with pytest.raises(ParameterRangeError, match="take 512 nodes, above the limit of 256"):
+    with pytest.raises(ParameterRangeError, match="start at 256 nodes, above 128"):
         moments_quadrature(w, 4)
     monkeypatch.setattr(moments, "NMAX_NODES", 512)
     assert moments_quadrature(w, 4).source == "quadrature(512)"

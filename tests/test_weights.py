@@ -124,16 +124,52 @@ def test_graded_rule_next_to_lambda_minus_half(lam):
     assert abs(c.get(1) + mass * lam / (1.0 + lam)) < 1e-12 * mass
 
 
+def _jacobi_moment(b: complex, j: int) -> complex:
+    """c_j = (-1)^j 2 pi Gamma(1+b+conj b) / (Gamma(1+b-j) Gamma(1+conj b+j))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return (-1) ** j * complex(2 * mpmath.pi * mpmath.gamma(1 + 2 * b.real)
+                                   / (mpmath.gamma(1 + b - j) * mpmath.gamma(1 + b.conjugate() + j)))
+
+
+def _moment_sums(w: WeightSpec, j: int, N: int) -> tuple[complex, complex]:
+    """c_j by the N-point circle rule and by its even nodes alone."""
+    theta, nu, _ = circle_rule(w, N)
+    f = 2.0 * math.pi * np.exp(-1j * j * theta) * nu
+    return f.sum() / N, f[::2].sum() / (N // 2)
+
+
 @pytest.mark.parametrize("lam", [-0.45, 0.5, 1.9])
-def test_even_node_half_of_the_graded_rule_integrates_the_mass(lam):
-    # the first level of a node-doubling loop is checked against its even
-    # nodes: the graded map of the midpoints shifted by a quarter step, a rule
-    # of the same order (Kress, Numer. Math. 58, 1990), so it too gives c_0
-    mass = 2.0 * math.pi * math.gamma(1.0 + 2.0 * lam) / math.gamma(1.0 + lam) ** 2
-    for N in (512, 1024, 2048, 4096):
-        nu = circle_rule(WeightSpec.jacobi(lam), N)[1]
-        half = 2.0 * math.pi * nu[::2].sum() / (N // 2)
-        assert abs(half - mass) < 1e-14 * mass, N
+def test_even_node_half_of_the_graded_rule_bounds_its_error(lam):
+    # a transform of a weight without mirror symmetry checks its first level
+    # against the even nodes: Kress's map of the midpoints shifted by a
+    # quarter step, a rule of the same order (Kress, Numer. Math. 58, 1990).
+    # On c_0, c_1 and c_3 of jacobi(lam + 0.3i), a level whose error is
+    # above rounding differs from its half by at least that error, and the
+    # half is as accurate as the full rule once both converge
+    w = WeightSpec.jacobi(lam + 0.3j)
+    mass = _jacobi_moment(w.b, 0).real
+    for j in (0, 1, 3):
+        exact = _jacobi_moment(w.b, j)
+        for N in (16, 32, 64, 128):
+            full, half = _moment_sums(w, j, N)
+            if abs(full - exact) > 1e-14 * mass:
+                assert abs(half - full) >= abs(full - exact), (j, N)
+        for N in (512, 1024, 2048, 4096):
+            assert abs(_moment_sums(w, j, N)[1] - exact) < 1e-14 * mass, (j, N)
+
+
+@pytest.mark.parametrize("lam", [-0.45, 0.5])
+def test_even_node_half_of_a_mirror_symmetric_weight_checks_nothing(lam):
+    # node N - 1 - k mirrors node k, so for eta = 0 the even nodes give c_0
+    # to rounding whatever the rule's error: such weights keep the two-level
+    # rule
+    w = WeightSpec.jacobi(lam)
+    mass = _jacobi_moment(w.b, 0).real
+    full, half = _moment_sums(w, 0, 16)
+    assert abs(full - mass) > 1e-6 * mass
+    assert abs(half - full) < 1e-15 * mass
+    assert w.mirror_symmetric() and not WeightSpec.jacobi(lam + 0.3j).mirror_symmetric()
 
 
 def test_log_derivative2_fd():
