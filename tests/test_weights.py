@@ -294,3 +294,110 @@ def test_weight_hash_follows_equality_across_processes():
     out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(w), env=env,
                          capture_output=True, check=True, timeout=60)
     assert out.stdout.split() == [b"True", b"True"]
+
+
+# -- bit identity against the closed formulas, one per family ----------------
+# The weight quantities below are written out per family as reference
+# formulas.  The library computes them as products of factors; with one
+# factor, or none, every value must keep its bits, signed zeros included.
+
+GUARDED = [WeightSpec.lebesgue()] + [WeightSpec.bessel(ell) for ell in (0.5, 2.0, 10.0)] + [
+    WeightSpec.jacobi(b) for b in (-0.45 + 0.3j, 0.5, 1.0 + 0.5j, 1.3 + 0.4j)]
+
+
+def _ref_values(w, theta, dist=None):
+    theta = np.asarray(theta, dtype=float)
+    if w.kind == "lebesgue":
+        return np.ones_like(theta, dtype=complex)
+    if w.kind == "bessel":
+        return np.exp(w.ell * np.cos(theta)).astype(complex)
+    s = 2.0 * np.sin((theta if dist is None else dist) / 2.0)
+    return (np.power(np.abs(s), 2.0 * w.lam) * np.exp(-w.eta * (theta - math.pi))).astype(complex)
+
+
+def _ref_circle_rule(w, N):
+    if w.kind != "jacobi":
+        s = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
+        return s, _ref_values(w, s), np.ones(N)
+    p = max(10, math.ceil(8.0 / (1.0 + 2.0 * w.lam)))
+    c = 0.5 - 1.0 / p
+    t = (np.arange(N) + 0.5) * (2.0 / N)
+    x = t - 1.0
+    v = t * (c * x * (x - 1.0) + 0.5)
+    u = v[::-1]
+    dv = (3.0 * c * x ** 2 + 1.0 / p) / math.pi
+    m = np.maximum(v, u)
+    log_rho = np.log(np.minimum(v, u) / m)
+    r = np.exp(p * log_rho)
+    log_dist = math.log(2.0 * math.pi) + p * log_rho - np.log1p(r)
+    dist = np.exp(log_dist)
+    theta = np.where(v < u, dist, 2.0 * math.pi - dist)
+    log_jac = np.log(2.0 * math.pi * p * dv) + (p - 1) * log_rho - 2.0 * np.log(m * (1.0 + r))
+    floor = np.maximum(log_dist, math.log(1e-100))
+    nu = _ref_values(w, theta, np.exp(floor)) * np.exp(2.0 * w.lam * (log_dist - floor) + log_jac)
+    return theta, nu, np.exp(log_jac)
+
+
+def _ref_nu(w, z):
+    if w.kind == "lebesgue":
+        return 1.0 + 0.0j
+    if w.kind == "bessel":
+        return cmath.exp(w.ell * (z + 1.0 / z) / 2.0)
+    bb = w.b + w.b.conjugate()
+    return cmath.exp(-w.b.conjugate() * cmath.log(-z) + bb * cmath.log(1.0 - z))
+
+
+def _ref_log_derivative(w, z, order):
+    if w.kind == "lebesgue":
+        return 0j
+    if w.kind == "bessel":
+        return (w.ell / 2.0) * (1.0 - z ** -2) if order == 0 else w.ell * z ** -3
+    bb = w.b + w.b.conjugate()
+    if order == 0:
+        return -w.b.conjugate() / z - bb / (1.0 - z)
+    return w.b.conjugate() / z ** 2 - bb / (1.0 - z) ** 2
+
+
+def _ref_pearson(w):
+    if w.kind == "lebesgue":
+        return np.array([1.0 + 0j]), np.array([0.0 + 0j])
+    if w.kind == "bessel":
+        return (np.array([0.0, 1.0], dtype=complex),
+                np.array([-w.ell / 2.0, 0.0, w.ell / 2.0], dtype=complex))
+    return np.array([1.0, -1.0], dtype=complex), np.array([-w.b.conjugate(), -w.b], dtype=complex)
+
+
+def _same_bits(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _guard_points(w):
+    from opuc.rh import JUMP_DELTA
+    from opuc.verify import circle_grid, standard_grid
+    band = [s * t for t in circle_grid() for d in (JUMP_DELTA, JUMP_DELTA / 2.0)
+            for s in (1.0 - d, 1.0 + d)]
+    return list(standard_grid(w)) + band
+
+
+@pytest.mark.parametrize("w", GUARDED, ids=[w.label() for w in GUARDED])
+def test_circle_rule_keeps_its_bits(w):
+    for N in (256, 512, 1024, 2048, 4096):
+        for got, want in zip(circle_rule(w, N), _ref_circle_rule(w, N)):
+            assert _same_bits(got, want), N
+
+
+@pytest.mark.parametrize("w", GUARDED, ids=[w.label() for w in GUARDED])
+def test_pointwise_weight_quantities_keep_their_bits(w):
+    from opuc.verify import circle_grid
+    for t in circle_grid():
+        theta = cmath.phase(t) % (2.0 * math.pi)
+        assert _same_bits(eval_weight(w, theta), complex(_ref_values(w, np.array([theta]))[0]))
+    for z in _guard_points(w):
+        assert _same_bits(eval_nu(w, z), _ref_nu(w, z)), z
+        for order in (0, 1):
+            assert _same_bits(log_derivative(w, z, order), _ref_log_derivative(w, z, order)), z
+    for got, want in zip(pearson_data(w), _ref_pearson(w)):
+        assert _same_bits(got, want)
