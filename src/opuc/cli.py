@@ -104,7 +104,7 @@ def _check_degree(n: int, degree: int, parser) -> None:
 
 def _moments(w: WeightSpec, jmax: int, parser):
     """moments_for, with a custom table that falls short as a usage error."""
-    if w.kind == "custom" and not w.moments.covers(jmax):
+    if w.factors is None and not w.moments.covers(jmax):      # a custom weight
         parser.error(f"the --moments table must cover |j| <= {jmax}")
     return moments_for(w, jmax)
 

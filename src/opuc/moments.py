@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ParameterRangeError
-from .weights import WeightSpec, circle_rule
+from .weights import BesselFactor, WeightSpec, circle_rule
 
 DEFAULT_N = 256
 NMAX_NODES = 1 << 20
@@ -185,10 +185,10 @@ def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
 
 def moments_for(w: WeightSpec, jmax: int) -> MomentTable:
     """Best available moment route for the given weight."""
-    if w.kind == "custom":
+    if w.factors is None:                   # a custom weight is its moment table
         if not w.moments.covers(jmax):
             raise ValueError(f"custom moment table does not cover |j| <= {jmax}")
         return w.moments
-    if w.kind in ("lebesgue", "bessel"):     # the Lebesgue weight is bessel(0)
+    if w.factors in ((), (BesselFactor(w.ell),)):   # the Lebesgue weight is bessel(0)
         return bessel_moments_analytic(w.ell, jmax)
     return moments_quadrature(w, jmax)

@@ -1,17 +1,17 @@
 """Weight functions on the unit circle and their logarithmic derivatives.
 
-Supported families: the Lebesgue weight, the exponential-of-cosine family
-(modified Bessel), the circle Jacobi family with complex exponent, and
-moment-only custom weights.  A custom weight's moment table must be able to
-come from a positive measure: c_0 > 0 and c_{-j} = conj(c_j) up to rounding.
+A weight is a product of factors, and each of its quantities is composed from
+its factors'; Lebesgue is the empty product.  A custom weight has no pointwise
+factors, only a moment table, which must be able to come from a positive measure.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,35 +21,100 @@ from .errors import PoleError, UnsupportedWeightError
 if TYPE_CHECKING:  # pragma: no cover
     from .moments import MomentTable
 
-LEBESGUE = "lebesgue"
-BESSEL = "bessel"
-JACOBI = "jacobi"
-CUSTOM = "custom"
-
-# Jacobi singular set is {0, 1}; Bessel only {0}.
+# distance to a factor's singular point below which nu and nu'/nu are refused
 _SINGULAR_RADIUS = 1e-13
 # log of the distance to theta = 0 below which circle_rule scales the weight
 # as dist^{2 lambda}: there 2 sin(dist/2) = dist in floating point
 _LOG_DIST_FLOOR = math.log(1e-100)
 # log of the bound on the Jacobi weight's largest value, 2^32 below the largest
 # float: the graded rule's Jacobian (< 1e3 for lambda >= -0.499) times 2^21 nodes
-_LOG_JACOBI_MAX = math.log(sys.float_info.max) - 32.0 * math.log(2.0)
-# largest Hermitian defect max_j |c_{-j} - conj(c_j)| of a custom moment
-# table, relative to c_0; the quadrature tables are Hermitian exactly
+_LOG_JACOBI_MAX = math.log(np.finfo(float).max) - 32.0 * math.log(2.0)
+# largest Hermitian defect max_j |c_{-j} - conj(c_j)| of a custom table, over c_0
 HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class WeightSpec:
-    """A weight on the unit circle.
+class BesselFactor:
+    """e^{ell cos theta} = exp(ell (z + 1/z) / 2), ell >= 0."""
 
-    kind is one of "lebesgue", "bessel", "jacobi", "custom".  Bessel carries
-    a finite ell >= 0, Jacobi a finite b = lambda + i*eta with lambda > -1/2
-    whose largest weight value 2^{2 lambda} e^{pi |eta|} is a float with
-    room to spare (below 2^-32 of the largest).
-    Custom weights are defined by their moment table only and support no
-    pointwise evaluation; their table must be that of a positive measure.
-    """
+    ell: float
+    singular_points = (0j,)
+    mirror_symmetric = True
+
+    def __post_init__(self):
+        if not self.ell >= 0:
+            raise ValueError("bessel parameter must be >= 0")
+
+    def values(self, theta, dist):
+        return np.exp(self.ell * np.cos(theta))
+
+    def nu(self, z: complex) -> complex:
+        if abs(z) < _SINGULAR_RADIUS:
+            raise PoleError("bessel weight has an essential singularity at z = 0")
+        return cmath.exp(self.ell * (z + 1.0 / z) / 2.0)
+
+    def log_derivative(self, z: complex, order: int) -> complex:
+        return (self.ell / 2.0) * (1.0 - z ** -2) if order == 0 else self.ell * z ** -3
+
+    def pearson(self):
+        return (np.array([0.0, 1.0], dtype=complex),                            # z
+                np.array([-self.ell / 2.0, 0.0, self.ell / 2.0], dtype=complex))  # (ell/2)(z^2-1)
+
+
+@dataclass(frozen=True)
+class JacobiFactor:
+    """(2 sin(theta/2))^{2 lambda} e^{-eta (theta - pi)}, b = lambda + i eta with
+    lambda > -1/2: on the circle, the real positive form of (-z)^{-conj(b)}
+    (1-z)^{b+conj(b)}, whose e^{-eta (theta - pi)} breaks mirror symmetry."""
+
+    b: complex
+    singular_points = (0j, 1 + 0j)      # near z = 1 it behaves like |theta|^{2 lam}
+    lam = property(lambda self: self.b.real)
+    mirror_symmetric = property(lambda self: self.b.imag == 0.0)
+
+    def __post_init__(self):
+        if not self.b.real > -0.5:
+            raise ValueError("jacobi parameter requires Re(b) > -1/2")
+        if not 2.0 * self.lam * math.log(2.0) + math.pi * abs(self.b.imag) <= _LOG_JACOBI_MAX:
+            raise ValueError("jacobi parameters must keep the largest weight value "
+                             "2^(2 lambda) e^(pi |eta|) finite, below 2^-32 of "
+                             "the largest float")
+
+    def values(self, theta, dist):
+        s = np.abs(2.0 * np.sin((theta if dist is None else dist) / 2.0))
+        if self.lam < 0 and not s.all():
+            raise PoleError("jacobi weight is singular at theta = 0")
+        return np.power(s, 2.0 * self.lam) * np.exp(-self.b.imag * (theta - math.pi))
+
+    def nu(self, z: complex) -> complex:
+        for s in self.singular_points:
+            if abs(z - s) < _SINGULAR_RADIUS:
+                raise PoleError(f"jacobi weight is singular at z = {s.real:g}")
+        bb = self.b + self.b.conjugate()
+        return cmath.exp(-self.b.conjugate() * cmath.log(-z) + bb * cmath.log(1.0 - z))
+
+    def log_derivative(self, z: complex, order: int) -> complex:
+        bc, bb = self.b.conjugate(), self.b + self.b.conjugate()
+        return -bc / z - bb / (1.0 - z) if order == 0 else bc / z ** 2 - bb / (1.0 - z) ** 2
+
+    def pearson(self):
+        return (np.array([1.0, -1.0], dtype=complex),                     # 1 - z
+                np.array([-self.b.conjugate(), -self.b], dtype=complex))  # -(conj(b) + b z)
+
+
+_FAMILIES = {
+    "lebesgue": ("lebesgue", lambda w: ()),
+    "bessel": ("bessel(ell={w.ell:g})", lambda w: (BesselFactor(w.ell),)),
+    "jacobi": ("jacobi(lambda={w.lam:g}, eta={w.eta:g})", lambda w: (JacobiFactor(w.b),)),
+    "custom": ("custom", lambda w: None),
+}
+
+
+@dataclass(frozen=True)
+class WeightSpec:
+    """A weight of kind "lebesgue", "bessel" (ell), "jacobi" (b) or "custom"
+    (moments); _FAMILIES gives each kind's label and ``factors``, the tuple of
+    its factors, or None for a custom weight, which has no pointwise values."""
 
     kind: str
     ell: float = 0.0
@@ -57,88 +122,58 @@ class WeightSpec:
     moments: "MomentTable | None" = field(default=None, compare=True)
 
     def __post_init__(self):
-        if self.kind not in (LEBESGUE, BESSEL, JACOBI, CUSTOM):
+        if self.kind not in _FAMILIES:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "ell", float(self.ell))
         if not (math.isfinite(self.ell) and cmath.isfinite(self.b)):
             raise ValueError(f"{self.kind} weight parameters must be finite")
-        if self.kind == BESSEL and self.ell < 0:
-            raise ValueError("bessel parameter must be >= 0")
-        if self.kind == JACOBI and self.b.real <= -0.5:
-            raise ValueError("jacobi parameter requires Re(b) > -1/2")
-        if self.kind == JACOBI and not (2.0 * self.lam * math.log(2.0)
-                                        + math.pi * abs(self.eta) <= _LOG_JACOBI_MAX):
-            raise ValueError("jacobi parameters must keep the largest weight value "
-                             "2^(2 lambda) e^(pi |eta|) finite, below 2^-32 of "
-                             "the largest float")
-        if self.kind == CUSTOM:
+        object.__setattr__(self, "factors", _FAMILIES[self.kind][1](self))
+        if self.factors is None:
             _check_positive_table(self.moments)
-        # the generated hash would build and hash a tuple of the fields on
-        # every call, and each table lookup of the second-kind state hashes
-        # its weight; the same value, computed once
+        # computed once: each second-kind table lookup hashes its weight
         object.__setattr__(self, "_hash", hash((self.kind, self.ell, self.b, self.moments)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # rebuilt by the constructor, so that a copy made in another process,
-        # whose string hashes differ, hashes as the weights made there do
+        # rebuilt by the constructor: hashed as the weights of the process it is in
         return type(self), (self.kind, self.ell, self.b, self.moments)
-
-    # -- constructors ------------------------------------------------------
 
     @classmethod
     def lebesgue(cls) -> "WeightSpec":
-        return cls(LEBESGUE)
+        return cls("lebesgue")
 
     @classmethod
     def bessel(cls, ell: float) -> "WeightSpec":
-        return cls(BESSEL, ell=ell)
+        return cls("bessel", ell=ell)
 
     @classmethod
     def jacobi(cls, b: complex) -> "WeightSpec":
-        return cls(JACOBI, b=complex(b))
+        return cls("jacobi", b=complex(b))
 
     @classmethod
     def custom(cls, moments: "MomentTable") -> "WeightSpec":
-        return cls(CUSTOM, moments=moments)
+        return cls("custom", moments=moments)
 
-    # -- helpers -----------------------------------------------------------
-
-    @property
-    def lam(self) -> float:
-        return self.b.real
-
-    @property
-    def eta(self) -> float:
-        return self.b.imag
+    lam = property(lambda self: self.b.real)
+    eta = property(lambda self: self.b.imag)
 
     def mirror_symmetric(self) -> bool:
-        """Whether nu(e^{-i theta}) = nu(e^{i theta}) may hold: not for a
-        Jacobi weight with eta != 0, by its factor e^{-eta (theta - pi)}."""
-        return self.kind != JACOBI or self.eta == 0.0
+        """Whether nu(e^{-i theta}) = nu(e^{i theta}) may hold for every factor."""
+        return all(f.mirror_symmetric for f in self.factors or ())
 
     def singular_points(self) -> tuple[complex, ...]:
-        if self.kind == BESSEL:
-            return (0.0 + 0.0j,)
-        if self.kind == JACOBI:
-            return (0.0 + 0.0j, 1.0 + 0.0j)
-        return ()
+        return tuple(dict.fromkeys(s for f in self.factors or () for s in f.singular_points))
 
     def label(self) -> str:
-        if self.kind == BESSEL:
-            return f"bessel(ell={self.ell:g})"
-        if self.kind == JACOBI:
-            return f"jacobi(lambda={self.lam:g}, eta={self.eta:g})"
-        return self.kind
+        return _FAMILIES[self.kind][0].format(w=self)
 
 
 def _check_positive_table(c: "MomentTable | None") -> None:
-    """Raise ValueError unless c can be the moment table of a positive
-    measure: finite values, c_0 > 0 and a Hermitian defect within
-    HERMITIAN_RTOL c_0."""
+    """Raise ValueError unless c can be the moment table of a positive measure:
+    finite values, c_0 > 0 and a Hermitian defect within HERMITIAN_RTOL c_0."""
     if c is None:
         raise ValueError("a custom weight needs a moment table")
     if not all(map(cmath.isfinite, c.values)):    # NaN escapes the defect's max
@@ -153,30 +188,28 @@ def _check_positive_table(c: "MomentTable | None") -> None:
             f"= {defect:g} exceeds {HERMITIAN_RTOL:g} c_0")
 
 
-def weight_values(w: WeightSpec, theta, dist=None) -> np.ndarray:
-    """Vectorized w(theta) = nu(e^{i theta}) for theta in (0, 2pi).
-
-    dist, if given, is the distance of each theta to the point theta = 0,
-    from which the Jacobi factor |2 sin(theta/2)| is evaluated; near
-    theta = 2pi it keeps the relative accuracy that 2pi - theta loses.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if w.kind == CUSTOM:
+def _compose(w: WeightSpec, part, join, empty):
+    """part(f) of w's factors joined from the first on (a neutral 1 * or 0 + start
+    changes signed zeros and turns 0 * inf into NaN); empty for Lebesgue."""
+    if w.factors is None:
         raise UnsupportedWeightError("custom weights are moment-only")
-    if w.kind == LEBESGUE:
-        return np.ones_like(theta, dtype=complex)
-    if w.kind == BESSEL:
-        return np.exp(w.ell * np.cos(theta)).astype(complex)
-    # real positive form of (-z)^{-conj(b)} (1-z)^{b+conj(b)} on the circle,
-    # continuous on (0, 2pi)
-    s = 2.0 * np.sin((theta if dist is None else dist) / 2.0)
-    lam, eta = w.lam, w.eta
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            radial = np.power(np.abs(s), 2.0 * lam)
-        except FloatingPointError as exc:
-            raise PoleError("jacobi weight is singular at theta = 0") from exc
-    return (radial * np.exp(-eta * (theta - math.pi))).astype(complex)
+    return reduce(join, map(part, w.factors)) if w.factors else empty
+
+
+def _pearson_product(first, second):
+    """The Pearson pair of nu_1 nu_2: A = A_1 A_2, q = q_1 A_2 + A_1 q_2."""
+    (A1, q1), (A2, q2) = first, second
+    return np.convolve(A1, A2), np.polynomial.polynomial.polyadd(
+        np.convolve(q1, A2), np.convolve(A1, q2))
+
+
+def weight_values(w: WeightSpec, theta, dist=None) -> np.ndarray:
+    """Vectorized w(theta) = nu(e^{i theta}) for theta in (0, 2pi).  dist, if
+    given, is each theta's distance to theta = 0, from which the Jacobi factor
+    |2 sin(theta/2)| keeps near 2pi the relative accuracy 2pi - theta loses."""
+    theta = np.asarray(theta, dtype=float)
+    return _compose(w, lambda f: f.values(theta, dist), operator.mul,
+                    np.ones_like(theta)).astype(complex)
 
 
 def circle_rule(w: WeightSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,7 +217,7 @@ def circle_rule(w: WeightSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     values nu(e^{i theta_k}) J_k and Jacobians J_k, such that
     (1/N) sum_k f(theta_k) J_k approximates (1/2pi) int_0^{2pi} f dtheta.
 
-    A weight with a singular point at z = 1, where it behaves like
+    A weight with a factor singular at z = 1, where it behaves like
     |theta|^{2 lambda}, gets Kress's graded map theta = phi(s) of the
     midpoint nodes s_k (Numer. Math. 58, 1990): phi(s) = 2pi v^p / (v^p +
     (1 - v)^p) with v a cubic in s.  Its nodes cluster at theta = 0, where
@@ -192,10 +225,11 @@ def circle_rule(w: WeightSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     grows as lambda nears -1/2.  Every other weight gets the midpoint nodes
     themselves, with J = 1.
     """
-    if 1.0 not in w.singular_points():
+    lam = next((f.lam for f in w.factors or () if 1.0 in f.singular_points), None)
+    if lam is None:
         s = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
         return s, weight_values(w, s), np.ones(N)
-    p = max(10, math.ceil(8.0 / (1.0 + 2.0 * w.lam)))
+    p = max(10, math.ceil(8.0 / (1.0 + 2.0 * lam)))
     c = 0.5 - 1.0 / p
     t = (np.arange(N) + 0.5) * (2.0 / N)          # s / pi
     x = t - 1.0
@@ -218,7 +252,7 @@ def circle_rule(w: WeightSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # value where dist and J underflow
     floor = np.maximum(log_dist, _LOG_DIST_FLOOR)
     nu = weight_values(w, theta, np.exp(floor)) * np.exp(
-        2.0 * w.lam * (log_dist - floor) + log_jac)
+        2.0 * lam * (log_dist - floor) + log_jac)
     return theta, nu, np.exp(log_jac)
 
 
@@ -228,26 +262,11 @@ def eval_weight(w: WeightSpec, theta: float) -> complex:
 
 
 def eval_nu(w: WeightSpec, z: complex) -> complex:
-    """Analytic continuation of nu off the circle (principal branches).
-
-    For the Jacobi family the branch cuts sit on [0, +inf); values on the
-    circle minus {1} agree with eval_weight.
-    """
+    """Analytic continuation of nu off the circle (principal branches): the
+    Jacobi factor's branch cuts sit on [0, +inf), so on the circle minus {1}
+    it agrees with eval_weight."""
     z = complex(z)
-    if w.kind == CUSTOM:
-        raise UnsupportedWeightError("custom weights are moment-only")
-    if w.kind == LEBESGUE:
-        return 1.0 + 0.0j
-    if w.kind == BESSEL:
-        if abs(z) < _SINGULAR_RADIUS:
-            raise PoleError("bessel weight has an essential singularity at z = 0")
-        return cmath.exp(w.ell * (z + 1.0 / z) / 2.0)
-    if abs(z) < _SINGULAR_RADIUS:
-        raise PoleError("jacobi weight is singular at z = 0")
-    if abs(z - 1.0) < _SINGULAR_RADIUS:
-        raise PoleError("jacobi weight is singular at z = 1")
-    bb = w.b + w.b.conjugate()
-    return cmath.exp(-w.b.conjugate() * cmath.log(-z) + bb * cmath.log(1.0 - z))
+    return _compose(w, lambda f: f.nu(z), operator.mul, 1.0 + 0.0j)
 
 
 def log_derivative(w: WeightSpec, z: complex, order: int = 0) -> complex:
@@ -256,34 +275,14 @@ def log_derivative(w: WeightSpec, z: complex, order: int = 0) -> complex:
     if order not in (0, 1):
         raise ValueError(f"log-derivative order {order} outside 0..1")
     z = complex(z)
-    if w.kind == CUSTOM:
-        raise UnsupportedWeightError("custom weights are moment-only")
     for s in w.singular_points():
         if abs(z - s) < _SINGULAR_RADIUS:
             raise PoleError(f"log-derivative pole at z = {s.real:g}")
-    if w.kind == LEBESGUE:
-        return 0j
-    if w.kind == BESSEL:
-        return (w.ell / 2.0) * (1.0 - z ** -2) if order == 0 else w.ell * z ** -3
-    bb = w.b + w.b.conjugate()
-    if order == 0:
-        return -w.b.conjugate() / z - bb / (1.0 - z)
-    return w.b.conjugate() / z ** 2 - bb / (1.0 - z) ** 2
+    return _compose(w, lambda f: f.log_derivative(z, order), operator.add, 0j)
 
 
 def pearson_data(w: WeightSpec):
-    """Polynomial pair (A, q) with z*A(z)*nu'(z) = q(z)*nu(z) off the zeros of zA.
-
-    Coefficients in ascending order.
-    """
-    if w.kind == CUSTOM:
-        raise UnsupportedWeightError("custom weights are moment-only")
-    if w.kind == LEBESGUE:
-        return np.array([1.0 + 0j]), np.array([0.0 + 0j])
-    if w.kind == BESSEL:
-        A = np.array([0.0, 1.0], dtype=complex)                      # z
-        q = np.array([-w.ell / 2.0, 0.0, w.ell / 2.0], dtype=complex)  # (ell/2)(z^2-1)
-        return A, q
-    A = np.array([1.0, -1.0], dtype=complex)                          # 1 - z
-    q = np.array([-w.b.conjugate(), -w.b], dtype=complex)             # -(conj(b) + b z)
-    return A, q
+    """Polynomial pair (A, q), coefficients in ascending order, with
+    z*A(z)*nu'(z) = q(z)*nu(z) off the zeros of zA."""
+    return _compose(w, lambda f: f.pearson(), _pearson_product,
+                    (np.array([1.0 + 0j]), np.array([0.0 + 0j])))

@@ -401,3 +401,25 @@ def test_pointwise_weight_quantities_keep_their_bits(w):
             assert _same_bits(log_derivative(w, z, order), _ref_log_derivative(w, z, order)), z
     for got, want in zip(pearson_data(w), _ref_pearson(w)):
         assert _same_bits(got, want)
+
+
+def test_product_of_two_factors_keeps_the_pearson_relation():
+    # bessel(2) x jacobi(1 + 0.5i), the generalized modified Jacobi weight:
+    # nu multiplies, nu'/nu adds, and the Pearson pairs combine to
+    # A_p = z (1 - z), q = (ell/2)(1 - z)(z^2 - 1) - z (conj(b) + b z).
+    # No constructor builds a product yet, so the factors are set directly
+    from opuc.weights import BesselFactor, JacobiFactor
+    ell, b = 2.0, 1.0 + 0.5j
+    w = WeightSpec.bessel(ell)
+    object.__setattr__(w, "factors", (BesselFactor(ell), JacobiFactor(b)))
+    A, q = pearson_data(w)
+    assert np.allclose(A, [0.0, 1.0, -1.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(q, [-ell / 2, ell / 2 - b.conjugate(), ell / 2 - b, -ell / 2],
+                       rtol=0.0, atol=1e-15)
+    polyval = np.polynomial.polynomial.polyval
+    for z in (r * cmath.exp(1j * (k + 0.5) * math.pi / 2) for r in (0.4, 2.5) for k in range(4)):
+        nu = eval_nu(w, z)
+        assert nu == BesselFactor(ell).nu(z) * JacobiFactor(b).nu(z)
+        lhs = z * polyval(z, A) * log_derivative(w, z) * nu      # z A_p nu'
+        rhs = polyval(z, q) * nu
+        assert abs(lhs - rhs) <= 1e-14 * abs(rhs), z
