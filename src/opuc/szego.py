@@ -84,11 +84,11 @@ def _szego_step(phi: np.ndarray, phistar: np.ndarray, kappa2: list, n: int,
     reciprocal.  Row n + 1 must hold zeros; Phi_n^* is zero past degree n,
     so the update runs over all n + 2 entries of row n + 1.
     DegenerateMeasureError unless 1 - |alpha_n|^2 exceeds DEGENERACY_MARGIN."""
-    r = 1.0 - abs(alpha) ** 2
+    a = abs(alpha)
+    # |alpha_n| >= 1 is refused unsquared: its square overflows from about 1.3e154
+    r = 1.0 - a ** 2 if a < 1.0 else 0.0
     if not r > DEGENERACY_MARGIN:   # also when alpha is NaN
-        raise DegenerateMeasureError(
-            f"|alpha_{n}| = {abs(alpha):.15f} leaves the unit disk", index=n
-        )
+        raise DegenerateMeasureError(f"|alpha_{n}| = {a:.17g} leaves the unit disk", index=n)
     kappa2.append(kappa2[-1] / r)
     row = phi[n + 1, :n + 2]
     row[1:] = phi[n, :n + 1]

@@ -314,6 +314,24 @@ def test_overflowing_residual_exits_3(argv, capsys):
     assert f"verify {argv[1]} at weight jacobi(lambda={argv[5]}" in err
 
 
+@pytest.mark.parametrize("argv, table", [
+    (["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "2", "--perturb", "0:1e308"],
+     None),
+    (["verblunsky", "--weight", "custom", "--n", "1"], "j,re,im\n-1,1e308,0\n0,6.28,0\n1,1e308,0\n"),
+], ids=["perturbed", "custom-table"])
+def test_alpha_far_outside_the_disk_exits_3_naming_alpha(argv, table, tmp_path, capsys):
+    # squaring |alpha_0| overflowed: the Python float of --perturb exited 3
+    # with "(34, 'Numerical result out of range')", and the numpy float of
+    # the moment route warned
+    if table:
+        path = tmp_path / "m.csv"
+        path.write_text(table)
+        argv = [*argv, "--moments", str(path)]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "|alpha_0| = " in err and "leaves the unit disk" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "all", "--lambda", "1", "--n", "8"],
     ["moments", "--weight", "lebesgue", "--ell", "2"],

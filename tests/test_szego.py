@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,22 @@ def test_degenerate_alpha_rejected():
 def test_nan_alpha_rejected_by_from_alphas():
     with pytest.raises(DegenerateMeasureError):
         VerblunskyTable.from_alphas([0.3, math.nan], 1.0)
+
+
+@pytest.mark.parametrize("alpha, spelled", [(1.5, "1.5"), (1e100, "1e+100"), (1e308, "1e+308")])
+def test_alpha_outside_the_disk_is_named_in_bounded_digits(alpha, spelled):
+    # |alpha|^2 of a Python float overflowed past about 1.3e154, with a message
+    # that did not name alpha, and :.15f spelled 1e100 with 101 integer digits
+    with pytest.raises(DegenerateMeasureError, match=re.escape(f"|alpha_1| = {spelled} leaves")):
+        VerblunskyTable.from_alphas([0.5, alpha], 1.0)
+
+
+def test_moment_route_alpha_far_outside_the_disk_rejected_without_a_warning():
+    # c_0 > 0 and Hermitian, so the table passes as a positive measure's;
+    # alpha_0 = c_1 / c_0 = 1.6e307, whose numpy square warned of an overflow
+    table = MomentTable(-1, 1, (1e308, 6.28, 1e308))
+    with pytest.raises(DegenerateMeasureError, match=r"\|alpha_0\| = 1.5923566878980891e\+307"):
+        verblunsky_from_moments(table, 1)
 
 
 def test_nan_perturbation_rejected():
