@@ -172,9 +172,14 @@ def bessel_i_series(j: int, x: float) -> float:
 
 def bessel_moments_analytic(ell: float, jmax: int) -> MomentTable:
     """c_j = 2pi I_j(ell) for the exponential-of-cosine weight; I_{-j} = I_j,
-    so each order is summed once."""
+    so each order is summed once.  ParameterRangeError for jmax above
+    NMAX_NODES / 8, the bound of the quadrature route, before any allocation:
+    at ell = 0 no series limit applies."""
     if not ell >= 0:    # also when ell is NaN
         raise ValueError("ell must be >= 0")
+    if jmax > NMAX_NODES // 8:
+        raise ParameterRangeError(
+            f"moment tables support degrees up to {NMAX_NODES // 8}, got {jmax}")
     if ell > BESSEL_MAX_ELL:
         raise ParameterRangeError(
             f"analytic route documented for ell <= {BESSEL_MAX_ELL:g} only"

@@ -300,6 +300,16 @@ def test_jacobi_degree_beyond_the_node_limit_exits_3(argv, capsys):
     assert "up to 131072" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--weight", "lebesgue"], ["--weight", "bessel", "--ell", "0"]],
+                         ids=["lebesgue", "bessel-0"])
+def test_constant_weight_degree_beyond_the_node_limit_exits_3(flags, capsys):
+    # the analytic route of the constant weight had no bound: --jmax 10**6
+    # wrote a 33 MB table, and memory grew with --jmax
+    assert run(["moments", *flags, "--jmax", "131073"]) == 3
+    err = capsys.readouterr().err
+    assert "up to 131072" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "rh", "--weight", "jacobi", "--lambda", "300", "--eta", "2", "--n", "3"],
     ["verify", "all", "--weight", "jacobi", "--lambda", "400", "--n", "4"],
