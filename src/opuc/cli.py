@@ -136,10 +136,18 @@ def _suite_painleve(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
     run(suite, "painleve", v, w, nmax)
 
 
-def _write_csv(rows: list[list], path: str | None) -> None:
+def _open_output(path: str, flag: str, parser, **kwargs):
+    """path opened for writing, with one that cannot be as a usage error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:      # a missing directory, a directory, no permission
+        parser.error(f"cannot write {flag}: {exc}")
+
+
+def _write_csv(rows: list[list], path: str | None, parser) -> None:
     """Write rows as CSV to path, or to stdout when path is None."""
     if path:
-        with open(path, "w", newline="") as fh:
+        with _open_output(path, "--out", parser, newline="") as fh:
             csv.writer(fh).writerows(rows)
     else:
         csv.writer(sys.stdout).writerows(rows)
@@ -147,7 +155,7 @@ def _write_csv(rows: list[list], path: str | None) -> None:
 
 def cmd_moments(args, parser) -> int:
     w = _weight_from_args(args, parser)
-    _write_csv(_moments(w, args.jmax, parser).csv_rows(), args.out)
+    _write_csv(_moments(w, args.jmax, parser).csv_rows(), args.out, parser)
     return 0
 
 
@@ -161,7 +169,7 @@ def cmd_verblunsky(args, parser) -> int:
         p = v.phi1[n]
         rows.append([n, repr(a.real), repr(a.imag), repr(v.kappa2[n]),
                      repr(v.b[n]), repr(p.real), repr(p.imag)])
-    _write_csv(rows, args.out)
+    _write_csv(rows, args.out, parser)
     return 0
 
 
@@ -176,7 +184,7 @@ def cmd_dpii(args, parser) -> int:
     for n in range(args.n + 1):
         resid = dpii_residual(alphas, args.ell, n) if n >= 2 else 0.0
         rows.append([n, repr(alphas[n]), repr(resid)])
-    _write_csv(rows, args.out)
+    _write_csv(rows, args.out, parser)
     return 0
 
 
@@ -203,7 +211,7 @@ def cmd_verify(args, parser) -> int:
     report = suite.report()
     payload = _report_json(report) + "\n"
     if args.report:
-        with open(args.report, "w") as fh:
+        with _open_output(args.report, "--report", parser) as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)

@@ -79,16 +79,20 @@ class MomentTable:
 
     @classmethod
     def from_csv(cls, path) -> "MomentTable":
-        entries = {}
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                try:
-                    j, c = int(row["j"]), complex(float(row["re"]), float(row["im"]))
-                except (KeyError, TypeError) as exc:   # a missing column or field
-                    raise ValueError(f"moment file row {row} lacks j, re or im") from exc
-                if j in entries:
-                    raise ValueError(f"moment file lists index {j} twice")
-                entries[j] = c
+            try:
+                rows = list(csv.DictReader(fh))
+            except csv.Error as exc:    # a field past csv.field_size_limit(), a NUL byte
+                raise ValueError(f"moment file {path} is not a CSV table: {exc}") from exc
+        entries = {}
+        for row in rows:
+            try:
+                j, c = int(row["j"]), complex(float(row["re"]), float(row["im"]))
+            except (KeyError, TypeError) as exc:   # a missing column or field
+                raise ValueError(f"moment file row {row} lacks j, re or im") from exc
+            if j in entries:
+                raise ValueError(f"moment file lists index {j} twice")
+            entries[j] = c
         if not entries:
             raise ValueError("empty moment file")
         jmin, jmax = min(entries), max(entries)

@@ -403,6 +403,34 @@ def test_malformed_moment_file_is_usage_error(tmp_path, text, capsys):
     assert "lacks j, re or im" in capsys.readouterr().err
 
 
+def test_moment_file_field_past_the_csv_limit_is_usage_error(tmp_path, capsys):
+    # the csv module's field limit raised an uncaught _csv.Error (exit 1)
+    table = tmp_path / "long.csv"
+    table.write_text(f"j,re,im\n0,{'1' * 131073},0\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["moments", "--weight", "custom", "--moments", str(table), "--jmax", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(table) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--jmax", "2", "--out"],
+    ["verblunsky", "--n", "2", "--out"],
+    ["dpii", "--ell", "2", "--n", "2", "--out"],
+    ["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "2", "--report"],
+], ids=["moments", "verblunsky", "dpii", "verify"])
+def test_output_path_that_cannot_be_written_is_usage_error(argv, tmp_path, capsys):
+    # a FileNotFoundError ended in a traceback with exit 1, the code of
+    # failed checks
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {argv[-1]}" in err and str(path) in err and "Traceback" not in err
+
+
 def test_repeated_moment_index_is_usage_error(tmp_path, capsys):
     # a second row for j = 0 replaced the first, and the command printed
     # c_0 = 1.0 and exited 0
