@@ -1,8 +1,10 @@
 """Weight functions on the unit circle and their logarithmic derivatives.
 
-A weight is a product of factors, and each of its quantities is composed from
-its factors'; Lebesgue is the empty product.  A custom weight has no pointwise
-factors, only a moment table, which must be able to come from a positive measure.
+A weight is a product of factors, each with its values(theta, dist) on the
+circle, nu(z) off it, log_derivative(z, order), pearson() pair, singular_points
+and mirror_symmetric; each quantity of the weight is composed from its factors',
+and Lebesgue is the empty product.  A custom weight has no pointwise factors,
+only a moment table.
 """
 
 from __future__ import annotations
@@ -63,9 +65,8 @@ class BesselFactor:
 
 @dataclass(frozen=True)
 class JacobiFactor:
-    """(2 sin(theta/2))^{2 lambda} e^{-eta (theta - pi)}, b = lambda + i eta with
-    lambda > -1/2: on the circle, the real positive form of (-z)^{-conj(b)}
-    (1-z)^{b+conj(b)}, whose e^{-eta (theta - pi)} breaks mirror symmetry."""
+    """(2 sin(theta/2))^{2 lambda} e^{-eta (theta - pi)}, b = lambda + i eta, lambda > -1/2:
+    the circle form of (-z)^{-conj(b)} (1-z)^{b+conj(b)}; eta != 0 breaks mirror symmetry."""
 
     b: complex
     singular_points = (0j, 1 + 0j)      # near z = 1 it behaves like |theta|^{2 lam}
@@ -102,12 +103,10 @@ class JacobiFactor:
                 np.array([-self.b.conjugate(), -self.b], dtype=complex))  # -(conj(b) + b z)
 
 
-_FAMILIES = {
-    "lebesgue": ("lebesgue", lambda w: ()),
-    "bessel": ("bessel(ell={w.ell:g})", lambda w: (BesselFactor(w.ell),)),
-    "jacobi": ("jacobi(lambda={w.lam:g}, eta={w.eta:g})", lambda w: (JacobiFactor(w.b),)),
-    "custom": ("custom", lambda w: None),
-}
+_FAMILIES = {"lebesgue": ("lebesgue", lambda w: ()),
+             "bessel": ("bessel(ell={w.ell:g})", lambda w: (BesselFactor(w.ell),)),
+             "jacobi": ("jacobi(lambda={w.lam:g}, eta={w.eta:g})", lambda w: (JacobiFactor(w.b),)),
+             "custom": ("custom", lambda w: None)}
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,8 @@ class WeightSpec:
         object.__setattr__(self, "factors", _FAMILIES[self.kind][1](self))
         if self.factors is None:
             _check_positive_table(self.moments)
+        object.__setattr__(self, "_singular", tuple(dict.fromkeys(
+            s for f in self.factors or () for s in f.singular_points)))
         # computed once: each second-kind table lookup hashes its weight
         object.__setattr__(self, "_hash", hash((self.kind, self.ell, self.b, self.moments)))
 
@@ -165,7 +166,7 @@ class WeightSpec:
         return all(f.mirror_symmetric for f in self.factors or ())
 
     def singular_points(self) -> tuple[complex, ...]:
-        return tuple(dict.fromkeys(s for f in self.factors or () for s in f.singular_points))
+        return self._singular
 
     def label(self) -> str:
         return _FAMILIES[self.kind][0].format(w=self)

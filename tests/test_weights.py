@@ -407,11 +407,13 @@ def test_product_of_two_factors_keeps_the_pearson_relation():
     # bessel(2) x jacobi(1 + 0.5i), the generalized modified Jacobi weight:
     # nu multiplies, nu'/nu adds, and the Pearson pairs combine to
     # A_p = z (1 - z), q = (ell/2)(1 - z)(z^2 - 1) - z (conj(b) + b z).
-    # No constructor builds a product yet, so the factors are set directly
+    # No constructor builds a product yet, so the factors, and the singular
+    # points they unite, are set directly
     from opuc.weights import BesselFactor, JacobiFactor
     ell, b = 2.0, 1.0 + 0.5j
     w = WeightSpec.bessel(ell)
     object.__setattr__(w, "factors", (BesselFactor(ell), JacobiFactor(b)))
+    object.__setattr__(w, "_singular", (0j, 1 + 0j))
     A, q = pearson_data(w)
     assert np.allclose(A, [0.0, 1.0, -1.0], rtol=0.0, atol=1e-15)
     assert np.allclose(q, [-ell / 2, ell / 2 - b.conjugate(), ell / 2 - b, -ell / 2],
