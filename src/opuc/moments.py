@@ -82,7 +82,7 @@ class MomentTable:
         with open(path, newline="") as fh:
             try:
                 rows = list(csv.DictReader(fh))
-            except csv.Error as exc:    # a field past csv.field_size_limit(), a NUL byte
+            except (csv.Error, UnicodeDecodeError) as exc:  # a field past the csv limit, binary
                 raise ValueError(f"moment file {path} is not a CSV table: {exc}") from exc
         entries = {}
         for row in rows:

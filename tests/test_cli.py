@@ -327,7 +327,8 @@ def test_overflowing_residual_exits_3(argv, capsys):
 @pytest.mark.parametrize("argv, table", [
     (["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "2", "--perturb", "0:1e308"],
      None),
-    (["verblunsky", "--weight", "custom", "--n", "1"], "j,re,im\n-1,1e308,0\n0,6.28,0\n1,1e308,0\n"),
+    (["verblunsky", "--weight", "custom", "--n", "1"],
+     "j,re,im\n-1,1e308,0\n0,6.28,0\n1,1e308,0\n"),
 ], ids=["perturbed", "custom-table"])
 def test_alpha_far_outside_the_disk_exits_3_naming_alpha(argv, table, tmp_path, capsys):
     # squaring |alpha_0| overflowed: the Python float of --perturb exited 3
@@ -403,10 +404,13 @@ def test_malformed_moment_file_is_usage_error(tmp_path, text, capsys):
     assert "lacks j, re or im" in capsys.readouterr().err
 
 
-def test_moment_file_field_past_the_csv_limit_is_usage_error(tmp_path, capsys):
-    # the csv module's field limit raised an uncaught _csv.Error (exit 1)
-    table = tmp_path / "long.csv"
-    table.write_text(f"j,re,im\n0,{'1' * 131073},0\n")
+@pytest.mark.parametrize("content", [f"j,re,im\n0,{'1' * 131073},0\n".encode(), b"\xff\xfej,re"],
+                         ids=["field-past-the-csv-limit", "not-utf8"])
+def test_moment_file_the_csv_reader_refuses_is_usage_error(content, tmp_path, capsys):
+    # the csv module's field limit raised an uncaught _csv.Error (exit 1), and
+    # the decoding error of a binary file exited 2 without naming the file
+    table = tmp_path / "bad.csv"
+    table.write_bytes(content)
     with pytest.raises(SystemExit) as exc:
         run(["moments", "--weight", "custom", "--moments", str(table), "--jmax", "0"])
     assert exc.value.code == 2
