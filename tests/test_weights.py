@@ -12,8 +12,12 @@ from hypothesis import given, strategies as st
 
 from opuc.errors import PoleError, UnsupportedWeightError
 from opuc.moments import MomentTable, moments_for
+from opuc.rh import JUMP_DELTA
+from opuc.verify import circle_grid, standard_grid
 from opuc.weights import (
     HERMITIAN_RTOL,
+    BesselFactor,
+    JacobiFactor,
     WeightSpec,
     circle_rule,
     eval_nu,
@@ -375,8 +379,6 @@ def _same_bits(a, b) -> bool:
 
 
 def _guard_points(w):
-    from opuc.rh import JUMP_DELTA
-    from opuc.verify import circle_grid, standard_grid
     band = [s * t for t in circle_grid() for d in (JUMP_DELTA, JUMP_DELTA / 2.0)
             for s in (1.0 - d, 1.0 + d)]
     return list(standard_grid(w)) + band
@@ -391,7 +393,6 @@ def test_circle_rule_keeps_its_bits(w):
 
 @pytest.mark.parametrize("w", GUARDED, ids=[w.label() for w in GUARDED])
 def test_pointwise_weight_quantities_keep_their_bits(w):
-    from opuc.verify import circle_grid
     for t in circle_grid():
         theta = cmath.phase(t) % (2.0 * math.pi)
         assert _same_bits(eval_weight(w, theta), complex(_ref_values(w, np.array([theta]))[0]))
@@ -409,7 +410,6 @@ def test_product_of_two_factors_keeps_the_pearson_relation():
     # A_p = z (1 - z), q = (ell/2)(1 - z)(z^2 - 1) - z (conj(b) + b z).
     # No constructor builds a product yet, so the factors, and the singular
     # points they unite, are set directly
-    from opuc.weights import BesselFactor, JacobiFactor
     ell, b = 2.0, 1.0 + 0.5j
     w = WeightSpec.bessel(ell)
     object.__setattr__(w, "factors", (BesselFactor(ell), JacobiFactor(b)))
