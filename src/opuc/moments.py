@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ParameterRangeError
-from .weights import BesselFactor, WeightSpec, circle_rule
+from .weights import WeightSpec, circle_rule
 
 DEFAULT_N = 256
 NMAX_NODES = 1 << 20
@@ -198,6 +198,6 @@ def moments_for(w: WeightSpec, jmax: int) -> MomentTable:
         if not w.moments.covers(jmax):
             raise ValueError(f"custom moment table does not cover |j| <= {jmax}")
         return w.moments
-    if w.factors in ((), (BesselFactor(w.ell),)):   # the Lebesgue weight is bessel(0)
-        return bessel_moments_analytic(w.ell, jmax)
+    if w.kind in ("lebesgue", "bessel"):        # the Lebesgue weight is bessel(0)
+        return bessel_moments_analytic(w.factors[0].ell if w.factors else 0.0, jmax)
     return moments_quadrature(w, jmax)

@@ -116,16 +116,16 @@ def _bessel_mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
         raise ValueError("recurrence table too short (needs alpha_n)")
     a = _real_alphas(v, n)
     bm1, bn = v.b[n - 1], v.b[n]
-    h = w.ell / 2.0
+    h = w.factors[0].ell / 2.0
     d = (h / 2.0 * (bm1 / bn - a[n - 1] ** 2), n / 2.0, h / 2.0)
     return (d, (-h / bn * a[n - 1], h / bn * a[n]),
             (-h * bm1 * a[n - 1], h * bm1 * a[n - 2]), tuple(-c for c in d))
 
 
 def _jacobi_mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
-    bb = w.b.conjugate()
-    a = v.alphas[n - 1]
-    d = (-(bb + n) * (2.0 * abs(a) ** 2 - 1.0) / 2.0, -(w.b + n) / 2.0)
+    b = w.factors[0].b
+    bb, a = b.conjugate(), v.alphas[n - 1]
+    d = (-(bb + n) * (2.0 * abs(a) ** 2 - 1.0) / 2.0, -(b + n) / 2.0)
     return (d, (-(bb + n) * a.conjugate() / v.b[n],),
             (-v.b[n - 1] * (bb + n) * a,), tuple(-c for c in d))
 
@@ -133,22 +133,21 @@ def _jacobi_mtilde(v: VerblunskyTable, w: WeightSpec, n: int) -> PolyMatrix:
 def _bessel_relations(v: VerblunskyTable, w: WeightSpec, n: int
                       ) -> tuple[float, float]:
     """The three-term derivative relation and its z-weighted variant."""
-    a = _real_alphas(v, n)
-    k2 = v.kappa2
+    a, k2, ell = _real_alphas(v, n), v.kappa2, w.factors[0].ell
     phi, dphi, _ = phi_pair(v, n).derivatives[0]
     (pm1, _, _), (pm1_star, _, _) = phi_pair(v, n - 1).derivatives
     pm2 = phi_pair(v, n - 2).derivatives[0][0]
-    rhs = _lin((n, pm1), (w.ell * k2[n - 2] / (2.0 * k2[n]), pm2))
+    rhs = _lin((n, pm1), (ell * k2[n - 2] / (2.0 * k2[n]), pm2))
     r1 = _max_coeff(_lin((1, dphi), (-1, rhs)))
     inner = _lin((1, pm1), (-a[n], pm1_star))
-    rhs = _lin((n, phi), ((w.ell / 2.0) * (k2[n - 1] / k2[n]), inner))
+    rhs = _lin((n, phi), ((ell / 2.0) * (k2[n - 1] / k2[n]), inner))
     r2 = _max_coeff(_lin((1, (0j,) + dphi), (-1, rhs)))
     return r1, r2
 
 
 def _jacobi_relations(v: VerblunskyTable, w: WeightSpec, n: int) -> tuple[float]:
     """(z-1) Phi_n' = -(conj(b)+n)(1-|alpha_{n-1}|^2) Phi_{n-1} + n Phi_n."""
-    bb = w.b.conjugate()
+    bb = w.factors[0].b.conjugate()
     a = v.alphas[n - 1]
     phi, dphi, _ = phi_pair(v, n).derivatives[0]
     # numpy's complex array product, which rounds differently from Python's

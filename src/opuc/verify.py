@@ -134,8 +134,8 @@ SUITES = {
     "painleve": (
         Check({"dpii_relation": 1e-7},
               lambda v, w, n, z: (painleve.dpii_residual([a.real for a in v.alphas],
-                                                         w.ell, n),),
-              applies=lambda w: w.kind == "bessel" and w.ell > 0),
+                                                         w.factors[0].ell, n),),
+              applies=lambda w: w.kind == "bessel" and w.factors[0].ell > 0),
     ),
 }
 

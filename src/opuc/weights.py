@@ -1,10 +1,10 @@
 """Weight functions on the unit circle and their logarithmic derivatives.
 
-A weight is a product of factors, each with its values(theta, dist) on the
-circle, nu(z) off it, log_derivative(z, order), pearson() pair, singular_points
-and mirror_symmetric; each quantity of the weight is composed from its factors',
-and Lebesgue is the empty product.  A custom weight has no pointwise factors,
-only a moment table.
+A weight is a product of factors, each with its kind and label, its
+values(theta, dist) on the circle, nu(z) off it, log_derivative(z, order),
+pearson() pair, singular_points and mirror_symmetric; each quantity of the
+weight is composed from its factors', and Lebesgue is the empty product.  A
+custom weight has no pointwise factors, only a moment table.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -40,10 +40,15 @@ class BesselFactor:
     """e^{ell cos theta} = exp(ell (z + 1/z) / 2), ell >= 0."""
 
     ell: float
+    kind = "bessel"
+    label = property(lambda self: f"bessel(ell={self.ell:g})")
     singular_points = (0j,)
     mirror_symmetric = True
 
     def __post_init__(self):
+        object.__setattr__(self, "ell", float(self.ell))
+        if not math.isfinite(self.ell):
+            raise ValueError("bessel weight parameters must be finite")
         if not self.ell >= 0:
             raise ValueError("bessel parameter must be >= 0")
 
@@ -69,11 +74,16 @@ class JacobiFactor:
     the circle form of (-z)^{-conj(b)} (1-z)^{b+conj(b)}; eta != 0 breaks mirror symmetry."""
 
     b: complex
+    kind = "jacobi"
+    label = property(lambda self: f"jacobi(lambda={self.lam:g}, eta={self.b.imag:g})")
     singular_points = (0j, 1 + 0j)      # near z = 1 it behaves like |theta|^{2 lam}
     lam = property(lambda self: self.b.real)
     mirror_symmetric = property(lambda self: self.b.imag == 0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "b", complex(self.b))
+        if not cmath.isfinite(self.b):
+            raise ValueError("jacobi weight parameters must be finite")
         if not self.b.real > -0.5:
             raise ValueError("jacobi parameter requires Re(b) > -1/2")
         if not 2.0 * self.lam * math.log(2.0) + math.pi * abs(self.b.imag) <= _LOG_JACOBI_MAX:
@@ -103,63 +113,54 @@ class JacobiFactor:
                 np.array([-self.b.conjugate(), -self.b], dtype=complex))  # -(conj(b) + b z)
 
 
-_FAMILIES = {"lebesgue": ("lebesgue", lambda w: ()),
-             "bessel": ("bessel(ell={w.ell:g})", lambda w: (BesselFactor(w.ell),)),
-             "jacobi": ("jacobi(lambda={w.lam:g}, eta={w.eta:g})", lambda w: (JacobiFactor(w.b),)),
-             "custom": ("custom", lambda w: None)}
-
-
 @dataclass(frozen=True)
 class WeightSpec:
-    """A weight of kind "lebesgue", "bessel" (ell), "jacobi" (b) or "custom"
-    (moments); _FAMILIES gives each kind's label and ``factors``, the tuple of
-    its factors, or None for a custom weight, which has no pointwise values."""
+    """A weight: ``factors``, the tuple of its factors (() for the Lebesgue
+    weight), or None for a custom weight, which has only its ``moments``
+    table and no pointwise values.  Its kind and label are its factors'."""
 
-    kind: str
-    ell: float = 0.0
-    b: complex = 0.0
-    moments: "MomentTable | None" = field(default=None, compare=True)
+    factors: "tuple | None"
+    moments: "MomentTable | None" = None
 
     def __post_init__(self):
-        if self.kind not in _FAMILIES:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "ell", float(self.ell))
-        if not (math.isfinite(self.ell) and cmath.isfinite(self.b)):
-            raise ValueError(f"{self.kind} weight parameters must be finite")
-        object.__setattr__(self, "factors", _FAMILIES[self.kind][1](self))
         if self.factors is None:
             _check_positive_table(self.moments)
+        elif self.moments is not None:
+            raise ValueError("only a custom weight has a moment table")
         object.__setattr__(self, "_singular", tuple(dict.fromkeys(
             s for f in self.factors or () for s in f.singular_points)))
         # computed once: each second-kind table lookup hashes its weight
-        object.__setattr__(self, "_hash", hash((self.kind, self.ell, self.b, self.moments)))
+        object.__setattr__(self, "_hash", hash((self.factors, self.moments)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # rebuilt by the constructor: hashed as the weights of the process it is in
-        return type(self), (self.kind, self.ell, self.b, self.moments)
+        return type(self), (self.factors, self.moments)
 
     @classmethod
     def lebesgue(cls) -> "WeightSpec":
-        return cls("lebesgue")
+        return cls(())
 
     @classmethod
     def bessel(cls, ell: float) -> "WeightSpec":
-        return cls("bessel", ell=ell)
+        return cls((BesselFactor(ell),))
 
     @classmethod
     def jacobi(cls, b: complex) -> "WeightSpec":
-        return cls("jacobi", b=complex(b))
+        return cls((JacobiFactor(b),))
 
     @classmethod
     def custom(cls, moments: "MomentTable") -> "WeightSpec":
-        return cls("custom", moments=moments)
+        return cls(None, moments)
 
-    lam = property(lambda self: self.b.real)
-    eta = property(lambda self: self.b.imag)
+    def _joined(self, attr: str) -> str:
+        """The factors' attr joined by " * ": "lebesgue" for none, "custom" for None."""
+        return "custom" if self.factors is None else (
+            " * ".join(getattr(f, attr) for f in self.factors) or "lebesgue")
+
+    kind = property(lambda self: self._joined("kind"))
 
     def mirror_symmetric(self) -> bool:
         """Whether nu(e^{-i theta}) = nu(e^{i theta}) may hold for every factor."""
@@ -169,7 +170,7 @@ class WeightSpec:
         return self._singular
 
     def label(self) -> str:
-        return _FAMILIES[self.kind][0].format(w=self)
+        return self._joined("label")
 
 
 def _check_positive_table(c: "MomentTable | None") -> None:

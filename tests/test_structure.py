@@ -510,9 +510,9 @@ def test_structure_relations_equal_numpy_polynomial_reference(fixture, table, re
         v = v.perturbed(5, 1e-3)
     for n in range(2 if w.kind == "bessel" else 1, 13):
         if w.kind == "bessel":
-            want = _ref_relations_bessel(v, w.ell, n)
+            want = _ref_relations_bessel(v, w.factors[0].ell, n)
         else:
-            want = _ref_relations_jacobi(v, w.b, n)
+            want = _ref_relations_jacobi(v, w.factors[0].b, n)
         assert structure_relation_residuals(v, w, n) == want
 
 
@@ -528,11 +528,11 @@ def test_generic_closed_forms_match_hand_expanded_reference(fixture, table, requ
     if table == "perturbed":
         v = v.perturbed(5, 1e-3)
     if w.kind == "bessel":
-        p, nmin = w.ell, 2
+        p, nmin = w.factors[0].ell, 2
         refs = (_ref_mtilde_bessel, _ref_curvature_bessel, _ref_first_order_bessel,
                 _ref_second_order_bessel)
     else:
-        p, nmin = w.b, 1
+        p, nmin = w.factors[0].b, 1
         refs = (_ref_mtilde_jacobi, _ref_curvature_jacobi, _ref_first_order_jacobi,
                 _ref_hypergeometric_jacobi)
     ref_mtilde, ref_curv, ref_first, ref_second = refs
@@ -628,5 +628,4 @@ def test_public_names_resolve():
             if not name.startswith("_"):
                 assert "rtol" not in inspect.signature(fn).parameters, name
     # the weight carries no entire factor and no scale
-    assert [f.name for f in dataclasses.fields(WeightSpec)] == ["kind", "ell", "b",
-                                                                "moments"]
+    assert [f.name for f in dataclasses.fields(WeightSpec)] == ["factors", "moments"]
