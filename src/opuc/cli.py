@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -144,6 +146,22 @@ def _open_output(path: str, flag: str, parser, **kwargs):
         parser.error(f"cannot write {flag}: {exc}")
 
 
+def _check_output(path: str, flag: str, parser) -> None:
+    """Refuse before any work a path that _open_output would refuse after it:
+    a directory, one in a missing directory, or one that cannot be written.
+    Nothing is opened, so a run that fails later leaves an existing file as it was."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    parser.error(f"cannot write {flag}: {OSError(code, os.strerror(code), path)}")
+
+
 def _write_csv(rows: list[list], path: str | None, parser) -> None:
     """Write rows as CSV to path, or to stdout when path is None."""
     if path:
@@ -194,6 +212,8 @@ def cmd_verify(args, parser) -> int:
         parser.error(f"verify needs --n >= {VERIFY_MIN_N}")
     nmax = args.n
     _check_degree(nmax, nmax + 2, parser)
+    if args.report:
+        _check_output(args.report, "--report", parser)
     v = verblunsky_from_moments(_moments(w, nmax + 2, parser), nmax + 2)
     if args.perturb:
         v = _apply_perturb(v, args.perturb, parser)
