@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__, painleve, rh, structure
 from .cauchy import RTOL, cauchy_G, cauchy_Gstar, laurent_tail
+from .errors import UnsupportedWeightError
 from .weights import WeightSpec
 
 INNER_R = 0.4
@@ -182,6 +183,9 @@ def meta(w: WeightSpec, nmax: int, suite: str) -> dict:
 def run(suite: Suite, name: str, v, w: WeightSpec, nmax: int) -> None:
     """Add the checks of ``SUITES[name]`` at degrees up to nmax to suite;
     v is the table of degree nmax + 2."""
+    if len(w.factors or ()) > 1:    # no check has a tolerance for a product yet
+        raise UnsupportedWeightError(f"verify suites take one-factor weights, not "
+                                     f"{w.label()}: products are ROADMAP item 12")
     grid = standard_grid(w)
     entries = [c for c in SUITES[name] if c.applies(w)]
     for degrees, group in groupby(entries, key=lambda c: tuple(c.degrees(nmax))):
