@@ -435,6 +435,61 @@ def test_output_path_that_cannot_be_written_is_usage_error(argv, tmp_path, capsy
     assert f"cannot write {argv[-1]}" in err and str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_report_path_that_cannot_be_written_is_refused_before_the_suites(
+        where, tmp_path, monkeypatch, capsys):
+    # the path was opened only after every suite had run: seconds of work
+    # at --n 128 before the exit 2
+    def no_suites(*args):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(verify, "run", no_suites)
+    monkeypatch.setattr(cli, "run", no_suites)
+    path = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "all", "--weight", "lebesgue", "--n", "128", "--report", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write --report" in err and str(path) in err
+
+
+def test_run_that_fails_leaves_an_existing_report_as_it_was(tmp_path, capsys):
+    # the path is checked, not opened, before the suites
+    report = tmp_path / "r.json"
+    report.write_text("earlier report\n")
+    assert run(["verify", "rh", "--weight", "jacobi", "--lambda", "300", "--eta", "2",
+                "--n", "3", "--report", str(report)]) == 3
+    assert report.read_text() == "earlier report\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--weight", "jacobi", "--jmax", "2"], "--weight jacobi requires --lambda"),
+    (["moments", "--weight", "custom", "--jmax", "2"],
+     "--weight custom requires --moments <file.csv>"),
+    (["moments", "--weight", "custom", "--moments", "EMPTY", "--jmax", "2"],
+     "empty moment file"),
+    (["moments", "--weight", "bessel", "--ell", "2", "--jmax", "6"], None),
+    (["verblunsky", "--weight", "jacobi", "--lambda", "1.3", "--eta", "0.4", "--n", "6"], None),
+    (["dpii", "--ell", "2", "--n", "6"], None),
+], ids=["jacobi-without-lambda", "custom-without-moments", "empty-moment-file",
+        "moments-to-stdout", "verblunsky-to-stdout", "dpii-to-stdout"])
+def test_weight_flag_errors_and_csv_to_stdout(argv, message, tmp_path, capsysbinary):
+    # a missing weight flag or an empty moment file is a usage error; a table
+    # without --out goes to stdout, the bytes --out writes
+    empty = tmp_path / "empty.csv"
+    empty.write_text("j,re,im\n")
+    argv = [str(empty) if a == "EMPTY" else a for a in argv]
+    if message is not None:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"error: {message}\n" in capsysbinary.readouterr().err.decode()
+        return
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert run(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_repeated_moment_index_is_usage_error(tmp_path, capsys):
     # a second row for j = 0 replaced the first, and the command printed
     # c_0 = 1.0 and exited 0

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from opuc import verify
 from opuc.errors import PoleError, UnsupportedWeightError
 from opuc.moments import MomentTable, moments_for
 from opuc.rh import JUMP_DELTA
+from opuc.szego import verblunsky_from_moments
 from opuc.verify import circle_grid, standard_grid
 from opuc.weights import (
     HERMITIAN_RTOL,
@@ -428,3 +430,34 @@ def test_product_of_two_factors_keeps_the_pearson_relation():
         lhs = z * polyval(z, A) * log_derivative(w, z) * nu      # z A_p nu'
         rhs = polyval(z, q) * nu
         assert abs(lhs - rhs) <= 1e-14 * abs(rhs), z
+
+
+def test_verify_refuses_a_product_weight_naming_its_roadmap_item():
+    # the suites' tolerances are set per family; a product has none yet, and
+    # the rh suite's jump check ended in a KeyError
+    w = WeightSpec((BesselFactor(2.0), JacobiFactor(1.0 + 0.5j)))
+    v = verblunsky_from_moments(moments_for(w, 6), 6)
+    for name in verify.SUITES:
+        suite = verify.Suite(verify.meta(w, 4, name), w.kind)
+        with pytest.raises(UnsupportedWeightError, match="ROADMAP item 12"):
+            verify.run(suite, name, v, w, 4)
+        assert not suite.checks
+
+
+@pytest.mark.parametrize("w", [WeightSpec.lebesgue(), WeightSpec.bessel(2.0),
+                               WeightSpec.jacobi(1.0 + 0.5j)],
+                         ids=["lebesgue", "bessel(2)", "jacobi(1+0.5i)"])
+def test_moment_mass_is_the_mean_of_the_pointwise_weight(w):
+    # moments_for's route (the analytic series or the quadrature) and the
+    # pointwise values describe one weight: c_0 = 2 pi mean(nu J)
+    _, nu, _ = circle_rule(w, 4096)
+    mass = 2.0 * math.pi * nu.mean()
+    assert abs(moments_for(w, 4).c0 - mass) <= 1e-12 * abs(mass)
+
+
+@pytest.mark.parametrize("factors", [(), (BesselFactor(2.0),)], ids=["lebesgue", "bessel"])
+def test_only_a_custom_weight_has_a_moment_table(factors):
+    table = moments_for(WeightSpec.bessel(2.0), 4)
+    with pytest.raises(ValueError, match="only a custom weight"):
+        WeightSpec(factors, table)
+    assert WeightSpec(None, table) == WeightSpec.custom(table)
