@@ -146,8 +146,8 @@ def _open_output(path: str, flag: str, parser, **kwargs):
         parser.error(f"cannot write {flag}: {exc}")
 
 
-def _check_output(path: str, flag: str, parser) -> None:
-    """Refuse before any work a path that _open_output would refuse after it:
+def _check_report(path: str, parser) -> None:
+    """Refuse before any work a --report path that _open_output would refuse after it:
     a directory, one in a missing directory, or one that cannot be written.
     Nothing is opened, so a run that fails later leaves an existing file as it was."""
     parent = os.path.dirname(path) or "."
@@ -159,7 +159,7 @@ def _check_output(path: str, flag: str, parser) -> None:
         code = errno.EACCES
     else:
         return
-    parser.error(f"cannot write {flag}: {OSError(code, os.strerror(code), path)}")
+    parser.error(f"cannot write --report: {OSError(code, os.strerror(code), path)}")
 
 
 def _write_csv(rows: list[list], path: str | None, parser) -> None:
@@ -213,7 +213,7 @@ def cmd_verify(args, parser) -> int:
     nmax = args.n
     _check_degree(nmax, nmax + 2, parser)
     if args.report:
-        _check_output(args.report, "--report", parser)
+        _check_report(args.report, parser)
     v = verblunsky_from_moments(_moments(w, nmax + 2, parser), nmax + 2)
     if args.perturb:
         v = _apply_perturb(v, args.perturb, parser)
