@@ -23,7 +23,7 @@ from .errors import AccuracyError, DegenerateMeasureError, OpucError
 from .moments import moments_for
 from .painleve import dpii_residual
 from .szego import MAX_DEGREE, verblunsky_from_moments
-from .verify import VERIFY_MIN_N, Suite, meta, run
+from .verify import VERIFY_MIN_N, meta, report, run
 from .weights import WeightSpec
 
 
@@ -36,7 +36,7 @@ def _json_float(x: float) -> str:
 
 def _check_json(c: dict) -> str:
     """One check as json.dumps(report, sort_keys=True, indent=2) lays it out
-    in the report's "checks" list, its fields the keys Suite.add writes,
+    in the report's "checks" list, its fields the keys verify.run writes,
     sorted.  With indent set, json.dumps falls back to its pure-Python
     encoder, so the checks, nearly all of a report, are rendered here."""
     z = c["z"]
@@ -126,16 +126,16 @@ def _apply_perturb(v, spec: str, parser):
 # the suites, one function each, so that a trace can time each suite
 
 
-def _suite_rh(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
-    run(suite, "rh", v, w, nmax)
+def _suite_rh(v, w: WeightSpec, nmax: int) -> list[dict]:
+    return run("rh", v, w, nmax)
 
 
-def _suite_structure(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
-    run(suite, "structure", v, w, nmax)
+def _suite_structure(v, w: WeightSpec, nmax: int) -> list[dict]:
+    return run("structure", v, w, nmax)
 
 
-def _suite_painleve(suite: Suite, v, w: WeightSpec, nmax: int) -> None:
-    run(suite, "painleve", v, w, nmax)
+def _suite_painleve(v, w: WeightSpec, nmax: int) -> list[dict]:
+    return run("painleve", v, w, nmax)
 
 
 def _open_output(path: str, flag: str, parser, **kwargs):
@@ -148,13 +148,16 @@ def _open_output(path: str, flag: str, parser, **kwargs):
 
 def _check_report(path: str, parser) -> None:
     """Refuse before any work a --report path that _open_output would refuse after it:
-    a directory, one in a missing directory, or one that cannot be written.
-    Nothing is opened, so a run that fails later leaves an existing file as it was."""
+    a directory, one under a missing directory or a regular file, or one that cannot
+    be written.  Nothing is opened, so a run that fails later leaves an existing file
+    as it was."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
-        code = errno.ENOENT
+        while parent and not os.path.exists(parent):    # up to the nearest that exists
+            parent = os.path.dirname(parent)
+        code = errno.ENOTDIR if parent and not os.path.isdir(parent) else errno.ENOENT
     elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
     else:
@@ -217,25 +220,23 @@ def cmd_verify(args, parser) -> int:
     v = verblunsky_from_moments(_moments(w, nmax + 2, parser), nmax + 2)
     if args.perturb:
         v = _apply_perturb(v, args.perturb, parser)
-    suite = Suite(meta(w, nmax, args.suite), w.kind)
+    checks = []
     try:
-        if args.suite in ("rh", "all"):
-            _suite_rh(suite, v, w, nmax)
-        if args.suite in ("structure", "all"):
-            _suite_structure(suite, v, w, nmax)
-        if args.suite in ("painleve", "all"):
-            _suite_painleve(suite, v, w, nmax)
+        for name, suite in (("rh", _suite_rh), ("structure", _suite_structure),
+                            ("painleve", _suite_painleve)):
+            if args.suite in (name, "all"):
+                checks += suite(v, w, nmax)
     except OverflowError as exc:    # weight values near the float limit
         raise OverflowError(f"verify {args.suite} at weight {w.label()}, n = {nmax}: "
                             f"a value overflowed the float range: {exc}") from exc
-    report = suite.report()
-    payload = _report_json(report) + "\n"
+    result = report(meta(w, nmax, args.suite), checks)
+    payload = _report_json(result) + "\n"
     if args.report:
         with _open_output(args.report, "--report", parser) as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    return 1 if report["summary"]["failed"] else 0
+    return 1 if result["summary"]["failed"] else 0
 
 
 def _nonnegative_int(text: str) -> int:

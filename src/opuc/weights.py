@@ -46,7 +46,7 @@ class BesselFactor:
     mirror_symmetric = True
 
     def __post_init__(self):
-        object.__setattr__(self, "ell", float(self.ell))
+        object.__setattr__(self, "ell", float(self.ell) + 0.0)   # -0.0 is 0.0, also in the label
         if not math.isfinite(self.ell):
             raise ValueError("bessel weight parameters must be finite")
         if not self.ell >= 0:
@@ -81,7 +81,8 @@ class JacobiFactor:
     mirror_symmetric = property(lambda self: self.b.imag == 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", complex(self.b))
+        b = complex(self.b)
+        object.__setattr__(self, "b", complex(b.real + 0.0, b.imag + 0.0))  # as BesselFactor
         if not cmath.isfinite(self.b):
             raise ValueError("jacobi weight parameters must be finite")
         if not self.b.real > -0.5:

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +11,12 @@ from opuc import cli, verify
 from opuc.cli import main
 from opuc.moments import moments_for
 from opuc.szego import verblunsky_from_moments
-from opuc.verify import SUITES, TOLERANCES, Suite, standard_grid
+from opuc.verify import SUITES, TOLERANCES, standard_grid
 from opuc.weights import WeightSpec
+
+# the ```python blocks of README.md
+README_PYTHON = re.findall(r"```python\n(.*?)```",
+                           (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S)
 
 I1_2 = 1.5906368546
 ALPHA0_BESSEL2 = 0.6977746580
@@ -435,21 +441,38 @@ def test_output_path_that_cannot_be_written_is_usage_error(argv, tmp_path, capsy
     assert f"cannot write {argv[-1]}" in err and str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing/r.json", ".", "f/r.json", "f/sub/r.json"],
+                         ids=["missing-directory", "directory", "under-a-file",
+                              "under-a-missing-directory-under-a-file"])
 def test_report_path_that_cannot_be_written_is_refused_before_the_suites(
         where, tmp_path, monkeypatch, capsys):
     # the path was opened only after every suite had run: seconds of work
-    # at --n 128 before the exit 2
+    # at --n 128 before the exit 2.  The refusal says what open() says; a
+    # path under a regular file read [Errno 2], where open() says [Errno 20]
     def no_suites(*args):
         raise AssertionError("a suite ran")
     monkeypatch.setattr(verify, "run", no_suites)
     monkeypatch.setattr(cli, "run", no_suites)
-    path = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    (tmp_path / "f").write_text("")
+    path = tmp_path / where
     with pytest.raises(SystemExit) as exc:
         run(["verify", "all", "--weight", "lebesgue", "--n", "128", "--report", str(path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "cannot write --report" in err and str(path) in err
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    assert f"cannot write --report: {opened.value}\n" in err
+
+
+@pytest.mark.parametrize("flags, label", [
+    (["--weight", "bessel", "--ell", "-0.0"], "bessel(ell=0)"),
+    (["--weight", "jacobi", "--lambda", "-0.0"], "jacobi(lambda=0, eta=0)"),
+], ids=["bessel", "jacobi"])
+def test_negative_zero_parameter_is_labelled_as_zero(flags, label, capsys):
+    # bessel(-0.0) == bessel(0.0) with one hash, yet it was labelled
+    # bessel(ell=-0): two equal weights, two labels
+    assert run(["verify", "painleve", *flags, "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["weight"] == label
 
 
 def test_run_that_fails_leaves_an_existing_report_as_it_was(tmp_path, capsys):
@@ -610,12 +633,35 @@ def test_every_tolerance_belongs_to_a_reported_check(tmp_path):
 def test_library_suite_equals_the_cli_report(name, capsys):
     # opuc.verify runs a suite without argparse; its report is the CLI's
     w, nmax = WeightSpec.bessel(2.0), 3
-    suite = Suite(verify.meta(w, nmax, name), w.kind)
-    verify.run(suite, name, verblunsky_from_moments(moments_for(w, nmax + 2), nmax + 2),
-               w, nmax)
-    assert suite.checks
+    checks = verify.run(name, verblunsky_from_moments(moments_for(w, nmax + 2), nmax + 2),
+                        w, nmax)
+    assert checks
     assert run(["verify", name, "--weight", "bessel", "--ell", "2", "--n", str(nmax)]) == 0
-    assert capsys.readouterr().out == cli._report_json(suite.report()) + "\n"
+    report = verify.report(verify.meta(w, nmax, name), checks)
+    assert capsys.readouterr().out == cli._report_json(report) + "\n"
+
+
+@pytest.mark.parametrize("w", [WeightSpec.bessel(2.0), WeightSpec.jacobi(1.0 + 0.5j)],
+                         ids=["bessel(2)", "jacobi(1+0.5i)"])
+def test_reversed_tables_render_the_same_report(w, monkeypatch):
+    # verify.run walks each table entry by entry; every residual is
+    # independent of what ran before it, and the report sorts the checks
+    def rendered(names):
+        v = verblunsky_from_moments(moments_for(w, 6), 6)     # no memo shared
+        checks = [c for name in names for c in verify.run(name, v, w, 4)]
+        return cli._report_json(verify.report(verify.meta(w, 4, "all"), checks))
+
+    table_order = rendered(list(SUITES))
+    for name, entries in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, entries[::-1])
+    assert rendered(list(SUITES)[::-1]) == table_order
+
+
+@pytest.mark.parametrize("block", README_PYTHON,
+                         ids=[f"block{i}" for i, _ in enumerate(README_PYTHON, 1)])
+def test_readme_python_block_runs(block):
+    # the library sketches in README.md follow the API
+    exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("argv", [
@@ -638,16 +684,19 @@ def test_report_writer_equals_json_dumps(argv, tmp_path, capsys, monkeypatch):
     assert reports[0] == reports[1]
 
 
-def test_report_writer_spells_special_floats_as_json_does():
-    suite = Suite({"weight": "bessel(ell=2)", "nmax": 2, "rtol": 1e-12}, "bessel")
-    for residual, z in ((math.nan, None), (math.inf, 0.4 + 0j), (-math.inf, None),
-                        (-0.0, -2.5 - 1e-17j), (5e-324, None), (1e16, 1j)):
-        suite.add("det_unimodular", 1, residual, z)
-    report = suite.report()
+def test_report_writer_spells_special_floats_as_json_does(monkeypatch):
+    cases = ((math.nan, None), (math.inf, 0.4 + 0j), (-math.inf, None),
+             (-0.0, -2.5 - 1e-17j), (5e-324, None), (1e16, 1j))
+    residuals = iter(residual for residual, _ in cases)
+    monkeypatch.setitem(SUITES, "rh", (verify.Check(
+        {"det_unimodular": 1e-8}, lambda v, w, n, z: (next(residuals),),
+        degrees=lambda nmax: (1,), points=lambda grid: [z for _, z in cases]),))
+    checks = verify.run("rh", None, WeightSpec.bessel(2.0), 2)
+    report = verify.report({"weight": "bessel(ell=2)", "nmax": 2, "rtol": 1e-12}, checks)
     assert cli._report_json(report) == json.dumps(report, sort_keys=True, indent=2)
 
 
 def test_report_template_has_the_keys_a_check_has():
-    suite = Suite({}, "bessel")
-    suite.add("dpii_relation", 2, 0.0)
-    assert json.loads(cli._check_json(suite.checks[0])) == suite.checks[0]
+    w = WeightSpec.bessel(2.0)
+    checks = verify.run("painleve", verblunsky_from_moments(moments_for(w, 4), 4), w, 2)
+    assert json.loads(cli._check_json(checks[0])) == checks[0]
