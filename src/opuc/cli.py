@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import json
 import math
 import os
@@ -138,37 +137,30 @@ def _suite_painleve(v, w: WeightSpec, nmax: int) -> list[dict]:
     return run("painleve", v, w, nmax)
 
 
-def _open_output(path: str, flag: str, parser, **kwargs):
-    """path opened for writing, with one that cannot be as a usage error."""
+def _open_output(path: str, mode: str, flag: str, parser, **kwargs):
+    """path opened in mode, "w" to write or "a" to check, with one that cannot be
+    as a usage error."""
     try:
-        return open(path, "w", **kwargs)
+        return open(path, mode, **kwargs)
     except OSError as exc:      # a missing directory, a directory, no permission
         parser.error(f"cannot write {flag}: {exc}")
 
 
 def _check_report(path: str, parser) -> None:
-    """Refuse before any work a --report path that _open_output would refuse after it:
-    a directory, one under a missing directory or a regular file, or one that cannot
-    be written.  Nothing is opened, so a run that fails later leaves an existing file
-    as it was."""
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        while parent and not os.path.exists(parent):    # up to the nearest that exists
-            parent = os.path.dirname(parent)
-        code = errno.ENOTDIR if parent and not os.path.isdir(parent) else errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    parser.error(f"cannot write --report: {OSError(code, os.strerror(code), path)}")
+    """Refuse before any work a --report path that the final write would refuse, with
+    open()'s own error: the path is opened for appending, which truncates nothing,
+    closed at once, and removed again if the check created it (for a dangling symlink,
+    its target), so a run that fails later leaves every path as it found it."""
+    created = not os.path.exists(path)
+    _open_output(path, "a", "--report", parser).close()
+    if created:
+        os.remove(os.path.realpath(path))
 
 
 def _write_csv(rows: list[list], path: str | None, parser) -> None:
     """Write rows as CSV to path, or to stdout when path is None."""
     if path:
-        with _open_output(path, "--out", parser, newline="") as fh:
+        with _open_output(path, "w", "--out", parser, newline="") as fh:
             csv.writer(fh).writerows(rows)
     else:
         csv.writer(sys.stdout).writerows(rows)
@@ -232,7 +224,7 @@ def cmd_verify(args, parser) -> int:
     result = report(meta(w, nmax, args.suite), checks)
     payload = _report_json(result) + "\n"
     if args.report:
-        with _open_output(args.report, "--report", parser) as fh:
+        with _open_output(args.report, "w", "--report", parser) as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)

@@ -2,6 +2,7 @@ import cmath
 import collections
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from opuc.cauchy import (
     laurent_tail,
 )
 from opuc.errors import AccuracyError, NearBoundaryError
-from opuc.moments import moments_for
+from opuc.moments import moments_for, moments_quadrature
 from opuc.rh import jump_residual
 from opuc.szego import phi_pair, verblunsky_from_moments
 from opuc.weights import WeightSpec, circle_rule, eval_nu
@@ -145,6 +146,66 @@ def test_laurent_tail_high_degree(w, n):
         abs(gs[1] - v.phi1[n] / v.b[n - 1]),
     )
     assert max(residuals) < 1e-6
+
+
+@pytest.mark.parametrize("ell", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n", [16, 24, 32, 40])
+def test_szego_limit_of_the_bessel_weight(ell, n):
+    # the Szego function of e^{ell cos theta} is D(z) = e^{ell z/2}, D(0) = 1:
+    # Phi*_n -> 1/D, 2 pi kappa_n^2 -> 1 and G_n -> D inside, with errors like
+    # sum_{k >= n} |alpha_k|, below rounding here.  G*_{n-1} -> -D(1/z) z^-n
+    # outside is not checked: the quadrature's absolute floor swamps it
+    w = WeightSpec.bessel(ell)
+    v = verblunsky_from_moments(moments_for(w, n), n)
+    z = 0.4 * cmath.exp(1j * math.pi / 4)
+    d = cmath.exp(ell * z / 2.0)
+    residuals = (abs(phi_pair(v, n).eval_phistar_deriv(z, 0) * d - 1.0),
+                 abs(2.0 * math.pi * v.kappa2[n] - 1.0),
+                 abs(cauchy_G(v, w, n, z) / d - 1.0))
+    assert max(residuals) <= (1e-15 if ell <= 2.0 else 5e-14)
+
+
+@dataclass(frozen=True)
+class RotatedBesselFactor:
+    """e^{ell cos(theta - phi)} = exp(ell (z/a + a/z) / 2), a = e^{i phi}: the
+    Bessel factor rotated by phi, duck-typed as a weights factor."""
+
+    ell: float
+    phi: float
+    kind = "rotated-bessel"
+    label = property(lambda self: f"rotated-bessel(ell={self.ell:g}, phi={self.phi:g})")
+    singular_points = (0j,)
+    mirror_symmetric = False
+
+    def values(self, theta, dist):
+        return np.exp(self.ell * np.cos(theta - self.phi))
+
+    def nu(self, z):
+        a = cmath.exp(1j * self.phi)
+        return cmath.exp(self.ell * (z / a + a / z) / 2.0)
+
+
+def test_rotated_weight_is_covariant():
+    # rotating the weight by phi: alpha_n -> e^{-i(n+1)phi} alpha_n, Phi_n(z) ->
+    # e^{in phi} Phi_n(e^{-i phi} z), G_n(z) -> G_n(e^{-i phi} z) and G*_{n-1}(z) ->
+    # e^{-in phi} G*_{n-1}(e^{-i phi} z).  phi = 0.3 maps no node onto a node; the
+    # rotated weight's moments come from the quadrature, the weight's from its series
+    ell, phi, nmax = 2.0, 0.3, 16
+    w = WeightSpec.bessel(ell)
+    v = verblunsky_from_moments(moments_for(w, nmax), nmax)
+    w_rot = WeightSpec((RotatedBesselFactor(ell, phi),))
+    v_rot = verblunsky_from_moments(moments_quadrature(w_rot, nmax), nmax)
+    turn = cmath.exp(-1j * phi)
+    for n in range(nmax):
+        assert abs(v_rot.alphas[n] - turn ** (n + 1) * v.alphas[n]) <= 5e-15
+    for n in range(nmax + 1):
+        phi_n, phi_rot = phi_pair(v, n).phi, phi_pair(v_rot, n).phi
+        assert np.max(np.abs(phi_rot - turn ** -(n - np.arange(n + 1)) * phi_n)) <= 1e-14
+    for n in (4, 8, 12):     # G_n outside sits on the quadrature's floor by n = 8
+        inside = cauchy_G(v, w, n, turn * INSIDE)
+        assert abs(cauchy_G(v_rot, w_rot, n, INSIDE) - inside) <= 1e-11 * abs(inside)
+        outside = turn ** n * cauchy_Gstar(v, w, n, turn * OUTSIDE)
+        assert abs(cauchy_Gstar(v_rot, w_rot, n, OUTSIDE) - outside) <= 1e-11 * abs(outside)
 
 
 @pytest.mark.parametrize("z", [2.5 * cmath.exp(1j * math.pi / 4),

@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from opuc import cli, verify
 from opuc.cli import main
+from opuc.errors import AccuracyError
 from opuc.moments import moments_for
 from opuc.szego import verblunsky_from_moments
 from opuc.verify import SUITES, TOLERANCES, standard_grid
@@ -441,27 +444,67 @@ def test_output_path_that_cannot_be_written_is_usage_error(argv, tmp_path, capsy
     assert f"cannot write {argv[-1]}" in err and str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("where", ["missing/r.json", ".", "f/r.json", "f/sub/r.json"],
-                         ids=["missing-directory", "directory", "under-a-file",
-                              "under-a-missing-directory-under-a-file"])
+# /proc takes no new file, yet as root os.access said it could be written
+AS_ROOT_ON_LINUX = sys.platform.startswith("linux") and os.geteuid() == 0
+
+
+@pytest.mark.parametrize("where", [
+    "missing/r.json", ".", "f/r.json", "f/sub/r.json", "newdir/", "f/",
+    pytest.param("/proc/r.json", marks=pytest.mark.skipif(
+        not AS_ROOT_ON_LINUX, reason="os.access passed /proc only as root on Linux")),
+], ids=["missing-directory", "directory", "under-a-file",
+        "under-a-missing-directory-under-a-file", "missing-directory-slash", "file-slash",
+        "proc"])
 def test_report_path_that_cannot_be_written_is_refused_before_the_suites(
         where, tmp_path, monkeypatch, capsys):
     # the path was opened only after every suite had run: seconds of work
-    # at --n 128 before the exit 2.  The refusal says what open() says; a
-    # path under a regular file read [Errno 2], where open() says [Errno 20]
+    # at --n 128 before the exit 2.  The refusal says what open() says; the
+    # check that derived it from os.path and os.access read [Errno 2] for
+    # newdir/ and [Errno 20] for f/, where open() says [Errno 21], and as
+    # root it passed /proc/r.json, which open() refuses after the suites
     def no_suites(*args):
         raise AssertionError("a suite ran")
     monkeypatch.setattr(verify, "run", no_suites)
     monkeypatch.setattr(cli, "run", no_suites)
     (tmp_path / "f").write_text("")
-    path = tmp_path / where
+    path = os.path.join(tmp_path, where)     # keeps a trailing slash, which Path drops
     with pytest.raises(SystemExit) as exc:
-        run(["verify", "all", "--weight", "lebesgue", "--n", "128", "--report", str(path)])
+        run(["verify", "all", "--weight", "lebesgue", "--n", "128", "--report", path])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     with pytest.raises(OSError) as opened:
         open(path, "w")
     assert f"cannot write --report: {opened.value}\n" in err
+
+
+def _suite_that_raises(*args):
+    raise AccuracyError("a suite raised after the report check")
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["missing-file", "dangling-symlink"])
+@pytest.mark.parametrize("failure", ["refused", "suite-raises"])
+def test_run_that_fails_after_the_report_check_creates_no_file(
+        link, failure, tmp_path, monkeypatch, capsys):
+    # the check opens the path, so it must remove what it created: a missing
+    # report stays missing, and so does the missing target of a symlink
+    target = tmp_path / "r.json"
+    path = target
+    if link:
+        path = tmp_path / "link.json"
+        path.symlink_to(target)
+    argv = ["verify", "rh", "--weight", "bessel", "--ell", "2", "--n", "2",
+            "--report", str(path)]
+    if failure == "refused":     # --perturb is read after the report check
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--perturb", "bad"])
+        assert exc.value.code == 2
+    else:
+        monkeypatch.setattr(cli, "_suite_rh", _suite_that_raises)
+        assert run(argv) == 3
+        assert "a suite raised" in capsys.readouterr().err
+    assert not target.exists()
+    assert path.is_symlink() == link
+    assert sorted(os.listdir(tmp_path)) == (["link.json"] if link else [])
 
 
 @pytest.mark.parametrize("flags, label", [
@@ -476,7 +519,7 @@ def test_negative_zero_parameter_is_labelled_as_zero(flags, label, capsys):
 
 
 def test_run_that_fails_leaves_an_existing_report_as_it_was(tmp_path, capsys):
-    # the path is checked, not opened, before the suites
+    # the check before the suites opens the path for appending, which truncates nothing
     report = tmp_path / "r.json"
     report.write_text("earlier report\n")
     assert run(["verify", "rh", "--weight", "jacobi", "--lambda", "300", "--eta", "2",
